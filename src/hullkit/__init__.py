@@ -42,6 +42,7 @@ from .errors import (
     OriginNotInterior,
     SchemaError,
     SingularMatrix,
+    TooFewDirections,
 )
 from .extensions import (
     ExtensionCurve,

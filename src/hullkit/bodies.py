@@ -12,6 +12,7 @@ the test suite are checked relatively against it.
 from __future__ import annotations
 
 import logging
+from itertools import chain
 
 import numpy as np
 from scipy.spatial import ConvexHull, QhullError, cKDTree
@@ -78,6 +79,34 @@ def _affine_rank(pts, tol):
 def rot90(u):
     """Rotate a 2D vector by +pi/2."""
     return np.array([-u[1], u[0]], dtype=float)
+
+
+# Row-wise products as stacked (1, 3) @ (3, 1) matmuls: each row rounds
+# exactly as a one-vector dot product (and so ``np.linalg.norm`` of one
+# vector), which a reduction over axis 1 does not guarantee.
+
+
+def _row_dots(a, b):
+    """<a_i, b> for each row of a (b one vector) or <a_i, b_i> (b rows too)."""
+    a = np.ascontiguousarray(a)
+    b = np.ascontiguousarray(b)
+    if b.ndim == 1:
+        return (a[:, None, :] @ b)[:, 0]
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _row_norms(a):
+    return np.sqrt(_row_dots(a, a))
+
+
+def _plane_basis(normals):
+    """Orthonormal in-plane bases (b1, b2) for unit normals, one per row:
+    b1 = n x e_x normalised (n x e_y where that is too short), b2 = n x b1."""
+    b1 = np.cross(normals, [1.0, 0.0, 0.0])
+    short = _row_norms(b1) < 0.5
+    b1[short] = np.cross(normals[short], [0.0, 1.0, 0.0])
+    b1 /= _row_norms(b1)[:, None]
+    return b1, np.cross(normals, b1)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +207,12 @@ class Polytope3:
     planarity, containment of every vertex in every facet halfspace, loop
     consistency (each edge shared by exactly two facets) and Euler's relation
     V - E + F = 2.
+
+    Facets are processed in batches of equal loop length.  Each facet's
+    Newell normal, offset and planarity defect are computed with the same
+    operations, in the same order, as a facet processed on its own, so the
+    cached arrays do not depend on how the loops are batched.  The edge checks
+    work on integer keys ``head * V + tail`` of the directed loop edges.
     """
 
     dim = 3
@@ -186,37 +221,49 @@ class Polytope3:
         v = _as_points(vertices, dim=3).copy()
         if len(v) < 4:
             raise DegenerateInput("a 3-polytope needs at least 4 vertices")
-        loops = [tuple(int(i) for i in loop) for loop in facet_loops]
-        if len(loops) < 4 or any(len(loop) < 3 for loop in loops):
+        loops = [tuple(map(int, loop)) for loop in facet_loops]
+        sizes = np.array([len(loop) for loop in loops])
+        if len(loops) < 4 or np.min(sizes) < 3:
             raise DegenerateInput("a 3-polytope needs at least 4 facets with 3+ vertices each")
+        flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(np.sum(sizes)))
+        if np.min(flat) < 0 or np.max(flat) >= len(v):
+            raise DegenerateInput("a facet loop refers to a missing vertex")
         span = _span(v)
         tol = max(EPS * span, 1e-300)
         centroid = v.mean(axis=0)
 
+        starts = np.cumsum(sizes) - sizes
         normals = np.empty((len(loops), 3))
         offsets = np.empty(len(loops))
-        areas = np.empty(len(loops))
-        fixed_loops = []
-        for f, loop in enumerate(loops):
-            pts = v[list(loop)]
-            raw = np.sum(np.cross(pts, np.roll(pts, -1, axis=0)), axis=0)
-            nrm = np.linalg.norm(raw)
-            # degeneracy is relative to the facet's own extent: genuinely tiny
-            # facets (near-concurrent crease lines) are legitimate
-            facet_span = float(np.max(np.ptp(pts, axis=0)))
-            if facet_span <= 0 or nrm <= EPS * facet_span * facet_span:
+        nrm = np.empty(len(loops))
+        facet_spans = np.empty(len(loops))
+        defects = np.empty(len(loops))
+        for size in np.unique(sizes):
+            fs = np.nonzero(sizes == size)[0]
+            pts = v[flat[starts[fs, None] + np.arange(size)]]
+            raw = np.sum(np.cross(pts, np.roll(pts, -1, axis=1)), axis=1)
+            nrm[fs] = _row_norms(raw)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                normals[fs] = raw / nrm[fs, None]
+            heights = (pts @ normals[fs, :, None])[:, :, 0]
+            offsets[fs] = np.mean(heights, axis=1)
+            facet_spans[fs] = np.max(np.ptp(pts, axis=1), axis=1)
+            # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
+            defects[fs] = np.max(np.abs(heights - offsets[fs, None]), axis=1)
+        # degeneracy is relative to the facet's own extent: genuinely tiny
+        # facets (near-concurrent crease lines) are legitimate
+        degenerate = (facet_spans <= 0) | (nrm <= EPS * facet_spans * facet_spans)
+        bad = degenerate | (defects > 10 * tol)
+        if np.any(bad):
+            f = int(np.argmax(bad))
+            if degenerate[f]:
                 raise DegenerateInput(f"facet {f} is degenerate")
-            n = raw / nrm
-            b = float(np.mean(pts @ n))
-            if n @ centroid > b:
-                loop = loop[::-1]
-                n, b = -n, -b
-            normals[f] = n
-            offsets[f] = b
-            areas[f] = 0.5 * nrm
-            fixed_loops.append(loop)
-            if np.max(np.abs(pts @ n - b)) > 10 * tol:
-                raise DegenerateInput(f"facet {f} is not planar within tolerance")
+            raise DegenerateInput(f"facet {f} is not planar within tolerance")
+        flip = _row_dots(normals, centroid) > offsets
+        normals[flip] *= -1.0
+        offsets[flip] *= -1.0
+        areas = 0.5 * nrm
+        fixed_loops = [loop[::-1] if turned else loop for loop, turned in zip(loops, flip.tolist())]
 
         slack = v @ normals.T - offsets
         if np.max(slack) > 10 * tol:
@@ -224,15 +271,16 @@ class Polytope3:
 
         # consistent orientation: every edge appears in exactly two loops,
         # traversed in opposite directions
-        directed = set()
-        for loop in fixed_loops:
-            for a, b_ in zip(loop, loop[1:] + loop[:1]):
-                if (a, b_) in directed:
-                    raise DegenerateInput("facet loops are not consistently oriented")
-                directed.add((a, b_))
-        if any((b_, a) not in directed for a, b_ in directed):
+        heads = np.fromiter(chain.from_iterable(fixed_loops), dtype=np.int64, count=len(flat))
+        nxt = np.arange(1, len(heads) + 1)
+        nxt[starts + sizes - 1] = starts
+        tails = heads[nxt]
+        keys = heads * len(v) + tails
+        if len(np.unique(keys)) < len(keys):
+            raise DegenerateInput("facet loops are not consistently oriented")
+        if not np.all(np.isin(tails * len(v) + heads, keys)):
             raise DegenerateInput("facet loops are not edge-consistent")
-        n_edges = len(directed) // 2
+        n_edges = len(keys) // 2
         if len(v) - n_edges + len(fixed_loops) != 2:
             raise DegenerateInput("facet structure violates the Euler relation")
 
@@ -386,6 +434,22 @@ def _hull3(pts):
     Points within EPS*span of being non-extreme (flat sliver vertices from
     near-collinear or near-coplanar candidates) are discarded before the
     facet structure is assembled.
+
+    Qhull triangulates every facet, so coplanar simplices are merged here, in
+    whole-array steps that reproduce a per-simplex merge bit for bit:
+
+    * Groups (`_coplanar_groups`) are those of a search from each ungrouped
+      simplex in index order, its *seed*, that adds a neighbour whenever the
+      neighbour's plane agrees with the seed's plane within the merge
+      tolerances; comparing with the seed keeps the criterion from drifting
+      along a chain.  Groups are numbered by their seeds, ascending.
+    * A facet's loop is the 2D hull (`_hull2_indices`) of its vertices in the
+      in-plane basis of its seed's normal, reversed where that normal points
+      into the body.  Facets with equal vertex counts get their plane
+      coordinates in one stacked product, which rounds each facet as a
+      product of its own would; lone triangles are also ordered in one batch
+      (`_facet_rings`), with the start vertex and direction `_hull2_indices`
+      gives them.
     """
     span = _span(pts)
     for _ in range(16):
@@ -394,82 +458,164 @@ def _hull3(pts):
         except QhullError as exc:
             raise DegenerateInput(f"hull construction failed: {exc}") from exc
         flat = _flat_sliver_vertices(pts, qh, EPS * span)
-        if not flat:
+        if len(flat) == 0:
             break
         log.debug("dropping %d flat hull vertices", len(flat))
         keep = np.ones(len(pts), dtype=bool)
-        keep[list(flat)] = False
+        keep[flat] = False
         pts = pts[keep]
     else:
         raise DegenerateInput("hull did not stabilize after sliver removal")
 
+    simplices = qh.simplices
     normals = qh.equations[:, :3]
     offsets = -qh.equations[:, 3]
-    nsimp = len(qh.simplices)
+    seeds, group = _coplanar_groups(qh.neighbors, normals, offsets, EPS * span)
+    basis1, basis2 = _plane_basis(normals[seeds])
+    # outward orientation: the group normal must point away from the body
+    inward = _row_dots(normals[seeds], pts.mean(axis=0)) > offsets[seeds]
 
-    # group simplices whose planes agree within tolerance; BFS against the
-    # seed simplex keeps the criterion from drifting along a chain
-    group = np.full(nsimp, -1, dtype=int)
-    ngroups = 0
-    for seed in range(nsimp):
-        if group[seed] >= 0:
-            continue
-        gid, stack = ngroups, [seed]
-        group[seed] = gid
-        while stack:
-            cur = stack.pop()
-            for nb in qh.neighbors[cur]:
-                if group[nb] >= 0:
-                    continue
-                if (
-                    np.linalg.norm(normals[nb] - normals[seed]) <= _MERGE_NORMAL_TOL
-                    and abs(offsets[nb] - offsets[seed]) <= EPS * span
-                ):
-                    group[nb] = gid
-                    stack.append(nb)
-        ngroups += 1
-
-    raw_loops = []
-    used = set()
-    for gid in range(ngroups):
-        simplex_ids = np.nonzero(group == gid)[0]
-        vids = np.unique(qh.simplices[simplex_ids])
-        n = normals[simplex_ids[0]]
-        basis1 = np.cross(n, [1.0, 0.0, 0.0])
-        if np.linalg.norm(basis1) < 0.5:
-            basis1 = np.cross(n, [0.0, 1.0, 0.0])
-        basis1 /= np.linalg.norm(basis1)
-        basis2 = np.cross(n, basis1)
+    # each group's vertex ids, ascending, from one sort of (group, id) keys
+    owner, vids = np.divmod(np.unique(group[:, None] * len(pts) + simplices), len(pts))
+    counts = np.bincount(owner)
+    starts = np.cumsum(counts) - counts
+    loops = [None] * len(seeds)
+    for m in np.unique(counts).tolist():
+        gs = np.nonzero(counts == m)[0]
+        ids = vids[starts[gs, None] + np.arange(m)]
+        corners = pts[ids]
         # convex facet: its loop is the 2D hull in plane coordinates, which
         # also drops points that are interior or collinear within the facet
-        local = np.column_stack((pts[vids] @ basis1, pts[vids] @ basis2))
-        ring = _hull2_indices(local, tol=EPS * span * max(_span(local), EPS * span))
-        loop = [int(vids[i]) for i in ring]
-        # outward orientation: the group normal must point away from the body
-        if n @ pts.mean(axis=0) > offsets[simplex_ids[0]]:
-            loop = loop[::-1]
-        raw_loops.append(loop)
-        used.update(loop)
+        local = np.stack([(corners @ basis[gs, :, None])[:, :, 0] for basis in (basis1, basis2)], axis=2)
+        tol = EPS * span * np.maximum(np.max(np.ptp(local, axis=1), axis=1), EPS * span)
+        for g, row, ring in zip(gs.tolist(), ids, _facet_rings(local, tol)):
+            loop = row[ring]
+            loops[g] = loop[::-1] if inward[g] else loop
 
-    order = sorted(used)
-    remap = {old: new for new, old in enumerate(order)}
-    return Polytope3(pts[order], [[remap[i] for i in loop] for loop in raw_loops])
+    used = np.unique(np.concatenate(loops))
+    remap = np.zeros(len(pts), dtype=int)
+    remap[used] = np.arange(len(used))
+    return Polytope3(pts[used], [remap[loop] for loop in loops])
+
+
+def _coplanar_groups(neighbors, normals, offsets, offset_tol):
+    """Group qhull simplices into facets, as the seed search of `_hull3`.
+
+    Returns ``(seeds, group)``: each group's lowest simplex, ascending, and
+    each simplex's group index.  Two members of one group agree with its seed
+    within the tolerances, so with each other within twice them.  Only
+    neighbour pairs that pass that looser test (with a little slack for
+    rounding) can share a group, and a simplex in none is a group alone.
+    Components over those pairs get the lowest index as label.  A component
+    all of whose members agree with that lowest simplex is one group;
+    otherwise the seed search runs on that component alone.
+    """
+    nsimp = len(neighbors)
+    a = np.repeat(np.arange(nsimp), neighbors.shape[1])
+    b = neighbors.ravel()
+    loose = 2.000001
+    pair = (a < b) & _planes_agree(normals, offsets, a, b, loose * _MERGE_NORMAL_TOL, loose * offset_tol)
+    a, b = a[pair], b[pair]
+    label = np.arange(nsimp)
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if np.array_equal(new, label):
+            break
+        label = new
+    merged = np.nonzero(label != np.arange(nsimp))[0]
+    agree = _planes_agree(normals, offsets, merged, label[merged], _MERGE_NORMAL_TOL, offset_tol)
+    drifted = merged[~agree]
+    for root in np.unique(label[drifted]).tolist():
+        comp = np.nonzero(label == root)[0]
+        inside = np.isin(a, comp)
+        label[comp] = _seed_search(comp, a[inside], b[inside], normals, offsets, offset_tol)
+    return np.unique(label, return_inverse=True)
+
+
+def _seed_search(comp, a, b, normals, offsets, offset_tol):
+    """Seed of each simplex of ``comp`` (ascending) under the seed-plane
+    search, walking the candidate pairs (a, b) inside the component."""
+    adjacent = {s: [] for s in comp.tolist()}
+    for x, y in zip(a.tolist(), b.tolist()):
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    seed_of = {}
+    for seed in adjacent:
+        if seed in seed_of:
+            continue
+        near = set(comp[_planes_agree(normals, offsets, comp, seed, _MERGE_NORMAL_TOL, offset_tol)].tolist())
+        seed_of[seed] = seed
+        stack = [seed]
+        while stack:
+            for nb in adjacent[stack.pop()]:
+                if nb not in seed_of and nb in near:
+                    seed_of[nb] = seed
+                    stack.append(nb)
+    return [seed_of[s] for s in comp.tolist()]
+
+
+def _planes_agree(normals, offsets, i, j, normal_tol, offset_tol):
+    """Whether simplex planes i and j agree: unit normals within normal_tol
+    as a chord and offsets within offset_tol."""
+    return (_row_norms(normals[i] - normals[j]) <= normal_tol) & (np.abs(offsets[i] - offsets[j]) <= offset_tol)
+
+
+def _facet_rings(local, tol):
+    """``_hull2_indices(local[k], tol=tol[k])`` for each k of a stack of
+    equal-size point sets in plane coordinates.
+
+    Triangles are done in one batch that computes the same sort and the same
+    turn tests, term for term: the lexicographically first corner starts the
+    ring, which runs CCW.  A triangle with any turn test of the monotone
+    chain or of its corner sweep at or below tolerance, like every larger
+    set, goes through `_hull2_indices` itself.
+    """
+    if local.shape[1] != 3:
+        return [_hull2_indices(pts, tol=t) for pts, t in zip(local, tol)]
+    x, y = local[:, :, 0], local[:, :, 1]
+    order = np.lexsort((y, x), axis=1)
+
+    def turn(xs, ys, o, a, b):
+        return (xs[:, a] - xs[:, o]) * (ys[:, b] - ys[:, o]) - (ys[:, a] - ys[:, o]) * (xs[:, b] - xs[:, o])
+
+    xs = np.take_along_axis(x, order, axis=1)
+    ys = np.take_along_axis(y, order, axis=1)
+    lower = turn(xs, ys, 0, 1, 2) > tol
+    upper = turn(xs, ys, 2, 1, 0) > tol
+    # one chain keeps the middle corner: ring [0, 1, 2] (lower) or [0, 2, 1]
+    ring = np.where(lower[:, None], [0, 1, 2], [0, 2, 1])
+    plain = lower != upper
+    xs = np.take_along_axis(xs, ring, axis=1)
+    ys = np.take_along_axis(ys, ring, axis=1)
+    for corner in ((2, 0, 1), (0, 1, 2), (1, 2, 0)):  # the junction sweep
+        plain &= turn(xs, ys, *corner) > tol
+    rings = list(np.take_along_axis(order, ring, axis=1))
+    for k in np.nonzero(~plain)[0].tolist():
+        rings[k] = _hull2_indices(local[k], tol=tol[k])
+    return rings
 
 
 def _flat_sliver_vertices(pts, qh, height_tol):
     """Vertices sitting within height_tol of the opposite edge of a hull
-    triangle; such points are non-extreme up to tolerance."""
-    flat = set()
-    for simplex in qh.simplices:
-        tri = pts[simplex]
-        sides = tri[[1, 2, 0]] - tri
-        lengths = np.linalg.norm(sides, axis=1)
-        area2 = np.linalg.norm(np.cross(sides[0], -sides[2]))
-        longest = int(np.argmax(lengths))
-        if area2 <= height_tol * lengths[longest]:
-            # vertex opposite the longest edge is the nearly-collinear one
-            flat.add(int(simplex[(longest + 2) % 3]))
-    return flat
+    triangle; such points are non-extreme up to tolerance.
+
+    One batch over all simplices: a triangle is flat when twice its area is
+    at most height_tol times its longest side, and then the vertex opposite
+    that side is returned.  Areas are computed as ``np.linalg.norm`` of one
+    cross product would compute them.  Returns sorted point indices.
+    """
+    tri = pts[qh.simplices]
+    sides = tri[:, [1, 2, 0]] - tri
+    lengths = np.linalg.norm(sides, axis=2)
+    area2 = _row_norms(np.cross(sides[:, 0], -sides[:, 2]))
+    longest = np.argmax(lengths, axis=1)
+    flat = area2 <= height_tol * np.take_along_axis(lengths, longest[:, None], axis=1)[:, 0]
+    # vertex opposite the longest edge is the nearly-collinear one
+    return np.unique(qh.simplices[flat, (longest[flat] + 2) % 3])
 
 
 # ---------------------------------------------------------------------------
@@ -595,11 +741,7 @@ def shadow_area(body, u):
     if body.dim == 2:
         proj = body.vertices @ rot90(u)
         return float(np.max(proj) - np.min(proj))
-    basis1 = np.cross(u, [1.0, 0.0, 0.0])
-    if np.linalg.norm(basis1) < 0.5:
-        basis1 = np.cross(u, [0.0, 1.0, 0.0])
-    basis1 /= np.linalg.norm(basis1)
-    basis2 = np.cross(u, basis1)
+    basis1, basis2 = (b[0] for b in _plane_basis(u[None, :]))
     flat = np.column_stack((body.vertices @ basis1, body.vertices @ basis2))
     ring = flat[_hull2_indices(flat)]
     area2 = np.sum(ring[:, 0] * np.roll(ring[:, 1], -1) - np.roll(ring[:, 0], -1) * ring[:, 1])

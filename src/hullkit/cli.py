@@ -150,10 +150,14 @@ def _cmd_eval(args):
     t = _parse_vector(args.t)
     if len(t) != body.dim:
         raise _UsageError(f"--t must have {body.dim} components for this body")
-    print(f"convex_hull_function {fmt(convex_hull_function(body, t))}")
+    # every value is computed before the first line is printed, so a
+    # failing one leaves stdout empty
+    values = [("convex_hull_function", convex_hull_function(body, t))]
     if args.lam is not None:
-        print(f"homothetic_hull_function {fmt(homothetic_hull_function(body, args.lam, t))}")
-    print(f"point_hull_volume {fmt(point_hull_volume(body, t).value)}")
+        values.append(("homothetic_hull_function", homothetic_hull_function(body, args.lam, t)))
+    values.append(("point_hull_volume", point_hull_volume(body, t).value))
+    for name, value in values:
+        print(f"{name} {fmt(value)}")
     return 0
 
 
@@ -277,6 +281,8 @@ def _cmd_extend(args):
 
 
 def _cmd_search(args):
+    if args.n < 1:
+        raise _UsageError("--n must be at least 1")
     if args.dim == 3:
         rows = acceptance.illumination_defect_rows(args.n, seed=args.seed, include_named=False)
         worst = min(r.value for r in rows)

@@ -30,7 +30,11 @@ class LevelBelowVolume(GeometryError):
 
 
 class NonPositiveDelta(GeometryError):
-    """Illumination bodies are defined for delta > 0."""
+    """Illumination bodies are defined for finite delta > 0."""
+
+
+class TooFewDirections(GeometryError):
+    """Direction-sampled checks need at least 16 directions."""
 
 
 class MissingIntersection(GeometryError):

@@ -147,9 +147,7 @@ def illumination_body_2d(polygon, delta):
     the vertex set of the result (sideline points of the boundary are always
     corners of the level curve).
     """
-    if delta <= 0:
-        raise NonPositiveDelta("delta must be positive")
-    level = polygon.volume + float(delta)
+    level = _level(polygon, delta)
     v = polygon.vertices
     candidates = []
     for i in range(len(v)):
@@ -167,9 +165,7 @@ def illumination_body_3d(polytope, delta):
     two facet planes; parallel plane pairs contribute no line and are skipped.
     Hulling the candidates discards the non-extreme ones.
     """
-    if delta <= 0:
-        raise NonPositiveDelta("delta must be positive")
-    level = polytope.volume + float(delta)
+    level = _level(polytope, delta)
     normals = polytope.facet_normals
     offsets = polytope.facet_offsets
     nf = len(normals)
@@ -186,6 +182,13 @@ def illumination_body_3d(polytope, delta):
             candidates.extend(x0 + s * d for s in _line_crossings(polytope, x0, d, level))
     pts = _merged(np.array(candidates), EPS * polytope.diameter)
     return LevelSet(body=hull(pts), level=level, delta=float(delta))
+
+
+def _level(body, delta):
+    """The level vol(K) + delta of an illumination body, for finite delta > 0."""
+    if not (np.isfinite(delta) and delta > 0):
+        raise NonPositiveDelta("delta must be finite and positive")
+    return body.volume + float(delta)
 
 
 def illumination_body(body, delta):

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import Polygon, brightness_many, difference_body, hull, polar
+from .errors import DegenerateInput, TooFewDirections
 from .illumination import HomothetyReport, homothety_fit
 from .sampling import ball_body, direction_set
 
@@ -71,7 +72,7 @@ def _zonotope(generators):
         else:
             merged.append(g.copy())
     if len(merged) < 3:
-        raise ValueError("zonotope generators do not span 3-space")
+        raise DegenerateInput("zonotope generators do not span 3-space")
     # seed with a parallelepiped of three independent generators
     seed = [merged[0]]
     for g in merged[1:]:
@@ -82,7 +83,7 @@ def _zonotope(generators):
         if len(seed) == 3:
             break
     if len(seed) < 3:
-        raise ValueError("zonotope generators do not span 3-space")
+        raise DegenerateInput("zonotope generators do not span 3-space")
     rest = [g for g in merged if not any(g is s for s in seed)]
     corners = np.array([s1 * seed[0] + s2 * seed[1] + s3 * seed[2]
                         for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)])
@@ -108,7 +109,7 @@ def tcvp_check(body, n_dirs=360):
     """Measure Delta(u) over a deterministic direction set and fit the
     polar projection body against the difference body."""
     if n_dirs < 16:
-        raise ValueError("n_dirs must be at least 16")
+        raise TooFewDirections("n_dirs must be at least 16")
     dirs = direction_set(body.dim, n_dirs)
     deltas = delta_values(body, dirs)
     dmin, dmax, dmean = float(np.min(deltas)), float(np.max(deltas)), float(np.mean(deltas))
@@ -128,7 +129,7 @@ def translative_volume_constant(body, n_dirs=720):
     """Max hull volume over touching translates, normalized by volume:
     1 + max_u Delta(u) / vol."""
     if n_dirs < 16:
-        raise ValueError("n_dirs must be at least 16")
+        raise TooFewDirections("n_dirs must be at least 16")
     dirs = direction_set(body.dim, n_dirs)
     return 1.0 + float(np.max(delta_values(body, dirs))) / body.volume
 

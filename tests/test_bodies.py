@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from hullkit import (
     EPS,
@@ -17,12 +18,15 @@ from hullkit import (
     gauge,
     hausdorff_distance,
     hull,
+    illumination_body_3d,
     minkowski_sum,
     point_body_distance,
     polar,
+    projection_body,
     shadow_area,
     support,
 )
+from hullkit import bodies
 from hullkit.sampling import random_polygon, random_polytope3
 
 from conftest import unit_vector
@@ -83,6 +87,194 @@ class TestHull:
     def test_inconsistent_facet_loops_rejected(self, tetrahedron):
         with pytest.raises(DegenerateInput):
             Polytope3(tetrahedron.vertices, list(tetrahedron.facet_loops)[:3])
+
+
+CUBE = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
+
+
+def _loop_hull3(pts):
+    """Per-simplex reference for ``_hull3``: sliver reruns, a seed-plane BFS
+    per group and one 2D hull per group, written as plain loops.  Returns the
+    kept points and the unvalidated, unremapped facet loops."""
+    span = bodies._span(pts)
+    while True:
+        qh = ConvexHull(pts)
+        flat = set()
+        for simplex in qh.simplices:
+            tri = pts[simplex]
+            sides = tri[[1, 2, 0]] - tri
+            lengths = np.linalg.norm(sides, axis=1)
+            longest = int(np.argmax(lengths))
+            if np.linalg.norm(np.cross(sides[0], -sides[2])) <= EPS * span * lengths[longest]:
+                flat.add(int(simplex[(longest + 2) % 3]))
+        if not flat:
+            break
+        pts = np.delete(pts, sorted(flat), axis=0)
+    normals, offsets = qh.equations[:, :3], -qh.equations[:, 3]
+    group = np.full(len(qh.simplices), -1)
+    seeds = []
+    for seed in range(len(group)):
+        if group[seed] >= 0:
+            continue
+        group[seed], stack = len(seeds), [seed]
+        while stack:
+            for nb in qh.neighbors[stack.pop()]:
+                if (
+                    group[nb] < 0
+                    and np.linalg.norm(normals[nb] - normals[seed]) <= bodies._MERGE_NORMAL_TOL
+                    and abs(offsets[nb] - offsets[seed]) <= EPS * span
+                ):
+                    group[nb] = len(seeds)
+                    stack.append(nb)
+        seeds.append(seed)
+    loops = []
+    for gid, seed in enumerate(seeds):
+        vids = np.unique(qh.simplices[group == gid])
+        n = normals[seed]
+        basis1 = np.cross(n, [1.0, 0.0, 0.0])
+        if np.linalg.norm(basis1) < 0.5:
+            basis1 = np.cross(n, [0.0, 1.0, 0.0])
+        basis1 /= np.linalg.norm(basis1)
+        local = np.column_stack((pts[vids] @ basis1, pts[vids] @ np.cross(n, basis1)))
+        ring = bodies._hull2_indices(local, tol=EPS * span * max(bodies._span(local), EPS * span))
+        loop = [int(vids[i]) for i in ring]
+        loops.append(loop[::-1] if n @ pts.mean(axis=0) > offsets[seed] else loop)
+    return pts, loops
+
+
+def _loop_facet_planes(vertices, loops):
+    """Per-facet reference for Polytope3's Newell normals, offsets and areas,
+    with each loop turned to face outward."""
+    centroid = vertices.mean(axis=0)
+    out = []
+    for loop in loops:
+        ring = vertices[list(loop)]
+        raw = np.sum(np.cross(ring, np.roll(ring, -1, axis=0)), axis=0)
+        nrm = np.linalg.norm(raw)
+        n = raw / nrm
+        b = float(np.mean(ring @ n))
+        if n @ centroid > b:
+            loop, n, b = loop[::-1], -n, -b
+        out.append((tuple(loop), n, b, 0.5 * nrm))
+    return out
+
+
+class TestHullMerging:
+    def test_cube_with_face_points_gives_six_quads(self):
+        rng = np.random.default_rng(11)
+        extra = []
+        for axis in range(3):
+            for side in (-1.0, 1.0):
+                face = rng.uniform(-0.9, 0.9, size=(3, 3))
+                face[:, axis] = side
+                extra.append(face)
+        body = hull(np.vstack([CUBE, *extra]))
+        assert len(body) == 8
+        assert len(body.facet_loops) == 6
+        assert all(len(loop) == 4 for loop in body.facet_loops)
+        assert body.volume == pytest.approx(8.0, rel=1e-14)
+
+    def test_point_near_cube_edge_dropped_by_sliver_rule(self):
+        # inside the y = -1 face by 0.3 EPS*span and below z = -1 by 0.1
+        # EPS*span: qhull keeps it as a vertex of a sliver triangle
+        span = 2.0
+        p = [0.3, -1.0 + 0.3 * EPS * span, -1.0 - 0.1 * EPS * span]
+        pts = np.vstack((CUBE, p))
+        flat = bodies._flat_sliver_vertices(pts, ConvexHull(pts), EPS * span)
+        assert [int(i) for i in flat] == [8]
+        body = hull(pts)
+        assert len(body) == 8
+        assert sorted(len(loop) for loop in body.facet_loops) == [4] * 6
+
+    @pytest.mark.parametrize("lift, vertices, facets", [(0.1, 8, 6), (10.0, 9, 9)])
+    def test_lifted_face_point_merge_threshold(self, lift, vertices, facets):
+        p = [0.2, 0.3, 1.0 + lift * EPS * 2.0]
+        body = hull(np.vstack((CUBE, p)))
+        assert (len(body), len(body.facet_loops)) == (vertices, facets)
+
+    def test_drifting_fan_split_by_seed_plane(self):
+        # a 24-triangle cone of slope 1e-9 on a prism: neighbouring triangles
+        # agree within the merge tolerance, opposite ones do not
+        m = 24
+        th = 2 * np.pi * np.arange(m) / m
+        rim = np.column_stack((np.cos(th), np.sin(th), np.ones(m)))
+        base = rim * [1.0, 1.0, -1.0]
+        apex = [0.0, 0.0, 1.0 + 1e-9]
+        pts = np.vstack(([apex], rim, base))
+        tri = np.cross(rim - apex, np.roll(rim, -1, axis=0) - apex)
+        tri /= np.linalg.norm(tri, axis=1)[:, None]
+        step = np.linalg.norm(tri - np.roll(tri, -1, axis=0), axis=1)
+        drift = np.linalg.norm(tri - tri[0], axis=1)
+        assert np.max(step) < bodies._MERGE_NORMAL_TOL < np.max(drift)
+        body = hull(pts)
+        top = [loop for loop, n in zip(body.facet_loops, body.facet_normals) if n[2] > 0.5]
+        assert sorted(len(loop) for loop in top) == [7, 8, 8, 9]
+        assert all(0 in loop for loop in top)  # the apex stays a vertex of each
+        assert len(body) == 2 * m + 1
+
+    def _reference_inputs(self):
+        rng = np.random.default_rng(12)
+        for n in (10, 40, 200):
+            yield rng.normal(size=(n, 3))
+        yield np.vstack([CUBE, rng.uniform(-1, 1, size=(30, 3)) * [1, 1, 0] + [0, 0, 1]])
+        body = random_polytope3(rng, 9)
+        yield body.vertices
+        yield illumination_body_3d(body, 0.5 * body.volume).body.vertices
+        yield projection_body(body).vertices
+        yield polar(body).vertices
+
+    def test_matches_per_simplex_reference(self):
+        for pts in self._reference_inputs():
+            ref_pts, ref_loops = _loop_hull3(pts)
+            used = sorted({i for loop in ref_loops for i in loop})
+            remap = {old: new for new, old in enumerate(used)}
+            ref_loops = [[remap[i] for i in loop] for loop in ref_loops]
+            body = bodies._hull3(pts)
+            assert np.array_equal(body.vertices, ref_pts[used])
+            planes = _loop_facet_planes(body.vertices, ref_loops)
+            assert body.facet_loops == tuple(p[0] for p in planes)
+            assert np.array_equal(body.facet_normals, np.array([p[1] for p in planes]))
+            assert np.array_equal(body.facet_offsets, np.array([p[2] for p in planes]))
+            assert np.array_equal(body.facet_areas, np.array([p[3] for p in planes]))
+
+
+class TestPolytope3Validation:
+    """One test per DegenerateInput branch of Polytope3.__init__."""
+
+    def test_degenerate_facet(self, cube):
+        a, b = cube.facet_loops[0][:2]
+        v = np.vstack((cube.vertices, 0.5 * (cube.vertices[a] + cube.vertices[b])))
+        with pytest.raises(DegenerateInput, match="facet 0 is degenerate"):
+            Polytope3(v, [(a, 8, b), *cube.facet_loops])
+
+    def test_non_planar_facet(self, cube):
+        v = cube.vertices.copy()
+        v[0] *= 1.01
+        with pytest.raises(DegenerateInput, match="is not planar"):
+            Polytope3(v, cube.facet_loops)
+
+    def test_vertex_outside_halfspace(self, cube):
+        v = np.vstack((cube.vertices, [2.0, 0.0, 0.0]))
+        with pytest.raises(DegenerateInput, match="outside a facet halfspace"):
+            Polytope3(v, cube.facet_loops)
+
+    def test_duplicate_directed_edge(self, cube):
+        with pytest.raises(DegenerateInput, match="not consistently oriented"):
+            Polytope3(cube.vertices, [*cube.facet_loops, cube.facet_loops[2]])
+
+    def test_unmatched_edge(self, cube):
+        with pytest.raises(DegenerateInput, match="not edge-consistent"):
+            Polytope3(cube.vertices, cube.facet_loops[1:])
+
+    def test_euler_violation(self, cube):
+        v = np.vstack((cube.vertices, [0.0, 0.0, 0.0]))
+        with pytest.raises(DegenerateInput, match="Euler relation"):
+            Polytope3(v, cube.facet_loops)
+
+    def test_loops_face_outward_whatever_their_input_direction(self, cube):
+        flipped = Polytope3(cube.vertices, [loop[::-1] for loop in cube.facet_loops])
+        assert flipped.facet_loops == cube.facet_loops
+        assert np.array_equal(flipped.facet_normals, cube.facet_normals)
 
 
 class TestPolytopeInvariants:
@@ -276,6 +468,23 @@ class TestBrightness:
             formula = brightness_many(body, dirs)
             oracle = np.array([shadow_area(body, u) for u in dirs])
             assert np.max(np.abs(formula - oracle) / oracle) <= 1e-9
+
+    def test_shadow_area_basis_is_unchanged(self):
+        # the in-plane basis written out inline: n x e_x, or n x e_y where
+        # that is shorter than 0.5, normalised; shadow_area must match it
+        # bit for bit
+        rng = np.random.default_rng(10)
+        body = random_polytope3(rng, 10)
+        dirs = [unit_vector(rng, 3) for _ in range(50)] + [np.array([1.0, 0.0, 0.0])]
+        for u in dirs:
+            b1 = np.cross(u, [1.0, 0.0, 0.0])
+            if np.linalg.norm(b1) < 0.5:
+                b1 = np.cross(u, [0.0, 1.0, 0.0])
+            b1 /= np.linalg.norm(b1)
+            flat = np.column_stack((body.vertices @ b1, body.vertices @ np.cross(u, b1)))
+            ring = flat[bodies._hull2_indices(flat)]
+            area2 = np.sum(ring[:, 0] * np.roll(ring[:, 1], -1) - np.roll(ring[:, 0], -1) * ring[:, 1])
+            assert shadow_area(body, u) == 0.5 * abs(float(area2))
 
     def test_non_unit_direction(self, cube):
         with pytest.raises(NonUnitDirection):

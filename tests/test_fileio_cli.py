@@ -178,6 +178,33 @@ class TestCli:
         assert run_cli(["nonsense"])[0] == 1
         assert run_cli(["eval", "missing.json", "--t", "1,0"])[0] == 1
 
+    def test_tcvp_too_few_dirs_is_input_error(self, cube_file):
+        code, out, err = run_cli(["tcvp", cube_file, "--dirs", "5"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
+    @pytest.mark.parametrize("delta", ["nan", "inf", "-inf", "0"])
+    def test_illum_rejects_non_finite_or_non_positive_delta(self, square_file, cube_file, delta):
+        for path in (square_file, cube_file):
+            code, out, err = run_cli(["illum", path, f"--delta={delta}"])
+            assert (code, out) == (1, "")
+            assert err.startswith("error:")
+
+    @pytest.mark.parametrize("dim", ["2", "3"])
+    def test_search_needs_at_least_one_body(self, dim):
+        code, out, err = run_cli(["search", "--n", "0", "--dim", dim])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage error:")
+
+    def test_eval_failure_prints_nothing(self, tmp_path):
+        # the origin is outside this square, so the homothetic value fails
+        # after the translate value could have been printed
+        path = tmp_path / "shifted.json"
+        path.write_text('{"dim":2,"vertices":[[5,5],[7,5],[7,7],[5,7]]}')
+        code, out, err = run_cli(["eval", str(path), "--t", "1,0", "--lambda", "0.5"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:")
+
     def test_bad_body_error_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim":2,"vertices":[[0,0],[1,0]]}')

@@ -87,6 +87,12 @@ class TestIlluminationBody2D:
         with pytest.raises(NonPositiveDelta):
             illumination_body_3d(cube, -1.0)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf])
+    def test_non_finite_delta(self, square, cube, delta):
+        for body in (square, cube):
+            with pytest.raises(NonPositiveDelta):
+                illumination_body(body, delta)
+
     def test_sideline_crossings_are_exactly_the_vertices(self):
         # every solution of the level equation on a sideline is a corner of
         # the level curve, and every corner arises this way

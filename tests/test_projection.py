@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from hullkit import (
+    DegenerateInput,
+    GeometryError,
+    TooFewDirections,
     brightness_many,
     constancy_check,
     convex_hull_function,
@@ -15,6 +18,7 @@ from hullkit import (
     tcvp_check,
     translative_volume_constant,
 )
+from hullkit.projection import _zonotope
 from hullkit.sampling import (
     direction_set,
     random_polygon,
@@ -234,3 +238,14 @@ class TestConstancyCheck:
             tcvp_check(cube, 8)
         with pytest.raises(ValueError):
             translative_volume_constant(cube, 8)
+
+    def test_preconditions_raise_geometry_errors(self, cube):
+        with pytest.raises(TooFewDirections):
+            tcvp_check(cube, 8)
+        with pytest.raises(TooFewDirections):
+            translative_volume_constant(cube, 8)
+        assert issubclass(TooFewDirections, GeometryError)
+        with pytest.raises(DegenerateInput, match="span 3-space"):
+            _zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])
+        with pytest.raises(DegenerateInput, match="span 3-space"):
+            _zonotope([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0], [1.0, -1.0, 0.0]])
