@@ -40,6 +40,7 @@ from .errors import (
     NonPositiveDelta,
     NonUnitDirection,
     OriginNotInterior,
+    SamplingExhausted,
     SchemaError,
     SingularMatrix,
     TooFewDirections,

@@ -15,7 +15,8 @@ import itertools
 import numpy as np
 
 from . import extensions as ext
-from .bodies import brightness, hausdorff_distance, hull, point_body_distance
+from .bodies import Polygon, brightness, hausdorff_distance, hull, point_body_distance
+from .errors import DegenerateInput, SamplingExhausted
 from .fileio import CheckRow, body_from_dict, body_to_dict
 from .hullfun import (
     convex_hull_function,
@@ -26,7 +27,7 @@ from .hullfun import (
 )
 from .illumination import homothety_fit, illumination_body, ray_level_solve
 from .projection import tcvp_check, translative_volume_constant
-from .sampling import direction_set, random_polygon, random_polytope3, regular_polygon
+from .sampling import MAX_TRIES, direction_set, random_polygon, random_polytope3, regular_polygon
 
 
 def _row(name, value, tol, *, below=True):
@@ -271,14 +272,12 @@ def _well_conditioned_matrix(rng):
 
 def _perturbed_polygon(rng, body, rel_noise):
     scale = rel_noise * body.diameter
-    from .bodies import Polygon
-    from .errors import DegenerateInput
-
-    while True:
+    for _ in range(MAX_TRIES):
         try:
             return Polygon(body.vertices + rng.normal(size=body.vertices.shape) * scale)
         except DegenerateInput:
             continue
+    raise SamplingExhausted("no convex perturbation of the polygon found")
 
 
 def criterion_10():

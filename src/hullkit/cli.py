@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import acceptance
-from .bodies import brightness_many, difference_body
+from .bodies import brightness_many, difference_body, polar
 from .errors import GeometryError, MissingIntersection
 from .extensions import admissible_extension_pairs, extension_homothety_check, kl_extension
 from .fileio import (
@@ -31,7 +31,7 @@ from .fileio import (
 )
 from .hullfun import convex_hull_function, homothetic_hull_function, point_hull_values, point_hull_volume
 from .illumination import HOMOTHETY_TOL, homothety_fit, illumination_body
-from .projection import TCVP_TOL, polar_projection_body, projection_body, tcvp_check, translative_volume_constant
+from .projection import TCVP_TOL, projection_body, tcvp_check, translative_volume_constant
 from .sampling import direction_set, random_polygon
 
 
@@ -193,9 +193,10 @@ def _cmd_illum(args):
 
 def _cmd_projbody(args):
     body = load_body(args.body, strict=args.strict)
+    projection = projection_body(body)
     named = {
-        "projection": projection_body(body),
-        "polar_projection": polar_projection_body(body),
+        "projection": projection,
+        "polar_projection": polar(projection),
         "difference": difference_body(body),
     }
     artifacts = []

@@ -37,6 +37,10 @@ class TooFewDirections(GeometryError):
     """Direction-sampled checks need at least 16 directions."""
 
 
+class SamplingExhausted(GeometryError):
+    """Rejection sampling found no valid body within its fixed number of tries."""
+
+
 class MissingIntersection(GeometryError):
     """A required sideline intersection does not exist (parallel sidelines)."""
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon
+from .bodies import Polygon, _diameter
 from .errors import ConditionViolated, MissingIntersection, SingularMatrix
 from .hullfun import point_hull_values
 from .illumination import homothety_from_pairs
@@ -142,17 +142,12 @@ def extension_homothety_check(polygon, k, l):
     v = polygon.vertices
     # polygon vertex v_t = p[t-1, t] maps to p[t-1-s, t+s]
     images = np.array([table.point(t - 1 - s, t + s) for t in range(m)])
-    diam = _cycle_diameter(images)
+    diam = _diameter(images)
     report = homothety_from_pairs(v, images, diam)
     g = point_hull_values(polygon, images)
     gmean = float(np.mean(g))
     level_residual = float(np.max(np.abs(g - gmean))) / gmean
     return report, level_residual
-
-
-def _cycle_diameter(pts):
-    d2 = np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(np.max(d2)))
 
 
 def is_affinely_regular(polygon):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, hull
+from .bodies import EPS, Body, _dedup_points, hull
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -203,8 +203,6 @@ def _merged(pts, tol):
     duplicate roots); log when a merge actually collapses anything."""
     if len(pts) == 0:
         raise GeometryError("no level-set candidates found")
-    from .bodies import _dedup_points
-
     out = _dedup_points(pts, tol)
     if len(out) < len(pts):
         log.debug("merged %d coincident level-set candidates", len(pts) - len(out))

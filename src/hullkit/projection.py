@@ -46,9 +46,10 @@ def projection_body(body):
     """Body whose support function is the brightness function.
 
     2D: the difference body rotated by pi/2.  3D: the zonotope generated by
-    the segments [-g_F, g_F] with g_F = area(F)/2 * n_F, built by iterated
-    Minkowski sums (parallel generators are combined first, which covers the
-    antipodal facet pairs of symmetric bodies).
+    the segments [-g_F, g_F] with g_F = area(F)/2 * n_F, built by one hull of
+    its candidate vertices, one set per pair of generators (see `_zonotope`;
+    parallel generators are combined first, which covers the antipodal facet
+    pairs of symmetric bodies).
     """
     if body.dim == 2:
         d = difference_body(body)
@@ -59,7 +60,27 @@ def projection_body(body):
 
 
 def _zonotope(generators):
-    """Hull of the Minkowski sum of the segments [-g, g]."""
+    """Hull of the Minkowski sum of the segments [-g, g], from one hull call.
+
+    Every facet of a 3D zonotope is parallel to a pair of generators
+    (g_i, g_j), and its vertices are sum_k s_k g_k for sign vectors s.  With
+    n = unit(g_i x g_j) and in-plane tangents t_i = g_j x n, t_j = n x g_i
+    (so <g_i, t_i> > 0 and <g_j, t_j> > 0), the candidates of the pair are,
+    for each w = a t_i + b t_j with a, b = +-1:
+
+    * s_k = sign<g_k, n> where |<g_k, n>| > 1e-12 |g_k|, and otherwise, for
+      generators in the facet plane, the tie-break s_k = sign<g_k, w>;
+    * the same sign vector negated, for the opposite facet.
+
+    The tie-break finds the vertices of facets with three or more coplanar
+    generators, which plain corners +-c +- g_i +- g_j miss.  Sign vectors
+    with a zero left are edge or facet points, not vertices, and are dropped.
+
+    The generators are ordered as the seed parallelepiped (three independent
+    generators) followed by the rest, and each point is summed in that order,
+    one generator at a time, so its coordinates round exactly as the iterated
+    Minkowski sums hull(hull(...) +- g) would round them.
+    """
     gens = [g for g in np.asarray(generators, dtype=float) if np.linalg.norm(g) > 1e-14]
     merged: list[np.ndarray] = []
     for g in gens:
@@ -85,13 +106,42 @@ def _zonotope(generators):
     if len(seed) < 3:
         raise DegenerateInput("zonotope generators do not span 3-space")
     rest = [g for g in merged if not any(g is s for s in seed)]
-    corners = np.array([s1 * seed[0] + s2 * seed[1] + s3 * seed[2]
-                        for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)])
-    zono = hull(corners)
-    for g in rest:
-        segment_ends = np.vstack((zono.vertices + g, zono.vertices - g))
-        zono = hull(segment_ends)
-    return zono
+    gens = np.array(seed + rest)
+
+    signs = _zonotope_signs(gens)
+    pts = signs[:, 0, None] * gens[0]
+    for c in range(1, len(gens)):
+        pts = pts + signs[:, c, None] * gens[c]
+    return hull(pts)
+
+
+def _zonotope_signs(gens):
+    """Distinct vertex sign vectors (int8 rows) of the zonotope of gens, in
+    the order the iterated sums list the vertices: v + g before v - g for the
+    last generator g, and so on back to the seed corners, which are listed
+    with -1 before +1."""
+    k = len(gens)
+    tie_tol = 1e-12 * np.linalg.norm(gens, axis=1)
+    i, j = np.triu_indices(k, 1)
+    n = np.cross(gens[i], gens[j])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    ti = np.cross(gens[j], n)
+    tj = np.cross(n, gens[i])
+    ab = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    rows = []
+    # blocks of pairs keep each (4, pairs, k) temporary at about 8 MB
+    step = max(1, 2**18 // k)
+    for lo in range(0, len(n), step):
+        blk = slice(lo, lo + step)
+        w = ab[:, 0, None, None] * ti[blk] + ab[:, 1, None, None] * tj[blk]
+        heights = n[blk] @ gens.T
+        s = np.where(np.abs(heights) > tie_tol, np.sign(heights), np.sign(w @ gens.T))
+        rows.append(s.reshape(-1, k).astype(np.int8))
+    signs = np.concatenate(rows)
+    signs = signs[np.all(signs != 0, axis=1)]
+    signs = np.concatenate((signs, -signs))
+    signs = signs[np.lexsort(np.vstack((signs[:, 2::-1].T, -signs[:, 3:].T)))]
+    return signs[np.r_[True, np.any(signs[1:] != signs[:-1], axis=1)]]
 
 
 def polar_projection_body(body):

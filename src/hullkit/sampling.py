@@ -13,6 +13,10 @@ from functools import lru_cache
 import numpy as np
 
 from .bodies import Polygon, hull
+from .errors import SamplingExhausted
+
+#: Tries a rejection sampler makes before it raises SamplingExhausted.
+MAX_TRIES = 10_000
 
 
 def circle_directions(n):
@@ -46,25 +50,28 @@ def regular_polygon(m, radius=1.0, center=(0.0, 0.0), phase=0.0):
 def random_polygon(rng, n_vertices, radius=1.0):
     """Random convex n-gon inscribed in a circle, origin well interior.
 
-    Vertex angles are resampled until gaps stay in (0.05, pi - 0.05); all
-    circle points are strictly extreme, so the polygon always validates.
+    Vertex angles are resampled, at most MAX_TRIES times, until gaps stay in
+    (0.05, pi - 0.05); all circle points are strictly extreme, so the polygon
+    always validates.  No n-gon with n >= 126 has such gaps.
     """
-    while True:
+    for _ in range(MAX_TRIES):
         ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n_vertices))
         gaps = np.diff(np.append(ang, ang[0] + 2.0 * np.pi))
         if np.min(gaps) > 0.05 and np.max(gaps) < np.pi - 0.05:
-            break
-    return Polygon(radius * np.column_stack((np.cos(ang), np.sin(ang))))
+            return Polygon(radius * np.column_stack((np.cos(ang), np.sin(ang))))
+    raise SamplingExhausted(f"no random {n_vertices}-gon with angular gaps in (0.05, pi - 0.05) found")
 
 
 def random_polytope3(rng, n_vertices, radius=1.0):
-    """Hull of points uniform on the sphere, origin well interior."""
-    while True:
+    """Hull of points uniform on the sphere, origin well interior (resampled
+    at most MAX_TRIES times)."""
+    for _ in range(MAX_TRIES):
         pts = rng.normal(size=(n_vertices, 3))
         pts *= radius / np.linalg.norm(pts, axis=1)[:, None]
         body = hull(pts)
         if len(body) == n_vertices and np.min(body.facet_offsets) > 0.05 * radius:
             return body
+    raise SamplingExhausted(f"no random {n_vertices}-vertex polytope with the origin well interior found")
 
 
 def reuleaux_polygon(points_per_arc=100, width=1.0):

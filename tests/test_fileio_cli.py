@@ -9,12 +9,16 @@ from hullkit import (
     DegenerateInput,
     NonConvexInput,
     SchemaError,
+    brightness_many,
+    difference_body,
     parse_body,
+    polar_projection_body,
+    projection_body,
     serialize_body,
 )
 from hullkit.cli import main
 from hullkit.fileio import CheckRow, checks_to_csv, off_text, svg_text
-from hullkit.sampling import random_polygon, random_polytope3, regular_polygon
+from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
 
 def run_cli(args):
@@ -157,6 +161,25 @@ class TestCli:
         assert code == 0
         for suffix in ("projection", "polar_projection", "difference"):
             assert (tmp_path / f"cube.{suffix}.json").exists()
+
+    def test_projbody_outputs_match_api_bodies(self, tetrahedron, tmp_path):
+        body_file = tmp_path / "tet.json"
+        body_file.write_text(serialize_body(tetrahedron))
+        prefix = str(tmp_path / "tet")
+        code, out, _ = run_cli(["projbody", str(body_file), "--json", prefix, "--off", prefix])
+        assert code == 0
+        named = {
+            "projection": projection_body(tetrahedron),
+            "polar_projection": polar_projection_body(tetrahedron),
+            "difference": difference_body(tetrahedron),
+        }
+        for suffix, expected in named.items():
+            assert (tmp_path / f"tet.{suffix}.json").read_text() == serialize_body(expected, name=suffix)
+            assert (tmp_path / f"tet.{suffix}.off").read_text() == off_text(expected)
+        dirs = direction_set(3, 200)
+        bright = brightness_many(tetrahedron, dirs)
+        rel = float(np.max(np.abs(named["projection"].support_many(dirs) - bright) / bright))
+        assert out == checks_to_csv([CheckRow("projection_support_vs_brightness", rel, 1e-9, rel <= 1e-9)])
 
     def test_search_deterministic(self, tmp_path):
         path = tmp_path / "report.json"

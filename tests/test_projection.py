@@ -28,6 +28,62 @@ from hullkit.sampling import (
 )
 
 
+def _iterated_zonotope(generators):
+    """Reference for ``_zonotope``: the seed parallelepiped, then one hull of
+    the translates v +- g per further generator (iterated Minkowski sums)."""
+    gens = [g for g in np.asarray(generators, dtype=float) if np.linalg.norm(g) > 1e-14]
+    merged = []
+    for g in gens:
+        for i, h in enumerate(merged):
+            if np.linalg.norm(np.cross(g, h)) <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(h):
+                merged[i] = h + (1.0 if g @ h > 0 else -1.0) * g
+                break
+        else:
+            merged.append(g.copy())
+    seed = [merged[0]]
+    for g in merged[1:]:
+        if len(seed) == 1 and np.linalg.norm(np.cross(seed[0], g)) > 1e-12:
+            seed.append(g)
+        elif len(seed) == 2 and abs(np.cross(seed[0], seed[1]) @ g) > 1e-12:
+            seed.append(g)
+        if len(seed) == 3:
+            break
+    rest = [g for g in merged if not any(g is s for s in seed)]
+    corners = np.array([s1 * seed[0] + s2 * seed[1] + s3 * seed[2]
+                        for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)])
+    zono = hull(corners)
+    for g in rest:
+        zono = hull(np.vstack((zono.vertices + g, zono.vertices - g)))
+    return zono
+
+
+def _facet_generators(body):
+    return 0.5 * body.facet_areas[:, None] * body.facet_normals
+
+
+def _prism(m):
+    base = regular_polygon(m).vertices
+    return hull(np.vstack([np.column_stack((base, np.full(m, z))) for z in (-1.0, 1.0)]))
+
+
+# three coplanar generators on each coordinate plane: facets whose vertices
+# plain corners +-c +- g_i +- g_j miss
+TRIPLE_POINT_GENERATORS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 0]]
+
+
+def _zonotope_cases():
+    rng = np.random.default_rng(34)
+    cases = [(f"random_{n}", _facet_generators(random_polytope3(rng, n))) for n in (7, 10, 12)]
+    cases += [
+        ("tetrahedron", _facet_generators(hull([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]))),
+        ("cube", _facet_generators(hull([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]))),
+        ("octahedron", _facet_generators(hull(np.vstack((np.eye(3), -np.eye(3)))))),
+    ]
+    cases += [(f"prism_{m}", _facet_generators(_prism(m))) for m in (3, 5, 6, 11)]
+    cases.append(("triple_point", np.array(TRIPLE_POINT_GENERATORS, dtype=float)))
+    return cases
+
+
 def brute_force_delta(body, angles):
     """Independent oracle: hull volume of an actual touching pair of
     translates, minus the volume, per direction."""
@@ -95,6 +151,21 @@ class TestProjectionBody:
                     for m in range(j + 1, k):
                         total += abs(np.linalg.det(np.vstack((gens[i], gens[j], gens[m]))))
             assert projection_body(body).volume == pytest.approx(8 * total, rel=1e-9)
+
+
+class TestZonotope:
+    @pytest.mark.parametrize("name,gens", _zonotope_cases(), ids=[c[0] for c in _zonotope_cases()])
+    def test_matches_iterated_minkowski_sums(self, name, gens):
+        ref = _iterated_zonotope(gens)
+        zono = _zonotope(gens)
+        # same coordinates bit for bit, listed in the same order
+        assert np.array_equal(zono.vertices, ref.vertices)
+        assert zono.volume == pytest.approx(ref.volume, rel=1e-14, abs=0)
+
+    def test_triple_point_vertices(self):
+        zono = _zonotope(TRIPLE_POINT_GENERATORS)
+        assert len(zono) == 26
+        assert zono.volume == pytest.approx(144.0, rel=1e-14, abs=0)
 
 
 class TestPolarProjectionBody:
