@@ -54,11 +54,18 @@ def _span(pts):
 
 
 def _dedup_points(pts, tol):
-    """Drop points closer than tol to an earlier point (keep-first)."""
+    """Drop points closer than tol to an earlier point (keep-first).
+
+    Raises DegenerateInput when the points are too far apart for cKDTree:
+    it works with squared distances, and refuses (ValueError) once the
+    squared diagonal of their bounding box overflows.
+    """
     if len(pts) < 2 or tol <= 0:
         return pts
-    tree = cKDTree(pts)
-    pairs = tree.query_pairs(tol, output_type="ndarray")
+    try:
+        pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    except ValueError as exc:
+        raise DegenerateInput("coordinates too large: squared distances overflow") from exc
     if len(pairs) == 0:
         return pts
     drop = np.zeros(len(pts), dtype=bool)
@@ -113,7 +120,50 @@ def _plane_basis(normals):
 # body types
 
 
-class Polygon:
+class _BodyBase:
+    """What `Polygon` and `Polytope3` share: queries answered from the
+    vertices and the facet planes (outward unit normals and offsets) that
+    each constructor validates and caches."""
+
+    def __len__(self):
+        return len(self.vertices)
+
+    @property
+    def volume(self):
+        """n-dimensional volume (area in 2D)."""
+        return self._volume
+
+    @property
+    def diameter(self):
+        return self._diameter
+
+    def support(self, u):
+        return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
+
+    def support_many(self, dirs):
+        return np.max(np.asarray(dirs, dtype=float) @ self.vertices.T, axis=1)
+
+    def gauge(self, u):
+        return float(self.gauge_many(np.asarray(u, dtype=float)[None, :])[0])
+
+    def gauge_many(self, dirs):
+        dirs = np.asarray(dirs, dtype=float)
+        if np.min(self.facet_offsets) <= EPS * self.diameter:
+            raise OriginNotInterior("gauge requires the origin strictly inside the body")
+        ratios = (dirs @ self.facet_normals.T) / self.facet_offsets
+        return 1.0 / np.max(ratios, axis=1)
+
+    def contains(self, x, tol=None):
+        if tol is None:
+            tol = EPS * self.diameter
+        x = np.asarray(x, dtype=float)
+        return bool(np.max(x @ self.facet_normals.T - self.facet_offsets) <= tol)
+
+    def interior_point(self):
+        return self.vertices.mean(axis=0)
+
+
+class Polygon(_BodyBase):
     """Convex polygon given by its vertices in counterclockwise order.
 
     The constructor validates the invariants: at least three vertices, no
@@ -154,38 +204,8 @@ class Polygon:
         for arr in (self.facet_normals, self.facet_offsets, self.facet_areas):
             arr.flags.writeable = False
 
-    def __len__(self):
-        return len(self.vertices)
-
     def __repr__(self):
         return f"Polygon({len(self)} vertices, area={self._volume:.6g})"
-
-    @property
-    def volume(self):
-        """Enclosed area (the 2-dimensional volume)."""
-        return self._volume
-
-    @property
-    def diameter(self):
-        return self._diameter
-
-    def support(self, u):
-        return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
-
-    def support_many(self, dirs):
-        return np.max(np.asarray(dirs, dtype=float) @ self.vertices.T, axis=1)
-
-    def gauge(self, u):
-        return float(self.gauge_many(np.asarray(u, dtype=float)[None, :])[0])
-
-    def gauge_many(self, dirs):
-        return _gauge_many(self, dirs)
-
-    def contains(self, x, tol=None):
-        return _contains(self, x, tol)
-
-    def interior_point(self):
-        return self.vertices.mean(axis=0)
 
     def translate(self, t):
         return Polygon(self.vertices + np.asarray(t, dtype=float))
@@ -199,7 +219,7 @@ class Polygon:
         return Polygon(-self.vertices)
 
 
-class Polytope3:
+class Polytope3(_BodyBase):
     """Convex polytope in 3-space: vertices plus merged planar facets.
 
     Each facet is a CCW vertex-index loop (seen from outside) together with
@@ -294,37 +314,8 @@ class Polytope3:
         for arr in (self.vertices, self.facet_normals, self.facet_offsets, self.facet_areas):
             arr.flags.writeable = False
 
-    def __len__(self):
-        return len(self.vertices)
-
     def __repr__(self):
         return f"Polytope3({len(self)} vertices, {len(self.facet_loops)} facets, volume={self._volume:.6g})"
-
-    @property
-    def volume(self):
-        return self._volume
-
-    @property
-    def diameter(self):
-        return self._diameter
-
-    def support(self, u):
-        return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
-
-    def support_many(self, dirs):
-        return np.max(np.asarray(dirs, dtype=float) @ self.vertices.T, axis=1)
-
-    def gauge(self, u):
-        return float(self.gauge_many(np.asarray(u, dtype=float)[None, :])[0])
-
-    def gauge_many(self, dirs):
-        return _gauge_many(self, dirs)
-
-    def contains(self, x, tol=None):
-        return _contains(self, x, tol)
-
-    def interior_point(self):
-        return self.vertices.mean(axis=0)
 
     def translate(self, t):
         return Polytope3(self.vertices + np.asarray(t, dtype=float), self.facet_loops)
@@ -348,22 +339,6 @@ Body = Polygon | Polytope3
 def _diameter(v):
     d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
     return float(np.sqrt(np.max(d2)))
-
-
-def _gauge_many(body, dirs):
-    dirs = np.asarray(dirs, dtype=float)
-    tol = EPS * body.diameter
-    if np.min(body.facet_offsets) <= tol:
-        raise OriginNotInterior("gauge requires the origin strictly inside the body")
-    ratios = (dirs @ body.facet_normals.T) / body.facet_offsets
-    return 1.0 / np.max(ratios, axis=1)
-
-
-def _contains(body, x, tol):
-    if tol is None:
-        tol = EPS * body.diameter
-    x = np.asarray(x, dtype=float)
-    return bool(np.max(x @ body.facet_normals.T - body.facet_offsets) <= tol)
 
 
 # ---------------------------------------------------------------------------

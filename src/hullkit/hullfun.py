@@ -58,10 +58,12 @@ def homothetic_hull_function(body, lam, t):
 
 
 def point_hull_values(body, points):
-    """Vectorized conv(body, {t}) volumes over an (k, dim) array of points.
+    """Vectorized conv(body, {t}) volumes over an (..., dim) array of points.
 
     For each point, facets whose plane it lies beyond contribute the cone
-    volume area(F) * slack / n; interior points contribute nothing.
+    volume area(F) * slack / n; interior points contribute nothing.  A
+    stack of point sets (shape (..., k, dim)) gives each set the values a
+    call on that (k, dim) set alone would give, bit for bit.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     slack = points @ body.facet_normals.T - body.facet_offsets

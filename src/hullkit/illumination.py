@@ -2,18 +2,20 @@
 
 The point-hull volume of a polytope is piecewise linear and convex, so its
 sublevel sets (the illumination bodies) are again polytopes and can be built
-exactly:
+exactly.  Every vertex of a level set lies on a line cut out by dim - 1 facet
+hyperplanes (`_facet_lines`): a sideline in 2D, the intersection line of two
+facet planes in 3D.  Restricted to such a line the function is a
+one-variable piecewise-linear convex function, which meets the level in at
+most two points; hulling the solutions over all lines yields the exact level
+set, in either dimension.
 
-* 2D: every vertex of the level set lies on a sideline of the polygon, and
-  each sideline meets the level boundary in at most two points.  Solving the
-  restricted one-variable piecewise-linear equation per sideline and hulling
-  the solutions yields the exact level-set polygon.
-* 3D: every vertex of the level set lies on an intersection line of two facet
-  planes; the same one-variable solve applies per line pair.
+One batched kernel (`_level_crossings`) solves all lines of a body at once,
+in whole-array steps, and returns exactly the numbers a solve of each line
+on its own would give.
 
-``ray_level_solve`` walks the breakpoints of the restriction along a ray and
-solves the crossing piece in closed form; it doubles as the independent
-boundary oracle in the tests.
+``ray_level_solve`` solves the same equation on one ray from the origin
+(through `_line_crossings`, the one-line case of the kernel); it doubles as
+the boundary oracle in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, _dedup_points, hull
+from .bodies import EPS, Body, _dedup_points, _row_norms, hull
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -71,50 +73,111 @@ class HomothetyReport:
 # piecewise-linear solves along lines
 
 
-def _line_crossings(body, x0, d, level):
-    """All s with vol conv(body, {x0 + s d}) == level (0, 1 or 2 values).
+def _level_crossings(body, x0, d, level):
+    """Every s with vol conv(body, {x0[l] + s d[l]}) == level, over a batch
+    of lines (the rows of x0 and d).
 
-    The restriction g(s) is piecewise linear, convex and coercive, so its
-    minimum over the line is attained at a plane-crossing breakpoint; the
-    crossing pieces are solved by exact linear interpolation.
+    Returns ``(lines, s)``: each crossing's line index and parameter, listed
+    line by line, the left crossing before the right one.  A line meets the
+    level in two points, in one where it is tangent to the level set, or not
+    at all.  Lines are solved in blocks of about 2**18 / F**2 (F facets), so
+    the (lines, breakpoints, facets) slack of `point_hull_values` stays near
+    2 MB however many facets the body has.
     """
-    x0 = np.asarray(x0, dtype=float)
-    d = np.asarray(d, dtype=float)
-    den = body.facet_normals @ d
-    num = body.facet_offsets - body.facet_normals @ x0
-    mask = np.abs(den) > 1e-14 * np.max(np.abs(den))
-    if not np.any(mask):
-        return []
-    breaks = np.unique(num[mask] / den[mask])
-    vals = point_hull_values(body, x0 + breaks[:, None] * d)
-    imin = int(np.argmin(vals))
-    if vals[imin] >= level:
-        # tangency: the whole line sits on or above the level
-        if vals[imin] <= level * (1 + 1e-12):
-            return [float(breaks[imin])]
-        return []
+    step = max(1, 2**18 // len(body.facet_offsets) ** 2)
+    lines, s = [], []
+    for lo in range(0, len(x0), step):
+        blk_lines, blk_s = _block_crossings(body, x0[lo : lo + step], d[lo : lo + step], level)
+        lines.append(blk_lines + lo)
+        s.append(blk_s)
+    return np.concatenate(lines), np.concatenate(s)
 
-    span = float(breaks[-1] - breaks[0]) or 1.0
 
-    def solve(idx, step):
-        i = idx
-        while 0 <= i + step < len(breaks):
-            j = i + step
-            if vals[j] >= level:
-                ga, gb = vals[i], vals[j]
-                return float(breaks[i] + (level - ga) * (breaks[j] - breaks[i]) / (gb - ga))
-            i = j
-        # beyond the last breakpoint the function is a single linear piece
-        s_end = float(breaks[i])
-        probe = s_end + step * span
-        g_end = float(vals[i])
-        g_probe = float(point_hull_values(body, (x0 + probe * d)[None, :])[0])
-        slope = (g_probe - g_end) / (probe - s_end)
-        if slope * step <= 0:
-            raise GeometryError("level crossing not found; body may be unbounded along the line")
-        return s_end + (level - g_end) / slope
+def _block_crossings(body, x0, d, level):
+    """`_level_crossings` on one block of lines, in whole-array steps.
 
-    return [solve(imin, -1), solve(imin, +1)]
+    The restriction g(s) of a line is piecewise linear, convex and coercive,
+    so its minimum is attained at a plane-crossing breakpoint.  Each crossing
+    lies on the piece from the breakpoint nearest the minimum at or above
+    the level back to its neighbour, and linear interpolation solves it
+    exactly; beyond the outermost breakpoint a probe gives the slope.  Every
+    value is computed with the operations, in the order, that a solve of the
+    line on its own would use, so results do not depend on the batching:
+
+    * row products ``(F, dim) @ (dim, 1)`` round as ``N @ d`` does for one
+      line, and breakpoints are sorted per row with repeats dropped, as
+      ``np.unique`` leaves them;
+    * `point_hull_values` runs on ``(lines, k, dim)`` stacks of lines with k
+      breakpoints each (and ``(lines, 1, dim)`` for probes), which round as
+      the ``(k, dim)`` call of one line; one flat call does not.
+    """
+    nl, nf = len(x0), len(body.facet_offsets)
+    normals = body.facet_normals[None]
+    den = (normals @ d[:, :, None])[:, :, 0]
+    num = body.facet_offsets - (normals @ x0[:, :, None])[:, :, 0]
+    mag = np.abs(den)
+    crosses = mag > 1e-14 * np.max(mag, axis=1, keepdims=True)
+    breaks = np.sort(np.divide(num, den, out=np.full((nl, nf), np.inf), where=crosses), axis=1)
+    col = np.arange(nf)
+    kept = col < np.count_nonzero(crosses, axis=1)[:, None]
+    kept[:, 1:] &= breaks[:, 1:] != breaks[:, :-1]
+    breaks = np.take_along_axis(breaks, np.argsort(~kept, axis=1, kind="stable"), axis=1)
+    count = np.count_nonzero(kept, axis=1)
+
+    # lines without breakpoints keep +inf values: above the level, no crossing
+    vals = np.full((nl, nf), np.inf)
+    for k in np.unique(count[count > 0]).tolist():
+        rows = np.nonzero(count == k)[0]
+        pts = x0[rows, None, :] + breaks[rows, :k, None] * d[rows, None, :]
+        vals[rows, :k] = point_hull_values(body, pts)
+    low = np.argmin(vals, axis=1)
+    vmin = np.take_along_axis(vals, low[:, None], axis=1)[:, 0]
+    pair = np.take_along_axis(breaks, np.column_stack((low, low)), axis=1)
+    # tangency: the whole line sits on or above the level
+    tangent = vmin >= level
+    pick = np.column_stack((tangent & (vmin <= level * (1 + 1e-12)), ~tangent))
+    pick[:, 0] |= pick[:, 1]
+
+    # every other line crosses twice, between j, the breakpoint nearest its
+    # minimum at or above the level on either side, and its neighbour i
+    r = np.nonzero(~tangent)[0]
+    vals, breaks, count, low = vals[r], breaks[r], count[r], low[r]
+    above = (vals >= level) & (col < count[:, None])
+    left = col < low[:, None]
+    j = np.column_stack(
+        (np.max(np.where(above & left, col, -1), axis=1), np.min(np.where(above & ~left, col, nf), axis=1))
+    )
+    beyond = (j < 0) | (j == nf)
+    i = np.where(beyond, np.column_stack((np.zeros_like(count), count - 1)), j + [1, -1])
+    j = np.where(beyond, i, j)
+    bi, vi = np.take_along_axis(breaks, i, axis=1), np.take_along_axis(vals, i, axis=1)
+    bj, vj = np.take_along_axis(breaks, j, axis=1), np.take_along_axis(vals, j, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = bi + (level - vi) * (bj - bi) / (vj - vi)
+    # beyond the outermost breakpoint g is one linear piece; a probe one
+    # breakpoint span further out gives its slope
+    span = np.take_along_axis(breaks, count[:, None] - 1, axis=1)[:, 0] - breaks[:, 0]
+    span[span == 0] = 1.0
+    out, side = np.nonzero(beyond)
+    step = np.array([-1.0, 1.0])[side]
+    s_end, g_end = bi[out, side], vi[out, side]
+    probe = s_end + step * span[out]
+    far = r[out]
+    g_probe = point_hull_values(body, (x0[far] + probe[:, None] * d[far])[:, None, :])[:, 0]
+    slope = (g_probe - g_end) / (probe - s_end)
+    if np.any(slope * step <= 0):
+        raise GeometryError("level crossing not found; body may be unbounded along the line")
+    s[out, side] = s_end + (level - g_end) / slope
+    pair[r] = s
+    return np.nonzero(pick)[0], pair[pick]
+
+
+def _line_crossings(body, x0, d, level):
+    """All s with vol conv(body, {x0 + s d}) == level (0, 1 or 2 values, the
+    smaller first): `_level_crossings` for one line."""
+    x0 = np.asarray(x0, dtype=float)[None]
+    d = np.asarray(d, dtype=float)[None]
+    return _level_crossings(body, x0, d, level)[1].tolist()
 
 
 def ray_level_solve(body, u, level):
@@ -140,48 +203,44 @@ def ray_level_solve(body, u, level):
 # exact illumination bodies
 
 
-def illumination_body_2d(polygon, delta):
-    """Exact illumination body of a polygon as a LevelSet.
+def illumination_body(body, delta):
+    """Exact illumination body of a polygon or a 3-polytope as a LevelSet.
 
-    Solves the level equation on every sideline; the solution set is exactly
-    the vertex set of the result (sideline points of the boundary are always
-    corners of the level curve).
+    Solves the level equation on every facet line (`_facet_lines`); the
+    solutions include every vertex of the result, and hulling them discards
+    the rest (in 2D every sideline solution is a corner of the level curve).
     """
-    level = _level(polygon, delta)
-    v = polygon.vertices
-    candidates = []
-    for i in range(len(v)):
-        x0 = v[i]
-        d = v[(i + 1) % len(v)] - v[i]
-        candidates.extend(x0 + s * d for s in _line_crossings(polygon, x0, d, level))
-    pts = _merged(np.array(candidates), EPS * polygon.diameter)
+    level = _level(body, delta)
+    x0, d = _facet_lines(body)
+    lines, s = _level_crossings(body, x0, d, level)
+    pts = _merged(x0[lines] + s[:, None] * d[lines], EPS * body.diameter)
     return LevelSet(body=hull(pts), level=level, delta=float(delta))
 
 
-def illumination_body_3d(polytope, delta):
-    """Exact illumination body of a 3-polytope as a LevelSet.
+#: The same construction under the names of its two dimensions.
+illumination_body_2d = illumination_body_3d = illumination_body
 
-    Candidate vertices are the level solutions on every intersection line of
-    two facet planes; parallel plane pairs contribute no line and are skipped.
-    Hulling the candidates discards the non-extreme ones.
+
+def _facet_lines(body):
+    """Lines ``(x0, d)`` (one per row) cut out by dim - 1 facet hyperplanes.
+
+    2D: the sidelines, x0 = v_i and d = v_{i+1} - v_i.  3D: for each pair of
+    facets i < j, in row-major order, the line where their planes meet, with
+    d = unit(n_i x n_j) and x0 its point with <x0, d> = 0; parallel plane
+    pairs meet in no line and are skipped.
     """
-    level = _level(polytope, delta)
-    normals = polytope.facet_normals
-    offsets = polytope.facet_offsets
-    nf = len(normals)
-    candidates = []
-    for i in range(nf):
-        for j in range(i + 1, nf):
-            d = np.cross(normals[i], normals[j])
-            nrm = np.linalg.norm(d)
-            if nrm <= EPS:
-                continue  # parallel planes: no line
-            d /= nrm
-            mat = np.vstack((normals[i], normals[j], d))
-            x0 = np.linalg.solve(mat, np.array([offsets[i], offsets[j], 0.0]))
-            candidates.extend(x0 + s * d for s in _line_crossings(polytope, x0, d, level))
-    pts = _merged(np.array(candidates), EPS * polytope.diameter)
-    return LevelSet(body=hull(pts), level=level, delta=float(delta))
+    if body.dim == 2:
+        v = body.vertices
+        return v, np.roll(v, -1, axis=0) - v
+    normals, offsets = body.facet_normals, body.facet_offsets
+    i, j = np.triu_indices(len(normals), 1)
+    d = np.cross(normals[i], normals[j])
+    nrm = _row_norms(d)
+    meet = nrm > EPS
+    i, j, d = i[meet], j[meet], d[meet] / nrm[meet, None]
+    mat = np.stack((normals[i], normals[j], d), axis=1)
+    rhs = np.column_stack((offsets[i], offsets[j], np.zeros(len(i))))
+    return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0], d
 
 
 def _level(body, delta):
@@ -189,13 +248,6 @@ def _level(body, delta):
     if not (np.isfinite(delta) and delta > 0):
         raise NonPositiveDelta("delta must be finite and positive")
     return body.volume + float(delta)
-
-
-def illumination_body(body, delta):
-    """Dimension dispatch for the exact illumination-body constructions."""
-    if body.dim == 2:
-        return illumination_body_2d(body, delta)
-    return illumination_body_3d(body, delta)
 
 
 def _merged(pts, tol):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon, brightness_many, difference_body, hull, polar
+from .bodies import Polygon, _row_norms, brightness_many, difference_body, hull, polar
 from .errors import DegenerateInput, TooFewDirections
 from .illumination import HomothetyReport, homothety_fit
 from .sampling import ball_body, direction_set
@@ -81,17 +81,21 @@ def _zonotope(generators):
     one generator at a time, so its coordinates round exactly as the iterated
     Minkowski sums hull(hull(...) +- g) would round them.
     """
-    gens = [g for g in np.asarray(generators, dtype=float) if np.linalg.norm(g) > 1e-14]
-    merged: list[np.ndarray] = []
-    for g in gens:
-        for i, h in enumerate(merged):
-            cross = np.linalg.norm(np.cross(g, h))
-            if cross <= 1e-12 * np.linalg.norm(g) * np.linalg.norm(h):
-                sign = 1.0 if g @ h > 0 else -1.0
-                merged[i] = h + sign * g
-                break
+    gens = np.asarray(generators, dtype=float)
+    norms = _row_norms(gens)
+    gens, norms = gens[norms > 1e-14], norms[norms > 1e-14]
+    # each generator joins the first earlier merged generator parallel to it
+    merged = np.empty_like(gens)
+    m = 0
+    for g, norm in zip(gens, norms.tolist()):
+        parallel = np.nonzero(_row_norms(np.cross(g, merged[:m])) <= 1e-12 * norm * _row_norms(merged[:m]))[0]
+        if len(parallel):
+            h = merged[parallel[0]]
+            h += (1.0 if g @ h > 0 else -1.0) * g
         else:
-            merged.append(g.copy())
+            merged[m] = g
+            m += 1
+    merged = list(merged[:m])
     if len(merged) < 3:
         raise DegenerateInput("zonotope generators do not span 3-space")
     # seed with a parallelepiped of three independent generators

@@ -72,6 +72,12 @@ class TestHull:
         with pytest.raises(DegenerateInput):
             hull([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]])
 
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_coordinates_whose_squared_distances_overflow(self, square, cube, scale):
+        for body in (square, cube):
+            with pytest.raises(DegenerateInput):
+                hull(scale * body.vertices)
+
     def test_duplicate_vertices_rejected_by_polygon(self):
         with pytest.raises(DegenerateInput):
             Polygon([[0, 0], [1, 0], [1, 0], [0, 1]])

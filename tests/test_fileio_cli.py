@@ -228,6 +228,24 @@ class TestCli:
         assert (code, out) == (1, "")
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_huge_coordinates_are_input_errors(self, tmp_path, scale):
+        square = [[scale * x, scale * y] for x, y in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+        cube = [[scale * x, scale * y, scale * z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        for verts, t in ((square, "1,0"), (cube, "1,0,0")):
+            path = tmp_path / "huge.json"
+            path.write_text(json.dumps({"dim": len(t.split(",")), "vertices": verts}))
+            for args in (["eval", str(path), "--t", t], ["tcvp", str(path)], ["illum", str(path), "--delta", "1"]):
+                code, out, err = run_cli(args)
+                assert (code, out) == (1, "")
+                assert err.startswith("error:")
+
+    def test_illum_with_huge_delta_is_input_error(self, square_file, cube_file):
+        for path in (square_file, cube_file):
+            code, out, err = run_cli(["illum", path, "--delta", "1e300"])
+            assert (code, out) == (1, "")
+            assert err.startswith("error:")
+
     def test_bad_body_error_exit_one(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"dim":2,"vertices":[[0,0],[1,0]]}')

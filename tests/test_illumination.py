@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hullkit import (
+    DegenerateInput,
     GeometryError,
     LevelBelowVolume,
     NonPositiveDelta,
@@ -18,9 +19,110 @@ from hullkit import (
     point_hull_values,
     ray_level_solve,
 )
-from hullkit.sampling import direction_set, random_polygon, random_polytope3
+from hullkit.bodies import EPS
+from hullkit.illumination import _facet_lines, _level_crossings, _line_crossings
+from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
 from conftest import unit_vector
+
+
+# Per-line reference: the level solve of one line at a time, walking the
+# breakpoints out from the minimum.  ``seen`` collects which branches ran.
+
+
+def _breakpoints(body, x0, d):
+    """Where the line crosses facet planes, ascending, and the values there."""
+    den = body.facet_normals @ d
+    num = body.facet_offsets - body.facet_normals @ x0
+    mask = np.abs(den) > 1e-14 * np.max(np.abs(den))
+    breaks = np.unique(num[mask] / den[mask])
+    return breaks, point_hull_values(body, x0 + breaks[:, None] * d)
+
+
+def _loop_line_crossings(body, x0, d, level, seen):
+    breaks, vals = _breakpoints(body, x0, d)
+    if len(breaks) == 0:
+        return []
+    imin = int(np.argmin(vals))
+    if vals[imin] >= level:
+        if vals[imin] <= level * (1 + 1e-12):
+            seen.add("touch")
+            return [float(breaks[imin])]
+        seen.add("tangent")
+        return []
+
+    span = float(breaks[-1] - breaks[0]) or 1.0
+
+    def solve(idx, step):
+        i = idx
+        while 0 <= i + step < len(breaks):
+            j = i + step
+            if vals[j] >= level:
+                ga, gb = vals[i], vals[j]
+                return float(breaks[i] + (level - ga) * (breaks[j] - breaks[i]) / (gb - ga))
+            i = j
+        seen.add("probe")
+        s_end = float(breaks[i])
+        probe = s_end + step * span
+        g_end = float(vals[i])
+        g_probe = float(point_hull_values(body, (x0 + probe * d)[None, :])[0])
+        slope = (g_probe - g_end) / (probe - s_end)
+        if slope * step <= 0:
+            raise GeometryError("level crossing not found; body may be unbounded along the line")
+        return s_end + (level - g_end) / slope
+
+    return [solve(imin, -1), solve(imin, +1)]
+
+
+def _loop_lines(body):
+    """(x0, d) of each sideline (2D) or facet-pair line (3D), one at a time."""
+    if body.dim == 2:
+        v = body.vertices
+        return [(v[i], v[(i + 1) % len(v)] - v[i]) for i in range(len(v))]
+    normals, offsets = body.facet_normals, body.facet_offsets
+    lines = []
+    for i in range(len(normals)):
+        for j in range(i + 1, len(normals)):
+            d = np.cross(normals[i], normals[j])
+            nrm = np.linalg.norm(d)
+            if nrm <= EPS:
+                continue
+            d /= nrm
+            mat = np.vstack((normals[i], normals[j], d))
+            lines.append((np.linalg.solve(mat, np.array([offsets[i], offsets[j], 0.0])), d))
+    return lines
+
+
+def _loop_candidates(body, level, seen):
+    candidates = []
+    for x0, d in _loop_lines(body):
+        candidates.extend(x0 + s * d for s in _loop_line_crossings(body, x0, d, level, seen))
+    return np.array(candidates)
+
+
+def _batched_candidates(body, level):
+    x0, d = _facet_lines(body)
+    lines, s = _level_crossings(body, x0, d, level)
+    return x0[lines] + s[:, None] * d[lines]
+
+
+def _kernel_cases():
+    rng = np.random.default_rng(27)
+    prism = regular_polygon(5).vertices
+    return {
+        "square": hull([[1, 1], [-1, 1], [-1, -1], [1, -1]]),
+        "triangle": hull([[0, 0], [1, 0], [0, 1]]),
+        "polygon7": random_polygon(rng, 7),
+        "polygon12": random_polygon(rng, 12),
+        "cube": hull([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]),
+        "tetrahedron": hull([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]),
+        "prism5": hull(np.vstack([np.column_stack((prism, np.full(5, z))) for z in (-1.0, 1.0)])),
+        "polytope9": random_polytope3(rng, 9),
+        "polytope12": random_polytope3(rng, 12),
+    }
+
+
+KERNEL_CASES = _kernel_cases()
 
 
 class TestRayLevelSolve:
@@ -54,6 +156,41 @@ class TestRayLevelSolve:
         shifted = square.translate([100.0, 0.0])
         with pytest.raises(GeometryError):
             ray_level_solve(shifted, np.array([1.0, 0.0]), shifted.volume + 1e-9)
+
+
+class TestBatchedLineSolves:
+    @pytest.mark.parametrize("factor", [0.05, 0.5, 2.0])
+    @pytest.mark.parametrize("name", sorted(KERNEL_CASES))
+    def test_candidates_match_per_line_loops(self, name, factor):
+        body = KERNEL_CASES[name]
+        level = body.volume + factor * body.volume
+        ref = _loop_candidates(body, level, set())
+        got = _batched_candidates(body, level)
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+    def test_every_branch_is_compared(self):
+        # probes beyond the outermost breakpoint (every sideline of the square),
+        # lines that miss the level (far facet pairs at a small delta) and
+        # lines that touch it in one point all occur among the cases above
+        seen = set()
+        for body in KERNEL_CASES.values():
+            for factor in (0.05, 0.5, 2.0):
+                _loop_candidates(body, body.volume + factor * body.volume, seen)
+        assert {"probe", "tangent"} <= seen
+        # at the minimum of the line that lies highest, that line touches
+        body = KERNEL_CASES["polytope12"]
+        level = max(np.min(_breakpoints(body, x0, d)[1]) for x0, d in _loop_lines(body))
+        seen = set()
+        ref = _loop_candidates(body, level, seen)
+        assert "touch" in seen
+        assert np.array_equal(_batched_candidates(body, level), ref)
+
+    def test_line_crossings_is_the_one_line_case(self):
+        for body in KERNEL_CASES.values():
+            level = 1.5 * body.volume
+            for x0, d in _loop_lines(body):
+                assert _line_crossings(body, x0, d, level) == _loop_line_crossings(body, x0, d, level, set())
 
 
 class TestIlluminationBody2D:
@@ -92,6 +229,11 @@ class TestIlluminationBody2D:
         for body in (square, cube):
             with pytest.raises(NonPositiveDelta):
                 illumination_body(body, delta)
+
+    def test_level_set_whose_squared_distances_overflow(self, square, cube):
+        for body in (square, cube):
+            with pytest.raises(DegenerateInput):
+                illumination_body(body, 1e300)
 
     def test_sideline_crossings_are_exactly_the_vertices(self):
         # every solution of the level equation on a sideline is a corner of
