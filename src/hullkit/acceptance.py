@@ -25,7 +25,7 @@ from .hullfun import (
     point_hull_volume,
     point_hull_values,
 )
-from .illumination import homothety_fit, illumination_body, ray_level_solve
+from .illumination import _ray_level_solves, homothety_fit, illumination_body
 from .projection import tcvp_check, translative_volume_constant
 from .sampling import MAX_TRIES, direction_set, random_polygon, random_polytope3, regular_polygon
 
@@ -144,8 +144,7 @@ def criterion_5():
         delta = rng.uniform(0.2, 1.0) * body.volume
         level_set = illumination_body(body, delta)
         dirs = direction_set(body.dim, 60 if body.dim == 2 else 100)
-        for u in dirs:
-            tau = ray_level_solve(body, u, level_set.level)
+        for u, tau in zip(dirs, _ray_level_solves(body, dirs, level_set.level)):
             gap = point_body_distance(tau * u, level_set.body)
             worst = max(worst, gap / level_set.body.diameter)
     return [

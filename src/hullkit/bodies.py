@@ -337,8 +337,15 @@ Body = Polygon | Polytope3
 
 
 def _diameter(v):
-    d2 = np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1)
-    return float(np.sqrt(np.max(d2)))
+    """Largest distance between two rows of v.  The squared distances are
+    summed one coordinate at a time over (V, V) arrays, in the order that a
+    sum over a last axis of length 2 or 3 adds them, so without the (V, V,
+    dim) temporary of that sum but with its rounding."""
+    sq = np.zeros((len(v), len(v)))
+    for c in v.T:
+        d = c[:, None] - c
+        sq += d * d
+    return float(np.sqrt(np.max(sq)))
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +427,23 @@ def _hull3(pts):
       along a chain.  Groups are numbered by their seeds, ascending.
     * A facet's loop is the 2D hull (`_hull2_indices`) of its vertices in the
       in-plane basis of its seed's normal, reversed where that normal points
-      into the body.  Facets with equal vertex counts get their plane
-      coordinates in one stacked product, which rounds each facet as a
-      product of its own would; lone triangles are also ordered in one batch
-      (`_facet_rings`), with the start vertex and direction `_hull2_indices`
-      gives them.
+      into the body.  The vertex ids of all facets sit in one (G, M) array,
+      padded by repeating each row's last id; its plane coordinates come from
+      one stacked product, which rounds each facet as a product of its own
+      would.  The rings of all facets, triangles included, are built in one
+      lockstep monotone chain (`_facet_rings`); only a facet whose chain
+      junctions leave a corner at or below tolerance is handed to
+      `_hull2_indices` itself.  Loop ids, the outward turn and the renumbering
+      of the kept vertices work on the padded arrays too.
     """
     span = _span(pts)
     for _ in range(16):
         try:
             qh = ConvexHull(pts)
         except QhullError as exc:
-            raise DegenerateInput(f"hull construction failed: {exc}") from exc
+            # qhull's first line names the failure; the rest is its option dump
+            first_line = str(exc).strip().partition("\n")[0]
+            raise DegenerateInput(f"hull construction failed: {first_line}") from exc
         flat = _flat_sliver_vertices(pts, qh, EPS * span)
         if len(flat) == 0:
             break
@@ -454,23 +466,24 @@ def _hull3(pts):
     owner, vids = np.divmod(np.unique(group[:, None] * len(pts) + simplices), len(pts))
     counts = np.bincount(owner)
     starts = np.cumsum(counts) - counts
-    loops = [None] * len(seeds)
-    for m in np.unique(counts).tolist():
-        gs = np.nonzero(counts == m)[0]
-        ids = vids[starts[gs, None] + np.arange(m)]
-        corners = pts[ids]
-        # convex facet: its loop is the 2D hull in plane coordinates, which
-        # also drops points that are interior or collinear within the facet
-        local = np.stack([(corners @ basis[gs, :, None])[:, :, 0] for basis in (basis1, basis2)], axis=2)
-        tol = EPS * span * np.maximum(np.max(np.ptp(local, axis=1), axis=1), EPS * span)
-        for g, row, ring in zip(gs.tolist(), ids, _facet_rings(local, tol)):
-            loop = row[ring]
-            loops[g] = loop[::-1] if inward[g] else loop
+    ids = vids[starts[:, None] + np.minimum(np.arange(np.max(counts)), counts[:, None] - 1)]
+    corners = pts[ids]
+    # convex facet: its loop is the 2D hull in plane coordinates, which also
+    # drops points that are interior or collinear within the facet; the
+    # repeated padding ids leave each row's extent unchanged
+    local = np.stack([(corners @ basis[:, :, None])[:, :, 0] for basis in (basis1, basis2)], axis=2)
+    tol = EPS * span * np.maximum(np.max(np.ptp(local, axis=1), axis=1), EPS * span)
+    ring, lengths = _facet_rings(local, counts, tol)
+    slot = np.arange(ring.shape[1])
+    facets = np.arange(len(ring))[:, None]
+    turned = np.where(inward[:, None], lengths[:, None] - 1 - slot, slot) % len(slot)
+    loops = ids[facets, ring[facets, turned]]
 
-    used = np.unique(np.concatenate(loops))
+    used = np.unique(loops[slot < lengths[:, None]])
     remap = np.zeros(len(pts), dtype=int)
     remap[used] = np.arange(len(used))
-    return Polytope3(pts[used], [remap[loop] for loop in loops])
+    rows = remap[loops].tolist()
+    return Polytope3(pts[used], [row[:n] for row, n in zip(rows, lengths.tolist())])
 
 
 def _coplanar_groups(neighbors, normals, offsets, offset_tol):
@@ -539,39 +552,81 @@ def _planes_agree(normals, offsets, i, j, normal_tol, offset_tol):
     return (_row_norms(normals[i] - normals[j]) <= normal_tol) & (np.abs(offsets[i] - offsets[j]) <= offset_tol)
 
 
-def _facet_rings(local, tol):
-    """``_hull2_indices(local[k], tol=tol[k])`` for each k of a stack of
-    equal-size point sets in plane coordinates.
+def _facet_rings(local, sizes, tol):
+    """``_hull2_indices(local[g, :sizes[g]], tol=tol[g])`` for every row g of
+    a padded stack of point sets in plane coordinates.
 
-    Triangles are done in one batch that computes the same sort and the same
-    turn tests, term for term: the lexicographically first corner starts the
-    ring, which runs CCW.  A triangle with any turn test of the monotone
-    chain or of its corner sweep at or below tolerance, like every larger
-    set, goes through `_hull2_indices` itself.
+    Returns ``(ring, count)``: each row's ring as local indices, padded to a
+    common width with indices of the row, and its length.
+
+    All rows run Andrew's monotone chain in lockstep.  Each row is sorted as
+    `_hull2_indices` sorts it, padding last; its lower chain (over the sorted
+    points) and upper chain (over the same points reversed) are neighbouring
+    rows of one batch, ordered by set size, largest first, so that the rows
+    still running at step k are a prefix and no step works on a finished
+    row.  A chain's stack is a row of (x, y, index) entries behind a NaN
+    sentinel: with one entry on the stack, the turn test reads the sentinel,
+    comes out NaN and pops nothing.  Each turn test forms the cross product
+    with the operands and the term order of `_hull2_indices`, so every pop,
+    and with them the ring ``lower[:-1] + upper[:-1]``, is its own.  The
+    junction sweep is tested at every corner at once; a ring with a corner at
+    or below tolerance, which the sweep would change, is left to
+    `_hull2_indices` itself.
     """
-    if local.shape[1] != 3:
-        return [_hull2_indices(pts, tol=t) for pts, t in zip(local, tol)]
-    x, y = local[:, :, 0], local[:, :, 1]
-    order = np.lexsort((y, x), axis=1)
+    nsets, width = local.shape[:2]
+    by_size = np.argsort(-sizes, kind="stable")
+    local, sizes, tol = local[by_size], sizes[by_size], tol[by_size]
+    col = np.arange(width)
+    pts = np.empty((nsets, width, 3))
+    pts[:, :, :2] = local
+    pts[:, :, 2] = col
+    pts[col >= sizes[:, None], 0] = np.nan
+    order = np.lexsort((pts[:, :, 1], pts[:, :, 0]), axis=1)
+    sets = np.arange(nsets)[:, None]
+    upper = order[sets, (sizes[:, None] - 1 - col) % width]
+    seq = pts[sets.repeat(2, axis=0), np.stack((order, upper), axis=1).reshape(2 * nsets, width)]
 
-    def turn(xs, ys, o, a, b):
-        return (xs[:, a] - xs[:, o]) * (ys[:, b] - ys[:, o]) - (ys[:, a] - ys[:, o]) * (xs[:, b] - xs[:, o])
+    stack = np.full((2 * nsets, width + 1, 3), np.nan)
+    stack[:, 1:3] = seq[:, :2]
+    top = np.full(2 * nsets, 2)
+    rows = np.arange(2 * nsets)[:, None]
+    below = np.array([-1, 0])
+    row_tol = tol.repeat(2)
+    running = (2 * np.searchsorted(-sizes, -col)).tolist()
+    for k in range(2, width):
+        r = running[k]
+        st, tp, b, t, ar = stack[:r], top[:r], seq[:r, k], row_tol[:r], rows[:r]
+        while True:
+            oa = st[ar, tp[:, None] + below]
+            o = oa[:, 0]
+            a_o, b_o = oa[:, 1] - o, b - o
+            pop = a_o[:, 0] * b_o[:, 1] - a_o[:, 1] * b_o[:, 0] <= t
+            if not pop.any():
+                break
+            tp -= pop
+        tp += 1
+        st[ar[:, 0], tp] = b
 
-    xs = np.take_along_axis(x, order, axis=1)
-    ys = np.take_along_axis(y, order, axis=1)
-    lower = turn(xs, ys, 0, 1, 2) > tol
-    upper = turn(xs, ys, 2, 1, 0) > tol
-    # one chain keeps the middle corner: ring [0, 1, 2] (lower) or [0, 2, 1]
-    ring = np.where(lower[:, None], [0, 1, 2], [0, 2, 1])
-    plain = lower != upper
-    xs = np.take_along_axis(xs, ring, axis=1)
-    ys = np.take_along_axis(ys, ring, axis=1)
-    for corner in ((2, 0, 1), (0, 1, 2), (1, 2, 0)):  # the junction sweep
-        plain &= turn(xs, ys, *corner) > tol
-    rings = list(np.take_along_axis(order, ring, axis=1))
-    for k in np.nonzero(~plain)[0].tolist():
-        rings[k] = _hull2_indices(local[k], tol=tol[k])
-    return rings
+    # ring slot q is lower[q] before the junction lo and upper[q - lo] after;
+    # the ring is extended by one slot at each end: ext[:, p + 1] = ring[p mod count]
+    lo = top[0::2, None] - 1
+    count = lo + top[1::2, None] - 1
+    q = np.arange(-1, np.max(count) + 1) % count
+    after = q >= lo
+    ext = stack[2 * sets + after, 1 + q - lo * after]
+    o, a, b = ext[:, :-2], ext[:, 1:-1], ext[:, 2:]
+    a_o, b_o = a - o, b - o
+    cross = a_o[:, :, 0] * b_o[:, :, 1] - a_o[:, :, 1] * b_o[:, :, 0]
+    swept = np.any((cross <= tol[:, None]) & (np.arange(cross.shape[1]) < count), axis=1)
+    ring = a[:, :, 2].astype(int)
+    count = count[:, 0]
+    for g in np.nonzero(swept)[0].tolist():
+        exact = _hull2_indices(local[g, : sizes[g]], tol=tol[g])
+        ring[g, : len(exact)] = exact
+        count[g] = len(exact)
+    back = np.empty_like(by_size)
+    back[by_size] = np.arange(nsets)
+    return ring[back], count[back]
 
 
 def _flat_sliver_vertices(pts, qh, height_tol):

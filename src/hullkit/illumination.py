@@ -13,9 +13,9 @@ One batched kernel (`_level_crossings`) solves all lines of a body at once,
 in whole-array steps, and returns exactly the numbers a solve of each line
 on its own would give.
 
-``ray_level_solve`` solves the same equation on one ray from the origin
-(through `_line_crossings`, the one-line case of the kernel); it doubles as
-the boundary oracle in the tests.
+``ray_level_solve`` solves the same equation on one ray from the origin,
+and `_ray_level_solves` on many at once, in one kernel call; they double as
+the boundary oracle in the tests and in acceptance criterion 5.
 """
 
 from __future__ import annotations
@@ -186,17 +186,27 @@ def ray_level_solve(body, u, level):
     Requires level > volume(body) and the origin inside the queried sublevel
     set (guaranteed when the origin is in the body).
     """
+    return float(_ray_level_solves(body, np.asarray(u, dtype=float)[None], level)[0])
+
+
+def _ray_level_solves(body, dirs, level):
+    """`ray_level_solve` for every row of dirs, from one `_level_crossings`
+    call over the rays from the origin: each ray's largest positive
+    crossing, equal to the value a solve of the ray on its own gives."""
     if level <= body.volume:
         raise LevelBelowVolume("level must exceed the body volume")
-    u = np.asarray(u, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
     origin = np.zeros(body.dim)
     g0 = float(point_hull_values(body, origin[None, :])[0])
     if g0 >= level:
         raise GeometryError("ray base point lies outside the queried sublevel set")
-    crossings = [s for s in _line_crossings(body, origin, u, level) if s > 0]
-    if not crossings:
+    lines, s = _level_crossings(body, np.zeros_like(dirs), dirs, level)
+    ahead = s > 0
+    tau = np.full(len(dirs), -np.inf)
+    np.maximum.at(tau, lines[ahead], s[ahead])
+    if np.any(tau == -np.inf):
         raise GeometryError("no positive crossing found")
-    return max(crossings)
+    return tau
 
 
 # ---------------------------------------------------------------------------

@@ -165,8 +165,15 @@ def tcvp_check(body, n_dirs=360):
     if n_dirs < 16:
         raise TooFewDirections("n_dirs must be at least 16")
     dirs = direction_set(body.dim, n_dirs)
-    deltas = delta_values(body, dirs)
-    dmin, dmax, dmean = float(np.min(deltas)), float(np.max(deltas)), float(np.mean(deltas))
+    # Delta(u) of a body near the float limit can overflow, and so can the
+    # sum behind its mean (an inf or NaN Delta makes the mean one too); the
+    # spread would then read 0 or NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = delta_values(body, dirs)
+        dmean = float(np.mean(deltas))
+    if not np.isfinite(dmean):
+        raise DegenerateInput("Delta(u) overflows: coordinates too large for a TCVP check")
+    dmin, dmax = float(np.min(deltas)), float(np.max(deltas))
     spread = (dmax - dmin) / dmean
     fit = homothety_fit(difference_body(body), polar_projection_body(body))
     return TcvpReport(

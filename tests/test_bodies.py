@@ -78,6 +78,14 @@ class TestHull:
             with pytest.raises(DegenerateInput):
                 hull(scale * body.vertices)
 
+    def test_qhull_failure_is_one_line(self, cube):
+        # qhull's report runs to about 50 lines; the error keeps its first
+        with pytest.raises(DegenerateInput) as info:
+            hull(1e153 * cube.vertices)
+        message = str(info.value)
+        assert "\n" not in message
+        assert message.startswith("hull construction failed: QH")
+
     def test_duplicate_vertices_rejected_by_polygon(self):
         with pytest.raises(DegenerateInput):
             Polygon([[0, 0], [1, 0], [1, 0], [0, 1]])
@@ -242,6 +250,106 @@ class TestHullMerging:
             assert np.array_equal(body.facet_normals, np.array([p[1] for p in planes]))
             assert np.array_equal(body.facet_offsets, np.array([p[2] for p in planes]))
             assert np.array_equal(body.facet_areas, np.array([p[3] for p in planes]))
+
+
+def _padded(sets):
+    """A padded (G, M, 2) stack of point sets, each row's last point
+    repeated, with the sizes, and tolerances as `_hull3` sets them."""
+    width = max(len(p) for p in sets)
+    local = np.stack([np.vstack((p, np.repeat(p[-1:], width - len(p), axis=0))) for p in sets])
+    sizes = np.array([len(p) for p in sets])
+    span = float(np.max(np.ptp(local, axis=1)))
+    tol = EPS * span * np.maximum(np.max(np.ptp(local, axis=1), axis=1), EPS * span)
+    return local, sizes, tol
+
+
+# near-tolerance facets, in plane coordinates
+# the corner (0, 0) is flat within tolerance, but no chain tests it: the
+# junction sweep drops it
+_FLAT_JUNCTION = np.array([[0.0, 0.0], [0.0, 1.0], [1e-12, -1.0], [2.0, 0.0]])
+# (4, -10) pops three points of the lower chain in one step
+_THREE_POPS = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, -1.5], [3.0, -1.75], [4.0, -10.0], [4.0, 10.0]])
+# points on the bottom edge, just outside and just inside, within tolerance
+_EDGE_POINTS = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [1.0, -1e-13], [0.5, 1e-13], [1.5, 0.0]])
+
+
+class TestFacetRings:
+    def _mixed_sets(self):
+        rng = np.random.default_rng(21)
+        sets = []
+        for n in range(3, 13):
+            for _ in range(4):
+                sets.append(rng.normal(size=(n, 2)))
+            # points on a circle: every point is a ring corner
+            th = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+            sets.append(np.column_stack((np.cos(th), np.sin(th)))[rng.permutation(n)])
+        # a triangle with a corner within tolerance of its opposite side
+        sets.append(np.array([[0.0, 0.0], [2.0, 1e-12], [1.0, 0.0]]))
+        return sets + [_FLAT_JUNCTION, _THREE_POPS, _EDGE_POINTS]
+
+    def test_matches_per_set_monotone_chain(self, monkeypatch):
+        sets = self._mixed_sets()
+        local, sizes, tol = _padded(sets)
+        reference = [bodies._hull2_indices(local[g, : sizes[g]], tol=tol[g]) for g in range(len(sets))]
+        exact = []
+        hull2 = bodies._hull2_indices
+
+        def counted(pts, tol=None):
+            exact.append(len(pts))
+            return hull2(pts, tol=tol)
+
+        monkeypatch.setattr(bodies, "_hull2_indices", counted)
+        ring, count = bodies._facet_rings(local, sizes, tol)
+        for g, ref in enumerate(reference):
+            assert np.array_equal(ring[g, : count[g]], ref), g
+        # only the rings whose junction sweep drops a corner take the exact path
+        assert sorted(exact) == [3, len(_FLAT_JUNCTION)]
+
+    def test_near_tolerance_sets(self):
+        local, sizes, tol = _padded([_FLAT_JUNCTION, _THREE_POPS, _EDGE_POINTS])
+        ring, count = bodies._facet_rings(local, sizes, tol)
+        rings = [ring[g, : count[g]].tolist() for g in range(3)]
+        assert rings == [[2, 3, 1], [0, 4, 5], [0, 1, 2, 3]]
+
+    def test_turns_equal_to_tolerance_count_as_flat(self, monkeypatch):
+        # a chain turn of exactly tol at (2, 0.5) pops (1, 0) in the chain; a
+        # junction corner of exactly tol at (0, 0) goes to the exact path
+        sets = [np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [1.0, 3.0]]),
+                np.array([[0.0, 0.0], [0.0, 1.0], [0.25, -1.0], [2.0, 0.0]])]
+        local, sizes, _ = _padded(sets)
+        tol = np.array([0.5, 0.25])
+        reference = [bodies._hull2_indices(pts, tol=t) for pts, t in zip(sets, tol)]
+        exact = []
+        hull2 = bodies._hull2_indices
+
+        def counted(pts, tol=None):
+            exact.append(tol)
+            return hull2(pts, tol=tol)
+
+        monkeypatch.setattr(bodies, "_hull2_indices", counted)
+        ring, count = bodies._facet_rings(local, sizes, tol)
+        for g, ref in enumerate(reference):
+            assert np.array_equal(ring[g, : count[g]], ref)
+        assert [r.tolist() for r in reference] == [[0, 2, 3], [2, 3, 1]]
+        assert exact == [0.25]
+
+    def test_same_rings_in_any_batch(self):
+        sets = self._mixed_sets()
+        local, sizes, tol = _padded(sets)
+        ring, count = bodies._facet_rings(local, sizes, tol)
+        for g in range(0, len(sets), 7):
+            alone, n = bodies._facet_rings(*_padded([sets[g]]))
+            assert np.array_equal(alone[0, : n[0]], ring[g, : count[g]])
+
+
+class TestDiameter:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_broadcast_sum(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        for n in range(4, 401):
+            v = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4) + rng.normal(size=dim)
+            old = float(np.sqrt(np.max(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1))))
+            assert bodies._diameter(v) == old, n
 
 
 class TestPolytope3Validation:

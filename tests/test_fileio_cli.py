@@ -240,6 +240,23 @@ class TestCli:
                 assert (code, out) == (1, "")
                 assert err.startswith("error:")
 
+    def test_tcvp_with_overflowing_delta_is_one_line_error(self, tmp_path):
+        # square scaled by 1e153: Delta(u) is finite, its mean is not
+        path = tmp_path / "big.json"
+        square = [[1e153 * x, 1e153 * y] for x, y in ((1, 1), (-1, 1), (-1, -1), (1, -1))]
+        path.write_text(json.dumps({"dim": 2, "vertices": square}))
+        code, out, err = run_cli(["tcvp", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_qhull_failure_is_one_line_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        cube = [[1e153 * x, 1e153 * y, 1e153 * z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        path.write_text(json.dumps({"dim": 3, "vertices": cube}))
+        code, out, err = run_cli(["eval", str(path), "--t", "1,0,0"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: hull construction failed: QH") and err.count("\n") == 1
+
     def test_illum_with_huge_delta_is_input_error(self, square_file, cube_file):
         for path in (square_file, cube_file):
             code, out, err = run_cli(["illum", path, "--delta", "1e300"])

@@ -20,7 +20,7 @@ from hullkit import (
     ray_level_solve,
 )
 from hullkit.bodies import EPS
-from hullkit.illumination import _facet_lines, _level_crossings, _line_crossings
+from hullkit.illumination import _facet_lines, _level_crossings, _line_crossings, _ray_level_solves
 from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
 from conftest import unit_vector
@@ -147,6 +147,24 @@ class TestRayLevelSolve:
                 tau = ray_level_solve(body, u, level)
                 got = point_hull_values(body, (tau * u)[None, :])[0]
                 assert abs(got - level) <= 1e-12 * level
+
+    def test_many_rays_match_per_ray_loop(self):
+        # one kernel call over all rays gives each ray's per-line solution
+        for body in KERNEL_CASES.values():
+            level = 1.5 * body.volume
+            dirs = direction_set(body.dim, 60 if body.dim == 2 else 100)
+            origin = np.zeros(body.dim)
+            ref = [max(s for s in _loop_line_crossings(body, origin, u, level, set()) if s > 0) for u in dirs]
+            assert _ray_level_solves(body, dirs, level).tolist() == ref
+            assert [ray_level_solve(body, u, level) for u in dirs[:5]] == ref[:5]
+
+    def test_many_rays_raise_as_one_ray(self, square):
+        dirs = direction_set(2, 16)
+        with pytest.raises(LevelBelowVolume):
+            _ray_level_solves(square, dirs, 3.9)
+        shifted = square.translate([100.0, 0.0])
+        with pytest.raises(GeometryError):
+            _ray_level_solves(shifted, dirs, shifted.volume + 1e-9)
 
     def test_level_below_volume(self, square):
         with pytest.raises(LevelBelowVolume):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,15 @@ class TestTcvp:
         assert report.polar_projection_homothety.defect < 1e-6
         assert report.polar_projection_homothety.ratio == pytest.approx(1.0 / 8.0, rel=1e-9)
         assert np.linalg.norm(report.polar_projection_homothety.translation) <= 1e-9
+
+    def test_overflowing_delta_mean_is_degenerate(self, square):
+        # Delta(u) is near 1e307 and finite, but its mean overflows
+        big = square.scale(1e153)
+        assert np.all(np.isfinite(delta_values(big, direction_set(2, 360))))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInput):
+                tcvp_check(big, 360)
 
     def test_brute_force_delta_agreement(self):
         angles = 2 * np.pi * np.arange(3600) / 3600
