@@ -198,8 +198,9 @@ def criterion_7():
     return rows
 
 
-def illumination_defect_rows(n, seed, delta_factors=(0.05, 0.5, 2.0), include_named=True):
-    """Homothety defects of illumination bodies over seeded random 3-polytopes.
+def illumination_defect_rows(n, seed, include_named=True):
+    """Homothety defects of illumination bodies over seeded random 3-polytopes,
+    at delta = 0.05, 0.5 and 2 times the volume.
 
     Shared by acceptance criterion 8 and the `search` CLI subcommand; rows are
     emitted in instance order so reports are byte-reproducible.
@@ -214,7 +215,7 @@ def illumination_defect_rows(n, seed, delta_factors=(0.05, 0.5, 2.0), include_na
         bodies.append((f"random_{i:03d}", random_polytope3(rng, nv)))
     rows = []
     for name, body in bodies:
-        for factor in delta_factors:
+        for factor in (0.05, 0.5, 2.0):
             level_set = illumination_body(body, factor * body.volume)
             defect = homothety_fit(body, level_set.body).defect
             rows.append(_row(f"illum_defect_{name}_f{factor:g}", defect, 1e-3, below=False))

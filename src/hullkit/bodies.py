@@ -159,9 +159,6 @@ class _BodyBase:
         x = np.asarray(x, dtype=float)
         return bool(np.max(x @ self.facet_normals.T - self.facet_offsets) <= tol)
 
-    def interior_point(self):
-        return self.vertices.mean(axis=0)
-
 
 class Polygon(_BodyBase):
     """Convex polygon given by its vertices in counterclockwise order.
@@ -690,7 +687,10 @@ def minkowski_sum(a, b):
 
 
 def _minkowski_vertices_2d(a, b):
-    """CCW edge merge; output coordinates are exact sums of input vertices."""
+    """CCW edge merge.  Each output vertex is the running sum of the edges
+    merged so far, starting from the sum of the two lowest vertices, so its
+    coordinates carry that sum's rounding: in general they are not the exact
+    sum of one vertex of each body."""
 
     def rolled(poly):
         v = poly.vertices

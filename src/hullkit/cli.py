@@ -127,26 +127,40 @@ def _dispatch(args):
     return handler(args)
 
 
-def _report(args, rows, artifacts, extra=None):
+def _load(args):
+    """Load the body, then check its --svg and --off flags against its
+    dimension, before anything is computed or written."""
+    body = load_body(args.body, strict=args.strict)
+    for flag, dim in (("svg", 2), ("off", 3)):
+        if getattr(args, flag, None) and body.dim != dim:
+            raise _UsageError(f"--{flag} is only available for {dim}D bodies")
+    return body
+
+
+def _write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+
+
+def _report(args, rows, artifacts=(), extra=None):
+    """Print the check rows as CSV and a `wrote` line per artifact; given
+    extra fields, also write them in the run report to --json."""
     sys.stdout.write(checks_to_csv(rows))
     for path in artifacts:
         print(f"wrote {path}", file=sys.stderr)
-    if getattr(args, "json_path", None) and args.command != "illum":
-        payload = {
+    if extra is not None and args.json_path:
+        _write_json(args.json_path, {
             "command": args.argv,
             "checks": [[r.name, r.value, r.tolerance, r.passed] for r in rows],
             "artifacts": list(artifacts),
-        }
-        if extra:
-            payload.update(extra)
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            **extra,
+        })
         print(f"wrote {args.json_path}", file=sys.stderr)
 
 
 def _cmd_eval(args):
-    body = load_body(args.body, strict=args.strict)
+    body = _load(args)
     t = _parse_vector(args.t)
     if len(t) != body.dim:
         raise _UsageError(f"--t must have {body.dim} components for this body")
@@ -162,7 +176,7 @@ def _cmd_eval(args):
 
 
 def _cmd_illum(args):
-    body = load_body(args.body, strict=args.strict)
+    body = _load(args)
     level_set = illumination_body(body, args.delta)
     residual = float(
         np.max(np.abs(point_hull_values(body, level_set.body.vertices) - level_set.level))
@@ -178,13 +192,9 @@ def _cmd_illum(args):
         save_body(level_set.body, args.json_path, name=f"illumination_delta_{fmt(args.delta)}")
         artifacts.append(args.json_path)
     if args.svg:
-        if body.dim != 2:
-            raise _UsageError("--svg is only available for 2D bodies")
         write_svg(args.svg, filled=[body.vertices], curves=[level_set.body.vertices])
         artifacts.append(args.svg)
     if args.off:
-        if body.dim != 3:
-            raise _UsageError("--off is only available for 3D bodies")
         write_off(level_set.body, args.off)
         artifacts.append(args.off)
     _report(args, rows, artifacts)
@@ -192,7 +202,7 @@ def _cmd_illum(args):
 
 
 def _cmd_projbody(args):
-    body = load_body(args.body, strict=args.strict)
+    body = _load(args)
     projection = projection_body(body)
     named = {
         "projection": projection,
@@ -206,8 +216,6 @@ def _cmd_projbody(args):
             save_body(out, path, name=suffix)
             artifacts.append(path)
     if args.off:
-        if body.dim != 3:
-            raise _UsageError("--off is only available for 3D bodies")
         for suffix, out in named.items():
             path = f"{args.off}.{suffix}.off"
             write_off(out, path)
@@ -215,15 +223,12 @@ def _cmd_projbody(args):
     dirs = direction_set(body.dim, 200)
     rel = np.abs(named["projection"].support_many(dirs) - brightness_many(body, dirs))
     rel = float(np.max(rel / brightness_many(body, dirs)))
-    rows = [CheckRow("projection_support_vs_brightness", rel, 1e-9, rel <= 1e-9)]
-    sys.stdout.write(checks_to_csv(rows))
-    for path in artifacts:
-        print(f"wrote {path}", file=sys.stderr)
+    _report(args, [CheckRow("projection_support_vs_brightness", rel, 1e-9, rel <= 1e-9)], artifacts)
     return 0
 
 
 def _cmd_tcvp(args):
-    body = load_body(args.body, strict=args.strict)
+    body = _load(args)
     report = tcvp_check(body, args.dirs)
     ctr = translative_volume_constant(body, max(args.dirs, 720))
     rows = [
@@ -240,7 +245,7 @@ def _cmd_tcvp(args):
         CheckRow("tcvp_passes", float(report.passes), None, report.passes),
         CheckRow("translative_volume_constant", ctr, None, None),
     ]
-    _report(args, rows, [], extra={"dirs": args.dirs})
+    _report(args, rows, extra={"dirs": args.dirs})
     return 0
 
 
@@ -257,15 +262,12 @@ def _cmd_extend(args):
     ]
     artifacts = []
     if args.json_path:
-        payload = {
+        _write_json(args.json_path, {
             "kind": "extension_curve",
             "k": args.k,
             "l": args.l,
             "vertices": [[float(c) for c in v] for v in curve.vertices],
-        }
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        })
         artifacts.append(args.json_path)
     if args.svg:
         write_svg(
@@ -275,9 +277,7 @@ def _cmd_extend(args):
             marked=[curve.vertices],
         )
         artifacts.append(args.svg)
-    sys.stdout.write(checks_to_csv(rows))
-    for path in artifacts:
-        print(f"wrote {path}", file=sys.stderr)
+    _report(args, rows, artifacts)
     return 0
 
 
@@ -288,7 +288,7 @@ def _cmd_search(args):
         rows = acceptance.illumination_defect_rows(args.n, seed=args.seed, include_named=False)
         worst = min(r.value for r in rows)
         rows.append(CheckRow("min_defect", worst, 1e-3, worst > 1e-3))
-        _report(args, rows, [], extra={"seed": args.seed, "n": args.n, "dim": args.dim})
+        _report(args, rows, extra={"seed": args.seed, "n": args.n, "dim": args.dim})
         return 0 if worst > 1e-3 else 2
     rng = np.random.default_rng(args.seed)
     rows = []
@@ -305,7 +305,7 @@ def _cmd_search(args):
         rows.append(CheckRow(f"extension_defect_{i:03d}_m{m}", best, None, None))
     worst = min((r.value for r in rows if r.value == r.value), default=float("nan"))
     rows.append(CheckRow("min_defect", worst, None, None))
-    _report(args, rows, [], extra={"seed": args.seed, "n": args.n, "dim": args.dim})
+    _report(args, rows, extra={"seed": args.seed, "n": args.n, "dim": args.dim})
     return 0
 
 

@@ -36,10 +36,6 @@ class ExtensionCurve:
     l: int
     vertices: np.ndarray
 
-    def segments(self):
-        return [(self.vertices[j], self.vertices[(j + 1) % len(self.vertices)])
-                for j in range(len(self.vertices))]
-
 
 @dataclass(frozen=True)
 class RegularityReport:
@@ -81,9 +77,6 @@ class SidelineTable:
                 pts[j, i] = p
         self.points = pts
         self.points.flags.writeable = False
-
-    def defined(self, i, j):
-        return bool(np.all(np.isfinite(self.points[i % self.m, j % self.m])))
 
     def point(self, i, j):
         p = self.points[i % self.m, j % self.m]
@@ -168,13 +161,11 @@ def is_affinely_regular(polygon):
     )
 
 
-def affinely_regular_polygon(m, mat=None, shift=None):
+def affinely_regular_polygon(m, mat, shift=None):
     """Affine image of the regular m-gon under x -> mat @ x + shift."""
     if m < 3:
         raise ConditionViolated("need m >= 3")
     base = regular_polygon(m)
-    if mat is None:
-        return base
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (2, 2):
         raise SingularMatrix("affine matrix must be 2x2")

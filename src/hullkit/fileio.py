@@ -89,7 +89,11 @@ def body_from_dict(obj, strict=False):
             raise SchemaError(f"every vertex must be a list of {dim} numbers")
     if "name" in obj and not isinstance(obj["name"], str):
         raise SchemaError("'name' must be a string")
-    body = hull(np.asarray(verts, dtype=float))
+    try:
+        pts = np.asarray(verts, dtype=float)
+    except OverflowError as exc:
+        raise SchemaError("vertex coordinates must fit in a float") from exc
+    body = hull(pts)
     if strict:
         kept = {tuple(v) for v in body.vertices.tolist()}
         extra = [row for row in verts if tuple(float(c) for c in row) not in kept]
@@ -101,14 +105,19 @@ def body_from_dict(obj, strict=False):
 def parse_body(text, strict=False):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # also integers past Python's digit limit, and nesting too deep to decode
         raise SchemaError(f"invalid JSON: {exc}") from exc
     return body_from_dict(obj, strict=strict)
 
 
 def load_body(path, strict=False):
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_body(fh.read(), strict=strict)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"body file is not UTF-8 text: {exc}") from exc
+    return parse_body(text, strict=strict)
 
 
 def save_body(body, path, name=None):
@@ -141,8 +150,8 @@ def write_off(body, path):
 # SVG export (2D)
 
 
-def svg_text(filled=(), curves=(), marked=(), width=640):
-    """Render closed polygonal chains to SVG.
+def svg_text(filled=(), curves=(), marked=()):
+    """Render closed polygonal chains to SVG, 640 units wide.
 
     filled: (m, 2) arrays drawn as filled polygons (the base bodies);
     curves: arrays drawn as stroked closed curves (level sets, extensions);
@@ -163,9 +172,9 @@ def svg_text(filled=(), curves=(), marked=(), width=640):
     def pts_attr(arr):
         return " ".join(f"{fmt(p[0])},{fmt(-p[1])}" for p in arr)
 
-    height = width * (y1 - y0) / (x1 - x0)
+    height = 640 * (y1 - y0) / (x1 - x0)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{fmt(width)}" height="{fmt(height)}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="640" height="{fmt(height)}" '
         f'viewBox="{fmt(x0)} {fmt(-y1)} {fmt(x1 - x0)} {fmt(y1 - y0)}">'
     ]
     fill_styles = ["#c8d6f0", "#e8d6c0"]
@@ -187,6 +196,6 @@ def svg_text(filled=(), curves=(), marked=(), width=640):
     return "\n".join(parts) + "\n"
 
 
-def write_svg(path, filled=(), curves=(), marked=(), width=640):
+def write_svg(path, filled=(), curves=(), marked=()):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg_text(filled=filled, curves=curves, marked=marked, width=width))
+        fh.write(svg_text(filled=filled, curves=curves, marked=marked))

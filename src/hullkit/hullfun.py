@@ -88,11 +88,10 @@ def lambda_reduce(body, lam, t):
     """Reduce the homothetic hull function to the point (lam = 0) case.
 
     Returns (G_lam(t) - lam^n * vol) / (1 - lam^n), which must agree with
-    point_hull_volume(body, t / (1 - lam)) up to tolerance.
+    point_hull_volume(body, t / (1 - lam)) up to tolerance.  The range of
+    lam is checked by homothetic_hull_function.
     """
     lam = float(lam)
-    if not 0.0 <= lam < 1.0:
-        raise LambdaOutOfRange("lam must satisfy 0 <= lam < 1")
     n = body.dim
     g = homothetic_hull_function(body, lam, t)
     return (g - lam**n * body.volume) / (1.0 - lam**n)

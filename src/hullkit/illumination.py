@@ -172,14 +172,6 @@ def _block_crossings(body, x0, d, level):
     return np.nonzero(pick)[0], pair[pick]
 
 
-def _line_crossings(body, x0, d, level):
-    """All s with vol conv(body, {x0 + s d}) == level (0, 1 or 2 values, the
-    smaller first): `_level_crossings` for one line."""
-    x0 = np.asarray(x0, dtype=float)[None]
-    d = np.asarray(d, dtype=float)[None]
-    return _level_crossings(body, x0, d, level)[1].tolist()
-
-
 def ray_level_solve(body, u, level):
     """The unique tau > 0 with vol conv(body, {tau * u}) == level.
 

@@ -169,13 +169,15 @@ def tcvp_check(body, n_dirs=360):
     # sum behind its mean (an inf or NaN Delta makes the mean one too); the
     # spread would then read 0 or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        deltas = delta_values(body, dirs)
+        # delta_values, on a difference body built once for both checks
+        diff = difference_body(body)
+        deltas = diff.gauge_many(dirs) * brightness_many(body, dirs)
         dmean = float(np.mean(deltas))
     if not np.isfinite(dmean):
         raise DegenerateInput("Delta(u) overflows: coordinates too large for a TCVP check")
     dmin, dmax = float(np.min(deltas)), float(np.max(deltas))
     spread = (dmax - dmin) / dmean
-    fit = homothety_fit(difference_body(body), polar_projection_body(body))
+    fit = homothety_fit(diff, polar_projection_body(body))
     return TcvpReport(
         delta_min=dmin,
         delta_max=dmax,

@@ -40,15 +40,14 @@ def direction_set(dim, n):
     return fibonacci_sphere(n)
 
 
-def regular_polygon(m, radius=1.0, center=(0.0, 0.0), phase=0.0):
-    """Regular m-gon inscribed in the circle of the given radius."""
-    ang = phase + 2.0 * np.pi * np.arange(m) / m
-    v = radius * np.column_stack((np.cos(ang), np.sin(ang)))
-    return Polygon(v + np.asarray(center, dtype=float))
+def regular_polygon(m):
+    """Regular m-gon inscribed in the unit circle, a vertex at (1, 0)."""
+    ang = 2.0 * np.pi * np.arange(m) / m
+    return Polygon(np.column_stack((np.cos(ang), np.sin(ang))))
 
 
-def random_polygon(rng, n_vertices, radius=1.0):
-    """Random convex n-gon inscribed in a circle, origin well interior.
+def random_polygon(rng, n_vertices):
+    """Random convex n-gon inscribed in the unit circle, origin well interior.
 
     Vertex angles are resampled, at most MAX_TRIES times, until gaps stay in
     (0.05, pi - 0.05); all circle points are strictly extreme, so the polygon
@@ -61,29 +60,27 @@ def random_polygon(rng, n_vertices, radius=1.0):
         ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, n_vertices))
         gaps = np.diff(np.append(ang, ang[0] + 2.0 * np.pi))
         if np.min(gaps) > 0.05 and np.max(gaps) < np.pi - 0.05:
-            return Polygon(radius * np.column_stack((np.cos(ang), np.sin(ang))))
+            return Polygon(np.column_stack((np.cos(ang), np.sin(ang))))
     raise SamplingExhausted(f"no random {n_vertices}-gon with angular gaps in (0.05, pi - 0.05) found")
 
 
-def random_polytope3(rng, n_vertices, radius=1.0):
-    """Hull of points uniform on the sphere, origin well interior (resampled
-    at most MAX_TRIES times)."""
+def random_polytope3(rng, n_vertices):
+    """Hull of points uniform on the unit sphere, origin well interior
+    (resampled at most MAX_TRIES times)."""
     for _ in range(MAX_TRIES):
         pts = rng.normal(size=(n_vertices, 3))
-        pts *= radius / np.linalg.norm(pts, axis=1)[:, None]
+        pts *= 1.0 / np.linalg.norm(pts, axis=1)[:, None]
         body = hull(pts)
-        if len(body) == n_vertices and np.min(body.facet_offsets) > 0.05 * radius:
+        if len(body) == n_vertices and np.min(body.facet_offsets) > 0.05:
             return body
     raise SamplingExhausted(f"no random {n_vertices}-vertex polytope with the origin well interior found")
 
 
-def reuleaux_polygon(points_per_arc=100, width=1.0):
-    """Polygonal approximation of the Reuleaux triangle of the given width.
-
-    Three circular arcs of radius `width`, each centered at a vertex of an
-    equilateral triangle with side `width`; centroid at the origin.
-    """
-    h = width / np.sqrt(3.0)
+def reuleaux_polygon():
+    """Polygonal approximation, 100 points per arc, of the Reuleaux triangle
+    of width 1: three circular arcs of radius 1, each centered at a vertex of
+    an equilateral triangle with side 1; centroid at the origin."""
+    h = 1.0 / np.sqrt(3.0)
     corners = h * np.column_stack(
         (np.cos(np.pi / 2 + 2 * np.pi * np.arange(3) / 3), np.sin(np.pi / 2 + 2 * np.pi * np.arange(3) / 3))
     )
@@ -95,14 +92,15 @@ def reuleaux_polygon(points_per_arc=100, width=1.0):
         end = np.arctan2(*(b - center)[::-1])
         while end < start:
             end += 2.0 * np.pi
-        ang = start + (end - start) * np.arange(points_per_arc) / points_per_arc
-        pts.append(center + width * np.column_stack((np.cos(ang), np.sin(ang))))
+        ang = start + (end - start) * np.arange(100) / 100
+        pts.append(center + np.column_stack((np.cos(ang), np.sin(ang))))
     return hull(np.vstack(pts))
 
 
 @lru_cache(maxsize=4)
-def ball_body(dim, n=None):
-    """Deterministic polytopal approximation of the unit ball."""
+def ball_body(dim):
+    """Deterministic polytopal approximation of the unit ball: a 256-gon,
+    or the hull of 1024 Fibonacci-sphere points."""
     if dim == 2:
-        return regular_polygon(n or 256)
-    return hull(fibonacci_sphere(n or 1024))
+        return regular_polygon(256)
+    return hull(fibonacci_sphere(1024))

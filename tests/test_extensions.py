@@ -27,15 +27,15 @@ class TestSidelineIntersections:
         for i in range(4):
             shared = table.point(i, i + 1)
             assert np.allclose(shared, square.vertices[(i + 1) % 4], atol=0)
-        assert not table.defined(0, 2)
-        assert not table.defined(1, 3)
+        assert np.isnan(table.points[0, 2]).all()
+        assert np.isnan(table.points[1, 3]).all()
 
     def test_triangle_all_defined(self, unit_triangle):
         table = sideline_intersections(unit_triangle)
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    assert table.defined(i, j)
+                    assert np.isfinite(table.points[i, j]).all()
 
     def test_pentagon_pentagram_points(self):
         pentagon = regular_polygon(5)
@@ -60,8 +60,8 @@ class TestKlExtension:
         assert np.allclose(curve.vertices, np.roll(pentagon.vertices, 0, axis=0)[np.arange(5)], atol=1e-12) or sorted(
             map(tuple, np.round(curve.vertices, 12).tolist())
         ) == sorted(map(tuple, np.round(pentagon.vertices, 12).tolist()))
-        segments = curve.segments()
-        sides = {tuple(np.round(np.vstack(s), 12).ravel()) for s in segments}
+        ends = np.roll(curve.vertices, -1, axis=0)
+        sides = {tuple(np.round(np.vstack(s), 12).ravel()) for s in zip(curve.vertices, ends)}
         expected = {
             tuple(np.round(np.vstack((pentagon.vertices[j], pentagon.vertices[(j + 1) % 5])), 12).ravel())
             for j in range(5)

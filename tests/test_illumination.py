@@ -20,7 +20,7 @@ from hullkit import (
     ray_level_solve,
 )
 from hullkit.bodies import EPS
-from hullkit.illumination import _facet_lines, _level_crossings, _line_crossings, _ray_level_solves
+from hullkit.illumination import _facet_lines, _level_crossings, _ray_level_solves
 from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
 from conftest import unit_vector
@@ -204,12 +204,6 @@ class TestBatchedLineSolves:
         assert "touch" in seen
         assert np.array_equal(_batched_candidates(body, level), ref)
 
-    def test_line_crossings_is_the_one_line_case(self):
-        for body in KERNEL_CASES.values():
-            level = 1.5 * body.volume
-            for x0, d in _loop_lines(body):
-                assert _line_crossings(body, x0, d, level) == _loop_line_crossings(body, x0, d, level, set())
-
 
 class TestIlluminationBody2D:
     def test_square_octagon(self, square):
@@ -256,17 +250,13 @@ class TestIlluminationBody2D:
     def test_sideline_crossings_are_exactly_the_vertices(self):
         # every solution of the level equation on a sideline is a corner of
         # the level curve, and every corner arises this way
-        from hullkit.illumination import _line_crossings
-
         rng = np.random.default_rng(26)
         body = random_polygon(rng, 6)
         level_set = illumination_body_2d(body, 0.4)
         v = body.vertices
-        crossings = []
-        for i in range(len(v)):
-            d = v[(i + 1) % len(v)] - v[i]
-            crossings.extend(v[i] + s * d for s in _line_crossings(body, v[i], d, level_set.level))
-        crossings = np.array(crossings)
+        d = np.roll(v, -1, axis=0) - v
+        lines, s = _level_crossings(body, v, d, level_set.level)
+        crossings = v[lines] + s[:, None] * d[lines]
         tol = 1e-9 * level_set.body.diameter
         for point in crossings:
             assert np.min(np.linalg.norm(level_set.body.vertices - point, axis=1)) <= tol

@@ -303,14 +303,14 @@ class TestConstancyCheck:
         assert constancy_check(regular_polygon(256)) == (True, True)
 
     def test_reuleaux_triangle_constant_width(self):
-        body = reuleaux_polygon(100)
+        body = reuleaux_polygon()
         width_constant, _ = constancy_check(body)
         assert width_constant
 
     def test_plane_constant_width_implies_near_constant_excess(self):
         # in the plane, constant width forces the touching-translate excess to
         # be constant as well; the polygonal approximation limits the spread
-        body = reuleaux_polygon(100)
+        body = reuleaux_polygon()
         report = tcvp_check(body, 360)
         assert report.relative_spread < 1e-3
         assert report.polar_projection_homothety.defect < 1e-3
