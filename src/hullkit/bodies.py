@@ -408,30 +408,32 @@ def _hull2_indices(pts, tol=None):
 
 
 def _hull3(pts):
-    """Qhull-backed 3D hull with coplanar facets merged into convex loops.
+    """Qhull-backed 3D hull with coplanar triangles merged into facet loops.
 
     Points within EPS*span of being non-extreme (flat sliver vertices from
     near-collinear or near-coplanar candidates) are discarded before the
     facet structure is assembled.
 
-    Qhull triangulates every facet, so coplanar simplices are merged here, in
-    whole-array steps that reproduce a per-simplex merge bit for bit:
+    Qhull triangulates every facet; the triangles are merged back here:
 
     * Groups (`_coplanar_groups`) are those of a search from each ungrouped
       simplex in index order, its *seed*, that adds a neighbour whenever the
       neighbour's plane agrees with the seed's plane within the merge
       tolerances; comparing with the seed keeps the criterion from drifting
       along a chain.  Groups are numbered by their seeds, ascending.
-    * A facet's loop is the 2D hull (`_hull2_indices`) of its vertices in the
-      in-plane basis of its seed's normal, reversed where that normal points
-      into the body.  The vertex ids of all facets sit in one (G, M) array,
-      padded by repeating each row's last id; its plane coordinates come from
-      one stacked product, which rounds each facet as a product of its own
-      would.  The rings of all facets, triangles included, are built in one
-      lockstep monotone chain (`_facet_rings`); only a facet whose chain
-      junctions leave a corner at or below tolerance is handed to
-      `_hull2_indices` itself.  Loop ids, the outward turn and the renumbering
-      of the kept vertices work on the padded arrays too.
+    * A facet's loop is the boundary of its group: the triangle edges whose
+      neighbour across lies in another group, each triangle first turned
+      counterclockwise about its own outward normal.  Each boundary edge is
+      followed by the one that starts at its head, from the group's lowest
+      point in the plane coordinates of its seed's normal (x, then y), where
+      `_hull2_indices` starts too.  A group whose boundary is not one simple
+      cycle is rejected.
+    * A boundary vertex is dropped when its turn (the cross product of
+      `_hull2_indices`, in those plane coordinates) is at or below its
+      facet's tolerance in every facet whose boundary it lies on; the turns
+      are taken again until no vertex drops.  A vertex is thus kept or
+      dropped in all its facets at once, and neighbouring loops share their
+      edges.  A loop is reversed where its seed normal points into the body.
     """
     span = _span(pts)
     for _ in range(16):
@@ -451,36 +453,80 @@ def _hull3(pts):
     else:
         raise DegenerateInput("hull did not stabilize after sliver removal")
 
-    simplices = qh.simplices
+    nv = len(pts)
     normals = qh.equations[:, :3]
     offsets = -qh.equations[:, 3]
     seeds, group = _coplanar_groups(qh.neighbors, normals, offsets, EPS * span)
-    basis1, basis2 = _plane_basis(normals[seeds])
+    basis = np.stack(_plane_basis(normals[seeds]), axis=1)
     # outward orientation: the group normal must point away from the body
     inward = _row_dots(normals[seeds], pts.mean(axis=0)) > offsets[seeds]
 
-    # each group's vertex ids, ascending, from one sort of (group, id) keys
-    owner, vids = np.divmod(np.unique(group[:, None] * len(pts) + simplices), len(pts))
+    # turn each triangle counterclockwise about its normal; qhull's
+    # neighbors[:, k] lies across the edge opposite vertex k
+    tri, across = qh.simplices.copy(), qh.neighbors.copy()
+    corners = pts[tri]
+    u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
+    triple = ((u[:, 1] * w[:, 2] - u[:, 2] * w[:, 1]) * normals[:, 0]
+              + (u[:, 2] * w[:, 0] - u[:, 0] * w[:, 2]) * normals[:, 1]
+              + (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]) * normals[:, 2])
+    turned = triple < 0
+    tri[turned] = tri[turned, ::-1]
+    across[turned] = across[turned, ::-1]
+
+    # boundary edges tail -> head, keyed and sorted by (group, tail)
+    owner = np.repeat(group, 3)
+    edge = group[across[:, [2, 0, 1]].ravel()] != owner
+    keys = owner[edge] * nv + tri.ravel()[edge]
+    order = np.argsort(keys)
+    keys = keys[order]
+    ends = (owner[edge] * nv + tri[:, [1, 2, 0]].ravel()[edge])[order]
+    # one boundary edge starts and one ends at each (group, vertex)
+    if np.any(keys[1:] == keys[:-1]) or not np.array_equal(np.sort(ends), keys):
+        raise DegenerateInput("a facet boundary is not a simple cycle")
+    owner, tails = np.divmod(keys, nv)
     counts = np.bincount(owner)
     starts = np.cumsum(counts) - counts
-    ids = vids[starts[:, None] + np.minimum(np.arange(np.max(counts)), counts[:, None] - 1)]
-    corners = pts[ids]
-    # convex facet: its loop is the 2D hull in plane coordinates, which also
-    # drops points that are interior or collinear within the facet; the
-    # repeated padding ids leave each row's extent unchanged
-    local = np.stack([(corners @ basis[:, :, None])[:, :, 0] for basis in (basis1, basis2)], axis=2)
-    tol = EPS * span * np.maximum(np.max(np.ptp(local, axis=1), axis=1), EPS * span)
-    ring, lengths = _facet_rings(local, counts, tol)
-    slot = np.arange(ring.shape[1])
-    facets = np.arange(len(ring))[:, None]
-    turned = np.where(inward[:, None], lengths[:, None] - 1 - slot, slot) % len(slot)
-    loops = ids[facets, ring[facets, turned]]
+    # plane coordinates as stacked (2, 3) @ (3, 1) products: these round as
+    # a group's (k, 3) @ (3,) product `points @ b1` does, and a stacked
+    # (1, 3) @ (3, 1) product does not
+    local = (basis[owner] @ pts[tails][:, :, None])[:, :, 0]
+    lowest = np.lexsort((local[:, 1], local[:, 0], owner))[starts]
 
-    used = np.unique(loops[slot < lengths[:, None]])
-    remap = np.zeros(len(pts), dtype=int)
+    # walk each group's cycle from its lowest point; the walk keeps the
+    # group blocks of `keys`, so `owner` holds for it unchanged
+    succ = np.searchsorted(keys, ends).tolist()
+    path = []
+    for e, count in zip(lowest.tolist(), counts.tolist()):
+        for _ in range(count):
+            path.append(e)
+            e = succ[e]
+    if len(set(path)) < len(path):
+        raise DegenerateInput("a facet boundary is not a simple cycle")
+    path = np.array(path)
+    vids, local = tails[path], local[path]
+    extent = np.max(np.maximum.reduceat(local, starts) - np.minimum.reduceat(local, starts), axis=1)
+    tol = EPS * span * np.maximum(extent, EPS * span)
+
+    for _ in range(len(path)):
+        sizes = np.bincount(owner, minlength=len(seeds))
+        first = (np.cumsum(sizes) - sizes)[owner]
+        k = np.arange(len(owner)) - first
+        o, a, b = (local[first + (k + step) % sizes[owner]] for step in (-1, 0, 1))
+        cross = (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+        corner = np.zeros(nv, dtype=bool)
+        corner[vids[cross > tol[owner]]] = True
+        keep = corner[vids]
+        if np.all(keep):
+            break
+        vids, local, owner = vids[keep], local[keep], owner[keep]
+
+    used = np.unique(vids)
+    remap = np.zeros(nv, dtype=int)
     remap[used] = np.arange(len(used))
-    rows = remap[loops].tolist()
-    return Polytope3(pts[used], [row[:n] for row, n in zip(rows, lengths.tolist())])
+    rows = remap[vids].tolist()
+    bounds = np.cumsum(np.bincount(owner, minlength=len(seeds))).tolist()
+    loops = [rows[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
+    return Polytope3(pts[used], [loop[::-1] if flip else loop for loop, flip in zip(loops, inward.tolist())])
 
 
 def _coplanar_groups(neighbors, normals, offsets, offset_tol):
@@ -547,83 +593,6 @@ def _planes_agree(normals, offsets, i, j, normal_tol, offset_tol):
     """Whether simplex planes i and j agree: unit normals within normal_tol
     as a chord and offsets within offset_tol."""
     return (_row_norms(normals[i] - normals[j]) <= normal_tol) & (np.abs(offsets[i] - offsets[j]) <= offset_tol)
-
-
-def _facet_rings(local, sizes, tol):
-    """``_hull2_indices(local[g, :sizes[g]], tol=tol[g])`` for every row g of
-    a padded stack of point sets in plane coordinates.
-
-    Returns ``(ring, count)``: each row's ring as local indices, padded to a
-    common width with indices of the row, and its length.
-
-    All rows run Andrew's monotone chain in lockstep.  Each row is sorted as
-    `_hull2_indices` sorts it, padding last; its lower chain (over the sorted
-    points) and upper chain (over the same points reversed) are neighbouring
-    rows of one batch, ordered by set size, largest first, so that the rows
-    still running at step k are a prefix and no step works on a finished
-    row.  A chain's stack is a row of (x, y, index) entries behind a NaN
-    sentinel: with one entry on the stack, the turn test reads the sentinel,
-    comes out NaN and pops nothing.  Each turn test forms the cross product
-    with the operands and the term order of `_hull2_indices`, so every pop,
-    and with them the ring ``lower[:-1] + upper[:-1]``, is its own.  The
-    junction sweep is tested at every corner at once; a ring with a corner at
-    or below tolerance, which the sweep would change, is left to
-    `_hull2_indices` itself.
-    """
-    nsets, width = local.shape[:2]
-    by_size = np.argsort(-sizes, kind="stable")
-    local, sizes, tol = local[by_size], sizes[by_size], tol[by_size]
-    col = np.arange(width)
-    pts = np.empty((nsets, width, 3))
-    pts[:, :, :2] = local
-    pts[:, :, 2] = col
-    pts[col >= sizes[:, None], 0] = np.nan
-    order = np.lexsort((pts[:, :, 1], pts[:, :, 0]), axis=1)
-    sets = np.arange(nsets)[:, None]
-    upper = order[sets, (sizes[:, None] - 1 - col) % width]
-    seq = pts[sets.repeat(2, axis=0), np.stack((order, upper), axis=1).reshape(2 * nsets, width)]
-
-    stack = np.full((2 * nsets, width + 1, 3), np.nan)
-    stack[:, 1:3] = seq[:, :2]
-    top = np.full(2 * nsets, 2)
-    rows = np.arange(2 * nsets)[:, None]
-    below = np.array([-1, 0])
-    row_tol = tol.repeat(2)
-    running = (2 * np.searchsorted(-sizes, -col)).tolist()
-    for k in range(2, width):
-        r = running[k]
-        st, tp, b, t, ar = stack[:r], top[:r], seq[:r, k], row_tol[:r], rows[:r]
-        while True:
-            oa = st[ar, tp[:, None] + below]
-            o = oa[:, 0]
-            a_o, b_o = oa[:, 1] - o, b - o
-            pop = a_o[:, 0] * b_o[:, 1] - a_o[:, 1] * b_o[:, 0] <= t
-            if not pop.any():
-                break
-            tp -= pop
-        tp += 1
-        st[ar[:, 0], tp] = b
-
-    # ring slot q is lower[q] before the junction lo and upper[q - lo] after;
-    # the ring is extended by one slot at each end: ext[:, p + 1] = ring[p mod count]
-    lo = top[0::2, None] - 1
-    count = lo + top[1::2, None] - 1
-    q = np.arange(-1, np.max(count) + 1) % count
-    after = q >= lo
-    ext = stack[2 * sets + after, 1 + q - lo * after]
-    o, a, b = ext[:, :-2], ext[:, 1:-1], ext[:, 2:]
-    a_o, b_o = a - o, b - o
-    cross = a_o[:, :, 0] * b_o[:, :, 1] - a_o[:, :, 1] * b_o[:, :, 0]
-    swept = np.any((cross <= tol[:, None]) & (np.arange(cross.shape[1]) < count), axis=1)
-    ring = a[:, :, 2].astype(int)
-    count = count[:, 0]
-    for g in np.nonzero(swept)[0].tolist():
-        exact = _hull2_indices(local[g, : sizes[g]], tol=tol[g])
-        ring[g, : len(exact)] = exact
-        count[g] = len(exact)
-    back = np.empty_like(by_size)
-    back[by_size] = np.arange(nsets)
-    return ring[back], count[back]
 
 
 def _flat_sliver_vertices(pts, qh, height_tol):

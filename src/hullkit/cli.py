@@ -62,7 +62,8 @@ def build_parser():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("body", help="path to a body JSON file")
         p.add_argument("--strict", action="store_true", help="reject non-extreme input points")
-        p.add_argument("--json", dest="json_path", help="write the run report / bodies as JSON")
+        if name != "eval":  # eval only prints its values
+            p.add_argument("--json", dest="json_path", help="write the run report / bodies as JSON")
         return p
 
     p = body_command("eval", "evaluate the hull-volume functions at a point")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import ConvexHull
 
 from hullkit import (
@@ -252,94 +254,146 @@ class TestHullMerging:
             assert np.array_equal(body.facet_areas, np.array([p[3] for p in planes]))
 
 
-def _padded(sets):
-    """A padded (G, M, 2) stack of point sets, each row's last point
-    repeated, with the sizes, and tolerances as `_hull3` sets them."""
-    width = max(len(p) for p in sets)
-    local = np.stack([np.vstack((p, np.repeat(p[-1:], width - len(p), axis=0))) for p in sets])
-    sizes = np.array([len(p) for p in sets])
-    span = float(np.max(np.ptp(local, axis=1)))
-    tol = EPS * span * np.maximum(np.max(np.ptp(local, axis=1), axis=1), EPS * span)
-    return local, sizes, tol
+def _near_edge_points():
+    """The cube plus one point near 0.65 a + 0.35 b of each edge [a, b],
+    pushed in or out along each face normal at that edge by 0.01 to 2
+    EPS*span: 12 edges x 2 normals x 2 sides x 25 offsets."""
+    span = 2.0
+    for i in range(8):
+        for j in range(i + 1, 8):
+            a, b = CUBE[i], CUBE[j]
+            if np.sum(a != b) != 1:
+                continue
+            for axis in np.nonzero(a == b)[0]:
+                for side in (-1.0, 1.0):
+                    for offset in np.geomspace(0.01, 2.0, 25) * EPS * span:
+                        p = 0.65 * a + 0.35 * b
+                        p[axis] += side * offset * a[axis]
+                        yield np.vstack((CUBE, p))
 
 
-# near-tolerance facets, in plane coordinates
-# the corner (0, 0) is flat within tolerance, but no chain tests it: the
-# junction sweep drops it
-_FLAT_JUNCTION = np.array([[0.0, 0.0], [0.0, 1.0], [1e-12, -1.0], [2.0, 0.0]])
-# (4, -10) pops three points of the lower chain in one step
-_THREE_POPS = np.array([[0.0, 0.0], [1.0, -1.0], [2.0, -1.5], [3.0, -1.75], [4.0, -10.0], [4.0, 10.0]])
-# points on the bottom edge, just outside and just inside, within tolerance
-_EDGE_POINTS = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0], [1.0, -1e-13], [0.5, 1e-13], [1.5, 0.0]])
+def _frustum(m, seed):
+    ang = np.sort(np.random.default_rng(seed).uniform(0, 2 * np.pi, m))
+    ring = np.column_stack((np.cos(ang), np.sin(ang)))
+    return np.vstack((np.column_stack((ring, -np.ones(m))), np.column_stack((0.5 * ring, np.ones(m)))))
 
 
-class TestFacetRings:
-    def _mixed_sets(self):
-        rng = np.random.default_rng(21)
-        sets = []
-        for n in range(3, 13):
-            for _ in range(4):
-                sets.append(rng.normal(size=(n, 2)))
-            # points on a circle: every point is a ring corner
-            th = np.sort(rng.uniform(0, 2 * np.pi, size=n))
-            sets.append(np.column_stack((np.cos(th), np.sin(th)))[rng.permutation(n)])
-        # a triangle with a corner within tolerance of its opposite side
-        sets.append(np.array([[0.0, 0.0], [2.0, 1e-12], [1.0, 0.0]]))
-        return sets + [_FLAT_JUNCTION, _THREE_POPS, _EDGE_POINTS]
+def _merging(monkeypatch, pick):
+    """Make `_coplanar_groups` put the simplices that pick(normals) selects
+    into one group, as a seed search never would."""
+    groups = bodies._coplanar_groups
 
-    def test_matches_per_set_monotone_chain(self, monkeypatch):
-        sets = self._mixed_sets()
-        local, sizes, tol = _padded(sets)
-        reference = [bodies._hull2_indices(local[g, : sizes[g]], tol=tol[g]) for g in range(len(sets))]
-        exact = []
-        hull2 = bodies._hull2_indices
+    def merged(neighbors, normals, offsets, offset_tol):
+        seeds, group = groups(neighbors, normals, offsets, offset_tol)
+        label = seeds[group]
+        chosen = pick(normals)
+        label[chosen] = np.min(label[chosen])
+        return np.unique(label, return_inverse=True)
 
-        def counted(pts, tol=None):
-            exact.append(len(pts))
-            return hull2(pts, tol=tol)
+    monkeypatch.setattr(bodies, "_coplanar_groups", merged)
 
-        monkeypatch.setattr(bodies, "_hull2_indices", counted)
-        ring, count = bodies._facet_rings(local, sizes, tol)
-        for g, ref in enumerate(reference):
-            assert np.array_equal(ring[g, : count[g]], ref), g
-        # only the rings whose junction sweep drops a corner take the exact path
-        assert sorted(exact) == [3, len(_FLAT_JUNCTION)]
 
-    def test_near_tolerance_sets(self):
-        local, sizes, tol = _padded([_FLAT_JUNCTION, _THREE_POPS, _EDGE_POINTS])
-        ring, count = bodies._facet_rings(local, sizes, tol)
-        rings = [ring[g, : count[g]].tolist() for g in range(3)]
-        assert rings == [[2, 3, 1], [0, 4, 5], [0, 1, 2, 3]]
+class TestFacetBoundaries:
+    """Facet loops are the boundary cycles of the coplanar groups, and a
+    vertex is kept or dropped in all of its facets at once."""
 
-    def test_turns_equal_to_tolerance_count_as_flat(self, monkeypatch):
-        # a chain turn of exactly tol at (2, 0.5) pops (1, 0) in the chain; a
-        # junction corner of exactly tol at (0, 0) goes to the exact path
-        sets = [np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [1.0, 3.0]]),
-                np.array([[0.0, 0.0], [0.0, 1.0], [0.25, -1.0], [2.0, 0.0]])]
-        local, sizes, _ = _padded(sets)
-        tol = np.array([0.5, 0.25])
-        reference = [bodies._hull2_indices(pts, tol=t) for pts, t in zip(sets, tol)]
-        exact = []
-        hull2 = bodies._hull2_indices
+    def test_points_near_cube_edges(self):
+        for pts in _near_edge_points():
+            body = hull(pts)
+            assert all(body.contains(p) for p in pts)
 
-        def counted(pts, tol=None):
-            exact.append(tol)
-            return hull2(pts, tol=tol)
+    def test_point_below_cube_edge_keeps_the_corner(self):
+        # on the plane y = -1 and 0.1 EPS*span below z = -1: flat in both
+        # facets, so dropped from both; the corner (1, -1, -1) stays
+        body = hull(np.vstack((CUBE, [0.3, -1.0, -1.0 - 2e-10])))
+        assert len(body) == 8
+        assert [len(loop) for loop in body.facet_loops] == [4] * 6
+        assert body.volume == 8.0
+        assert [1.0, -1.0, -1.0] in body.vertices.tolist()
 
-        monkeypatch.setattr(bodies, "_hull2_indices", counted)
-        ring, count = bodies._facet_rings(local, sizes, tol)
-        for g, ref in enumerate(reference):
-            assert np.array_equal(ring[g, : count[g]], ref)
-        assert [r.tolist() for r in reference] == [[0, 2, 3], [2, 3, 1]]
-        assert exact == [0.25]
+    def test_vertex_flat_in_one_facet_stays_in_all(self):
+        # 0.4 EPS*span outside the edge x = y = -1 along the x = -1 normal:
+        # in the y = -1 facet it lies within tolerance of the edge, but it is
+        # a corner of the two facets that the x = -1 face splits into
+        p = [-1.0 - 0.4 * EPS * 2.0, -1.0, -0.3]
+        body = hull(np.vstack((CUBE, p)))
+        assert len(body) == 9
+        index = body.vertices.tolist().index(p)
+        facets = [f for f, loop in enumerate(body.facet_loops) if index in loop]
+        assert np.round(body.facet_normals[facets]).tolist() == [[-1, 0, 0], [-1, 0, 0], [0, -1, 0]]
+        loop = body.facet_loops[facets[2]]
+        k = loop.index(index)
+        before, after = body.vertices[[loop[k - 1], loop[(k + 1) % len(loop)]]].tolist()
+        assert sorted([before, after]) == [[-1.0, -1.0, -1.0], [-1.0, -1.0, 1.0]]
 
-    def test_same_rings_in_any_batch(self):
-        sets = self._mixed_sets()
-        local, sizes, tol = _padded(sets)
-        ring, count = bodies._facet_rings(local, sizes, tol)
-        for g in range(0, len(sets), 7):
-            alone, n = bodies._facet_rings(*_padded([sets[g]]))
-            assert np.array_equal(alone[0, : n[0]], ring[g, : count[g]])
+    @pytest.mark.parametrize("m", [64, 130, 256])
+    def test_random_angle_frustums(self, m):
+        for seed in range(20):
+            assert len(hull(_frustum(m, seed))) == 2 * m
+
+    @pytest.mark.parametrize("delta", [1e-7, 1e-6, 1e-5])
+    def test_illumination_body_at_small_levels(self, delta):
+        body = hull([
+            [0.6908476078846513, 8.12e-39, 0.7230004029598152],
+            [-0.5928969090129301, -0.8052783712995856, 6.25e-301],
+            [0.7688684707882564, -0.2098317740720527, -0.6039966069586015],
+            [0.42242783359835023, 0.5907157277344542, -0.6874661114619096],
+            [0.9606829636665073, 0.19120918610001694, 0.20131391027920809],
+            [0.8460378910922249, 1.05e-97, -0.5331227690093722],
+        ])
+        assert len(illumination_body_3d(body, delta).body) > len(body)
+
+    def test_group_pinched_at_a_vertex_is_rejected(self, monkeypatch):
+        # two octahedron facets that share only the vertex (0, 0, 1)
+        _merging(monkeypatch, lambda n: (n[:, 2] > 0) & (np.abs(n[:, 0] - n[:, 1]) < 0.1))
+        with pytest.raises(DegenerateInput, match="not a simple cycle"):
+            hull(np.vstack((np.eye(3), -np.eye(3))))
+
+    def test_group_of_two_faces_is_rejected(self, monkeypatch):
+        # the faces x = -1 and x = 1 as one group: two boundary cycles
+        _merging(monkeypatch, lambda n: np.abs(n[:, 0]) > 0.5)
+        with pytest.raises(DegenerateInput, match="not a simple cycle"):
+            hull(CUBE)
+
+
+@st.composite
+def _near_tolerance_points(draw):
+    """The vertices of a random 6-12-vertex polytope plus 1-4 points on its
+    edges or faces, each pushed 0.01 to 2 EPS*span along the facet normal,
+    to either side."""
+    body = random_polytope3(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), draw(st.integers(6, 12)))
+    span = bodies._span(body.vertices)
+    pts = [body.vertices]
+    for _ in range(draw(st.integers(1, 4))):
+        f = draw(st.integers(0, len(body.facet_loops) - 1))
+        ring = body.vertices[list(body.facet_loops[f])]
+        if draw(st.booleans()):
+            k = draw(st.integers(0, len(ring) - 1))
+            t = draw(st.floats(0.05, 0.95))
+            p = (1.0 - t) * ring[k] + t * ring[(k + 1) % len(ring)]
+        else:
+            w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=len(ring), max_size=len(ring))))
+            p = w / np.sum(w) @ ring
+        push = draw(st.sampled_from([-1.0, 1.0])) * np.exp(draw(st.floats(np.log(0.01), np.log(2.0))))
+        pts.append(p + push * EPS * span * body.facet_normals[f])
+    return np.vstack(pts)
+
+
+@settings(database=None, max_examples=200, deadline=None, derandomize=True)
+@given(pts=_near_tolerance_points())
+def test_hull_of_points_near_edges_and_faces(pts):
+    """Loops stay consistent, and a returned body holds every point within
+    the slack that Polytope3 allows its own vertices (10 EPS*span outside a
+    merged facet's plane).  Other rejections are allowed: a facet may be
+    non-planar within tolerance."""
+    try:
+        body = hull(pts)
+    except DegenerateInput as exc:
+        assert "not consistently oriented" not in str(exc)
+        assert "not edge-consistent" not in str(exc)
+        return
+    tol = 10 * EPS * bodies._span(body.vertices)
+    assert all(body.contains(p, tol=tol) for p in pts)
 
 
 class TestDiameter:

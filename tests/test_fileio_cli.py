@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hullkit
 from hullkit import (
     DegenerateInput,
     NonConvexInput,
@@ -129,6 +133,14 @@ class TestCli:
         code, out, _ = run_cli(["eval", square_file, "--lambda", "0.5", "--t", "2,0"])
         assert code == 0
         assert "homothetic_hull_function 6.25" in out
+
+    def test_python_m_hullkit_runs_the_cli(self, square_file):
+        src = str(Path(hullkit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        argv = ["eval", square_file, "--t", "1,0"]
+        proc = subprocess.run([sys.executable, "-m", "hullkit", *argv], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(argv)
+        assert proc.stdout.startswith("convex_hull_function 6\n")
 
     def test_illum_square_octagon(self, square_file, tmp_path):
         out_json = tmp_path / "oct.json"
@@ -465,6 +477,7 @@ class TestCliOutputContract:
             ("square", ["projbody", "--json", "@p", "--off", "@p"], _OFF_3D),
             ("heptagon", ["projbody", "--json", "@p", "--off", "@p"], _OFF_3D),
             ("cube", ["extend", "--k", "1", "--l", "1", "--svg", "@e.svg"], "extensions are defined for polygons only"),
+            ("square", ["eval", "--t", "1,0", "--json", "@e.json"], "unrecognized arguments: --json @e.json"),
         ],
     )
     def test_flags_the_body_has_no_output_for_write_nothing(self, tmp_path, name, args, message):
