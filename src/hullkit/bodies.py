@@ -106,14 +106,22 @@ def _row_norms(a):
     return np.sqrt(_row_dots(a, a))
 
 
+def _cross(a, b):
+    """a x b over the last axis, broadcasting, written out as `np.cross`
+    computes it (the same bits) without its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def _plane_basis(normals):
     """Orthonormal in-plane bases (b1, b2) for unit normals, one per row:
     b1 = n x e_x normalised (n x e_y where that is too short), b2 = n x b1."""
-    b1 = np.cross(normals, [1.0, 0.0, 0.0])
+    b1 = _cross(normals, np.array([1.0, 0.0, 0.0]))
     short = _row_norms(b1) < 0.5
-    b1[short] = np.cross(normals[short], [0.0, 1.0, 0.0])
+    b1[short] = _cross(normals[short], np.array([0.0, 1.0, 0.0]))
     b1 /= _row_norms(b1)[:, None]
-    return b1, np.cross(normals, b1)
+    return b1, _cross(normals, b1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +233,13 @@ class Polytope3(_BodyBase):
     consistency (each edge shared by exactly two facets) and Euler's relation
     V - E + F = 2.
 
-    Facets are processed in batches of equal loop length.  Each facet's
-    Newell normal, offset and planarity defect are computed with the same
-    operations, in the same order, as a facet processed on its own, so the
-    cached arrays do not depend on how the loops are batched.  The edge checks
-    work on integer keys ``head * V + tail`` of the directed loop edges.
+    Validation is one pass over the flat table of loop positions, except
+    for heights and offsets, taken per loop length: a loop's (k, 3) @ (3, 1)
+    product and the pairwise sum in `np.mean` (8 or more terms) have no flat
+    form with the same rounding.  Newell normals add each loop's terms in
+    loop order from zero, as a sum over a loop axis does (``np.add.at``;
+    ``np.add.reduceat`` rounds differently).  The edge checks work on
+    integer keys ``head * V + tail`` of the directed loop edges.
     """
 
     dim = 3
@@ -250,23 +260,25 @@ class Polytope3(_BodyBase):
         centroid = v.mean(axis=0)
 
         starts = np.cumsum(sizes) - sizes
-        normals = np.empty((len(loops), 3))
+        owner = np.repeat(np.arange(len(loops)), sizes)
+        nxt = np.arange(1, len(flat) + 1)
+        nxt[starts + sizes - 1] = starts
+        pts = v[flat]
+        raw = np.zeros((len(loops), 3))
+        np.add.at(raw, owner, _cross(pts, pts[nxt]))
+        nrm = _row_norms(raw)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            normals = raw / nrm[:, None]
+        heights = np.empty(len(flat))
         offsets = np.empty(len(loops))
-        nrm = np.empty(len(loops))
-        facet_spans = np.empty(len(loops))
-        defects = np.empty(len(loops))
         for size in np.unique(sizes):
             fs = np.nonzero(sizes == size)[0]
-            pts = v[flat[starts[fs, None] + np.arange(size)]]
-            raw = np.sum(np.cross(pts, np.roll(pts, -1, axis=1)), axis=1)
-            nrm[fs] = _row_norms(raw)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                normals[fs] = raw / nrm[fs, None]
-            heights = (pts @ normals[fs, :, None])[:, :, 0]
-            offsets[fs] = np.mean(heights, axis=1)
-            facet_spans[fs] = np.max(np.ptp(pts, axis=1), axis=1)
-            # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
-            defects[fs] = np.max(np.abs(heights - offsets[fs, None]), axis=1)
+            at = starts[fs, None] + np.arange(size)
+            heights[at] = (pts[at] @ normals[fs, :, None])[:, :, 0]
+            offsets[fs] = np.mean(heights[at], axis=1)
+        facet_spans = np.max(np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts), axis=1)
+        # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
+        defects = np.maximum.reduceat(np.abs(heights - offsets[owner]), starts)
         # degeneracy is relative to the facet's own extent: genuinely tiny
         # facets (near-concurrent crease lines) are legitimate
         degenerate = (facet_spans <= 0) | (nrm <= EPS * facet_spans * facet_spans)
@@ -280,29 +292,26 @@ class Polytope3(_BodyBase):
         normals[flip] *= -1.0
         offsets[flip] *= -1.0
         areas = 0.5 * nrm
-        fixed_loops = [loop[::-1] if turned else loop for loop, turned in zip(loops, flip.tolist())]
 
         slack = v @ normals.T - offsets
         if np.max(slack) > 10 * tol:
             raise DegenerateInput("a vertex lies outside a facet halfspace")
 
         # consistent orientation: every edge appears in exactly two loops,
-        # traversed in opposite directions
-        heads = np.fromiter(chain.from_iterable(fixed_loops), dtype=np.int64, count=len(flat))
-        nxt = np.arange(1, len(heads) + 1)
-        nxt[starts + sizes - 1] = starts
-        tails = heads[nxt]
+        # traversed in opposite directions (a flipped loop's edges reversed)
+        heads = np.where(flip[owner], flat[nxt], flat)
+        tails = np.where(flip[owner], flat, flat[nxt])
         keys = heads * len(v) + tails
         if len(np.unique(keys)) < len(keys):
             raise DegenerateInput("facet loops are not consistently oriented")
         if not np.all(np.isin(tails * len(v) + heads, keys)):
             raise DegenerateInput("facet loops are not edge-consistent")
         n_edges = len(keys) // 2
-        if len(v) - n_edges + len(fixed_loops) != 2:
+        if len(v) - n_edges + len(loops) != 2:
             raise DegenerateInput("facet structure violates the Euler relation")
 
         self.vertices = v
-        self.facet_loops = tuple(fixed_loops)
+        self.facet_loops = tuple(loop[::-1] if turned else loop for loop, turned in zip(loops, flip.tolist()))
         self.facet_normals = normals
         self.facet_offsets = offsets
         self.facet_areas = areas
@@ -466,10 +475,7 @@ def _hull3(pts):
     tri, across = qh.simplices.copy(), qh.neighbors.copy()
     corners = pts[tri]
     u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
-    triple = ((u[:, 1] * w[:, 2] - u[:, 2] * w[:, 1]) * normals[:, 0]
-              + (u[:, 2] * w[:, 0] - u[:, 0] * w[:, 2]) * normals[:, 1]
-              + (u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]) * normals[:, 2])
-    turned = triple < 0
+    turned = np.sum(_cross(u, w) * normals, axis=1) < 0
     tri[turned] = tri[turned, ::-1]
     across[turned] = across[turned, ::-1]
 
@@ -607,7 +613,7 @@ def _flat_sliver_vertices(pts, qh, height_tol):
     tri = pts[qh.simplices]
     sides = tri[:, [1, 2, 0]] - tri
     lengths = np.linalg.norm(sides, axis=2)
-    area2 = _row_norms(np.cross(sides[:, 0], -sides[:, 2]))
+    area2 = _row_norms(_cross(sides[:, 0], -sides[:, 2]))
     longest = np.argmax(lengths, axis=1)
     flat = area2 <= height_tol * np.take_along_axis(lengths, longest[:, None], axis=1)[:, 0]
     # vertex opposite the longest edge is the nearly-collinear one
@@ -780,7 +786,7 @@ def point_body_distance(x, body):
         foot = x - slack * n
         ring = body.vertices[list(loop)]
         edges = np.roll(ring, -1, axis=0) - ring
-        inward = np.cross(n, edges)
+        inward = _cross(n, edges)
         if np.all(np.sum((foot - ring) * inward, axis=1) >= -EPS * body.diameter):
             best = min(best, abs(slack))
         else:

@@ -60,21 +60,17 @@ class SidelineTable:
         pts = np.full((m, m, 2), np.nan)
         dirs = np.roll(v, -1, axis=0) - v
         lengths = np.linalg.norm(dirs, axis=1)
-        for i in range(m):
-            pts[i, (i + 1) % m] = v[(i + 1) % m]
-            pts[(i + 1) % m, i] = v[(i + 1) % m]
-        for i in range(m):
-            for j in range(i + 2, m):
-                if i == 0 and j == m - 1:
-                    continue  # adjacent around the wrap, already set above
-                cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
-                if abs(cross) <= PARALLEL_TOL * lengths[i] * lengths[j]:
-                    continue
-                rhs = v[j] - v[i]
-                s = (rhs[0] * dirs[j, 1] - rhs[1] * dirs[j, 0]) / cross
-                p = v[i] + s * dirs[i]
-                pts[i, j] = p
-                pts[j, i] = p
+        ids, nbr = np.arange(m), (np.arange(m) + 1) % m
+        pts[ids, nbr] = pts[nbr, ids] = v[nbr]
+        # non-adjacent pairs i < j (0 and m - 1 are adjacent around the wrap)
+        i, j = np.triu_indices(m, 2)
+        i, j = i[j - i < m - 1], j[j - i < m - 1]
+        cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
+        meet = ~(np.abs(cross) <= PARALLEL_TOL * lengths[i] * lengths[j])
+        i, j, cross = i[meet], j[meet], cross[meet]
+        rhs = v[j] - v[i]
+        s = (rhs[:, 0] * dirs[j, 1] - rhs[:, 1] * dirs[j, 0]) / cross
+        pts[i, j] = pts[j, i] = v[i] + s[:, None] * dirs[i]
         self.points = pts
         self.points.flags.writeable = False
 

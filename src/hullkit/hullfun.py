@@ -49,12 +49,7 @@ def homothetic_hull_function(body, lam, t):
     if lam > 0.0 and np.min(body.facet_offsets) <= EPS * body.diameter:
         raise OriginNotInterior("homothetic hull function needs the origin inside the body")
     t = np.asarray(t, dtype=float)
-    v = body.vertices
-    if lam == 0.0:
-        pts = np.vstack((v, t[None, :]))
-    else:
-        pts = np.vstack((v, lam * v + t))
-    return hull(pts).volume
+    return hull(np.vstack((body.vertices, lam * body.vertices + t))).volume
 
 
 def point_hull_values(body, points):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, _dedup_points, _row_norms, hull
+from .bodies import EPS, Body, _cross, _dedup_points, _row_norms, hull
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -236,7 +236,7 @@ def _facet_lines(body):
         return v, np.roll(v, -1, axis=0) - v
     normals, offsets = body.facet_normals, body.facet_offsets
     i, j = np.triu_indices(len(normals), 1)
-    d = np.cross(normals[i], normals[j])
+    d = _cross(normals[i], normals[j])
     nrm = _row_norms(d)
     meet = nrm > EPS
     i, j, d = i[meet], j[meet], d[meet] / nrm[meet, None]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon, _row_norms, brightness_many, difference_body, hull, polar
+from .bodies import Polygon, _cross, _row_norms, brightness_many, difference_body, hull, polar
 from .errors import DegenerateInput, TooFewDirections
 from .illumination import HomothetyReport, homothety_fit
 from .sampling import ball_body, direction_set
@@ -88,7 +88,7 @@ def _zonotope(generators):
     merged = np.empty_like(gens)
     m = 0
     for g, norm in zip(gens, norms.tolist()):
-        parallel = np.nonzero(_row_norms(np.cross(g, merged[:m])) <= 1e-12 * norm * _row_norms(merged[:m]))[0]
+        parallel = np.nonzero(_row_norms(_cross(g, merged[:m])) <= 1e-12 * norm * _row_norms(merged[:m]))[0]
         if len(parallel):
             h = merged[parallel[0]]
             h += (1.0 if g @ h > 0 else -1.0) * g
@@ -101,9 +101,9 @@ def _zonotope(generators):
     # seed with a parallelepiped of three independent generators
     seed = [merged[0]]
     for g in merged[1:]:
-        if len(seed) == 1 and np.linalg.norm(np.cross(seed[0], g)) > 1e-12:
+        if len(seed) == 1 and np.linalg.norm(_cross(seed[0], g)) > 1e-12:
             seed.append(g)
-        elif len(seed) == 2 and abs(np.cross(seed[0], seed[1]) @ g) > 1e-12:
+        elif len(seed) == 2 and abs(_cross(seed[0], seed[1]) @ g) > 1e-12:
             seed.append(g)
         if len(seed) == 3:
             break
@@ -127,10 +127,10 @@ def _zonotope_signs(gens):
     k = len(gens)
     tie_tol = 1e-12 * np.linalg.norm(gens, axis=1)
     i, j = np.triu_indices(k, 1)
-    n = np.cross(gens[i], gens[j])
+    n = _cross(gens[i], gens[j])
     n /= np.linalg.norm(n, axis=1)[:, None]
-    ti = np.cross(gens[j], n)
-    tj = np.cross(n, gens[i])
+    ti = _cross(gens[j], n)
+    tj = _cross(n, gens[i])
     ab = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     rows = []
     # blocks of pairs keep each (4, pairs, k) temporary at about 8 MB

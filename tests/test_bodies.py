@@ -238,6 +238,10 @@ class TestHullMerging:
         yield illumination_body_3d(body, 0.5 * body.volume).body.vertices
         yield projection_body(body).vertices
         yield polar(body).vertices
+        # an 8-vertex loop whose offset, a pairwise np.mean of its heights,
+        # differs from their sequential mean
+        body = random_polytope3(np.random.default_rng(2), 9)
+        yield illumination_body_3d(body, 0.5 * body.volume).body.vertices
 
     def test_matches_per_simplex_reference(self):
         for pts in self._reference_inputs():
@@ -252,6 +256,34 @@ class TestHullMerging:
             assert np.array_equal(body.facet_normals, np.array([p[1] for p in planes]))
             assert np.array_equal(body.facet_offsets, np.array([p[2] for p in planes]))
             assert np.array_equal(body.facet_areas, np.array([p[3] for p in planes]))
+
+
+class TestCross:
+    """`bodies._cross` gives `np.cross`'s bits."""
+
+    def _same(self, a, b):
+        got, want = bodies._cross(a, b), np.cross(a, b)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+
+    def test_rows(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-100, 100, size=(500, 3))
+        b = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-100, 100, size=(500, 3))
+        self._same(a, b)
+        self._same(a[0], b)
+        self._same(a[0], b[0])
+
+    def test_constant_axes(self):
+        normals = np.random.default_rng(4).normal(size=(200, 3))
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        self._same(normals, np.array([1.0, 0.0, 0.0]))
+        self._same(normals, np.array([0.0, 1.0, 0.0]))
+
+    def test_signed_zeros(self):
+        values = np.array([0.0, -0.0, 1.0, -1.0])
+        rows = np.stack(np.meshgrid(values, values, values), -1).reshape(-1, 3)
+        a, b = np.repeat(rows, len(rows), axis=0), np.tile(rows, (len(rows), 1))
+        self._same(a, b)
 
 
 def _near_edge_points():

@@ -17,7 +17,7 @@ from hullkit import (
     point_hull_values,
     sideline_intersections,
 )
-from hullkit.extensions import admissible_extension_pairs
+from hullkit.extensions import PARALLEL_TOL, admissible_extension_pairs
 from hullkit.sampling import random_polygon, regular_polygon
 
 
@@ -50,6 +50,39 @@ class TestSidelineIntersections:
         table = sideline_intersections(square)
         with pytest.raises(MissingIntersection):
             table.point(0, 2)
+
+    def test_matches_pairwise_loop(self):
+        rng = np.random.default_rng(21)
+        polygons = [regular_polygon(m) for m in range(3, 65)]
+        for _ in range(60):
+            m = int(rng.integers(3, 13))
+            polygons.append(random_polygon(rng, m))
+            polygons.append(affinely_regular_polygon(m, rng.normal(size=(2, 2)), rng.normal(size=2)))
+        for polygon in polygons:
+            table = sideline_intersections(polygon)
+            assert table.points.tobytes() == _loop_sideline_points(polygon.vertices).tobytes(), len(polygon)
+
+
+def _loop_sideline_points(v):
+    """Per-pair reference for SidelineTable: the scalar double loop."""
+    m = len(v)
+    pts = np.full((m, m, 2), np.nan)
+    dirs = np.roll(v, -1, axis=0) - v
+    lengths = np.linalg.norm(dirs, axis=1)
+    for i in range(m):
+        pts[i, (i + 1) % m] = v[(i + 1) % m]
+        pts[(i + 1) % m, i] = v[(i + 1) % m]
+    for i in range(m):
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue
+            cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
+            if abs(cross) <= PARALLEL_TOL * lengths[i] * lengths[j]:
+                continue
+            rhs = v[j] - v[i]
+            s = (rhs[0] * dirs[j, 1] - rhs[1] * dirs[j, 0]) / cross
+            pts[i, j] = pts[j, i] = v[i] + s * dirs[i]
+    return pts
 
 
 class TestKlExtension:
