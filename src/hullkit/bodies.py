@@ -12,6 +12,7 @@ the test suite are checked relatively against it.
 from __future__ import annotations
 
 import logging
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -44,13 +45,13 @@ def _as_points(points, dim=None):
         raise DimensionMismatch(f"expected {dim}-dimensional points, got {pts.shape[1]}")
     if pts.shape[1] not in (2, 3):
         raise GeometryError("only dimensions 2 and 3 are supported")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise DegenerateInput("points must have finite coordinates")
     return pts
 
 
 def _span(pts):
-    return float(np.max(np.ptp(pts, axis=0))) if len(pts) else 0.0
+    return float((pts.max(0) - pts.min(0)).max()) if len(pts) else 0.0
 
 
 def _dedup_points(pts, tol):
@@ -76,11 +77,10 @@ def _dedup_points(pts, tol):
 
 
 def _affine_rank(pts, tol):
-    centered = pts - pts.mean(axis=0)
     if len(pts) < 2:
         return 0
-    s = np.linalg.svd(centered, compute_uv=False)
-    return int(np.sum(s > tol * max(s[0], 1e-300)))
+    s = np.linalg.svd(pts - pts.sum(0) / len(pts), compute_uv=False)
+    return int((s > tol * max(s[0], 1e-300)).sum())
 
 
 def rot90(u):
@@ -111,7 +111,11 @@ def _cross(a, b):
     computes it (the same bits) without its axis handling."""
     a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
     b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+    out = np.empty(np.broadcast(a, b).shape)
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
+    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
+    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
+    return out
 
 
 def _plane_basis(normals):
@@ -141,9 +145,11 @@ class _BodyBase:
         """n-dimensional volume (area in 2D)."""
         return self._volume
 
-    @property
+    @cached_property
     def diameter(self):
-        return self._diameter
+        """Largest distance between two vertices.  Computed on first read
+        and then kept, which is safe because bodies are immutable."""
+        return _diameter(self.vertices)
 
     def support(self, u):
         return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
@@ -205,7 +211,6 @@ class Polygon(_BodyBase):
         self.facet_offsets = np.sum(normals * v, axis=1)
         self.facet_areas = lengths
         self._volume = 0.5 * float(area2)
-        self._diameter = _diameter(v)
         for arr in (self.facet_normals, self.facet_offsets, self.facet_areas):
             arr.flags.writeable = False
 
@@ -233,13 +238,16 @@ class Polytope3(_BodyBase):
     consistency (each edge shared by exactly two facets) and Euler's relation
     V - E + F = 2.
 
-    Validation is one pass over the flat table of loop positions, except
-    for heights and offsets, taken per loop length: a loop's (k, 3) @ (3, 1)
-    product and the pairwise sum in `np.mean` (8 or more terms) have no flat
-    form with the same rounding.  Newell normals add each loop's terms in
-    loop order from zero, as a sum over a loop axis does (``np.add.at``;
-    ``np.add.reduceat`` rounds differently).  The edge checks work on
-    integer keys ``head * V + tail`` of the directed loop edges.
+    Validation is one pass over the flat table of loop positions.  Newell
+    normals add each loop's terms in loop order from zero, as a sum over a
+    loop axis does (``np.add.at``; ``np.add.reduceat`` rounds differently).
+    Each height is one row of a stacked (2, 3) @ (3, 1) product, which
+    rounds as a loop's (k, 3) @ (3, 1) product does.  An offset is the mean
+    of its loop's heights: summed in loop order for loops of fewer than 8
+    vertices, which is what `np.mean` does there, and taken with `np.mean`
+    per loop length from 8 vertices on, where it sums pairwise.  The edge
+    checks work on the sorted integer keys ``head * V + tail`` of the
+    directed loop edges.
     """
 
     dim = 3
@@ -250,17 +258,15 @@ class Polytope3(_BodyBase):
             raise DegenerateInput("a 3-polytope needs at least 4 vertices")
         loops = [tuple(map(int, loop)) for loop in facet_loops]
         sizes = np.array([len(loop) for loop in loops])
-        if len(loops) < 4 or np.min(sizes) < 3:
+        if len(loops) < 4 or sizes.min() < 3:
             raise DegenerateInput("a 3-polytope needs at least 4 facets with 3+ vertices each")
-        flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(np.sum(sizes)))
-        if np.min(flat) < 0 or np.max(flat) >= len(v):
+        flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
+        if flat.min() < 0 or flat.max() >= len(v):
             raise DegenerateInput("a facet loop refers to a missing vertex")
-        span = _span(v)
-        tol = max(EPS * span, 1e-300)
-        centroid = v.mean(axis=0)
+        tol = max(EPS * _span(v), 1e-300)
 
-        starts = np.cumsum(sizes) - sizes
-        owner = np.repeat(np.arange(len(loops)), sizes)
+        starts = sizes.cumsum() - sizes
+        owner = np.arange(len(loops)).repeat(sizes)
         nxt = np.arange(1, len(flat) + 1)
         nxt[starts + sizes - 1] = starts
         pts = v[flat]
@@ -269,42 +275,40 @@ class Polytope3(_BodyBase):
         nrm = _row_norms(raw)
         with np.errstate(invalid="ignore", divide="ignore"):
             normals = raw / nrm[:, None]
-        heights = np.empty(len(flat))
-        offsets = np.empty(len(loops))
-        for size in np.unique(sizes):
-            fs = np.nonzero(sizes == size)[0]
-            at = starts[fs, None] + np.arange(size)
-            heights[at] = (pts[at] @ normals[fs, :, None])[:, :, 0]
-            offsets[fs] = np.mean(heights[at], axis=1)
-        facet_spans = np.max(np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts), axis=1)
+        heights, offsets = _loop_heights(pts, normals, owner, starts, sizes)
+        facet_spans = (np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)).max(1)
         # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
         defects = np.maximum.reduceat(np.abs(heights - offsets[owner]), starts)
         # degeneracy is relative to the facet's own extent: genuinely tiny
         # facets (near-concurrent crease lines) are legitimate
         degenerate = (facet_spans <= 0) | (nrm <= EPS * facet_spans * facet_spans)
         bad = degenerate | (defects > 10 * tol)
-        if np.any(bad):
-            f = int(np.argmax(bad))
+        if bad.any():
+            f = int(bad.argmax())
             if degenerate[f]:
                 raise DegenerateInput(f"facet {f} is degenerate")
             raise DegenerateInput(f"facet {f} is not planar within tolerance")
-        flip = _row_dots(normals, centroid) > offsets
-        normals[flip] *= -1.0
-        offsets[flip] *= -1.0
+        flip = _row_dots(normals, v.sum(0) / len(v)) > offsets
+        # multiplying by 1.0 or -1.0 is exact
+        sign = np.where(flip, -1.0, 1.0)
+        normals *= sign[:, None]
+        offsets *= sign
         areas = 0.5 * nrm
 
-        slack = v @ normals.T - offsets
-        if np.max(slack) > 10 * tol:
+        if (v @ normals.T - offsets).max() > 10 * tol:
             raise DegenerateInput("a vertex lies outside a facet halfspace")
 
         # consistent orientation: every edge appears in exactly two loops,
         # traversed in opposite directions (a flipped loop's edges reversed)
-        heads = np.where(flip[owner], flat[nxt], flat)
-        tails = np.where(flip[owner], flat, flat[nxt])
-        keys = heads * len(v) + tails
-        if len(np.unique(keys)) < len(keys):
+        turned, ahead = flip[owner], flat[nxt]
+        heads = np.where(turned, ahead, flat)
+        tails = np.where(turned, flat, ahead)
+        keys = np.sort(heads * len(v) + tails)
+        if (keys[1:] == keys[:-1]).any():
             raise DegenerateInput("facet loops are not consistently oriented")
-        if not np.all(np.isin(tails * len(v) + heads, keys)):
+        # distinct keys have distinct reverses, so every reverse is a key
+        # exactly when the two sorted arrays are equal
+        if not np.array_equal(np.sort(tails * len(v) + heads), keys):
             raise DegenerateInput("facet loops are not edge-consistent")
         n_edges = len(keys) // 2
         if len(v) - n_edges + len(loops) != 2:
@@ -315,8 +319,7 @@ class Polytope3(_BodyBase):
         self.facet_normals = normals
         self.facet_offsets = offsets
         self.facet_areas = areas
-        self._volume = float(np.sum(offsets * areas)) / 3.0
-        self._diameter = _diameter(v)
+        self._volume = float((offsets * areas).sum()) / 3.0
         for arr in (self.vertices, self.facet_normals, self.facet_offsets, self.facet_areas):
             arr.flags.writeable = False
 
@@ -342,16 +345,48 @@ class Polytope3(_BodyBase):
 Body = Polygon | Polytope3
 
 
+def _loop_heights(pts, normals, owner, starts, sizes):
+    """Heights <p, n> of the loop positions pts in their loops' normals,
+    and each loop's offset, the mean of its heights as `np.mean` takes it.
+
+    A (2, 3) @ (3, 1) product rounds each row as a loop's (k, 3) @ (3, 1)
+    product does (a (1, 3) @ (3, 1) product does not), so each position's
+    row is taken twice.  `np.mean` adds fewer than 8 terms in order, as
+    ``np.add.at`` does, and 8 or more pairwise, so those loops take it per
+    loop length.
+    """
+    heights = (pts[:, None].repeat(2, 1) @ normals[owner][:, :, None])[:, 0, 0]
+    offsets = np.zeros(len(sizes))
+    np.add.at(offsets, owner, heights)
+    offsets /= sizes
+    for size in sorted(set(sizes[sizes >= 8].tolist())):
+        fs = (sizes == size).nonzero()[0]
+        offsets[fs] = heights[starts[fs, None] + np.arange(size)].mean(1)
+    return heights, offsets
+
+
+# at most this many (row, column) pairs per block of `_diameter`: 8 MB a
+# float array
+_DIAMETER_BLOCK = 1 << 20
+
+
 def _diameter(v):
     """Largest distance between two rows of v.  The squared distances are
-    summed one coordinate at a time over (V, V) arrays, in the order that a
-    sum over a last axis of length 2 or 3 adds them, so without the (V, V,
-    dim) temporary of that sum but with its rounding."""
-    sq = np.zeros((len(v), len(v)))
-    for c in v.T:
-        d = c[:, None] - c
-        sq += d * d
-    return float(np.sqrt(np.max(sq)))
+    summed one coordinate at a time, in the order that a sum over a last
+    axis of length 2 or 3 adds them, so with that sum's rounding.  Rows i
+    are taken in blocks against the rows j >= the block's first, so the
+    temporaries stay near 8 MB; (i, j) and (j, i) give the same bits."""
+    best = 0.0
+    rows = max(1, _DIAMETER_BLOCK // len(v))
+    for lo in range(0, len(v), rows):
+        block, rest = v[lo:lo + rows], v[lo:]
+        sq = np.zeros((len(block), len(rest)))
+        for c, r in zip(block.T, rest.T):
+            d = c[:, None] - r
+            d *= d
+            sq += d
+        best = max(best, float(sq.max()))
+    return float(np.sqrt(best))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +487,7 @@ def _hull3(pts):
             # qhull's first line names the failure; the rest is its option dump
             first_line = str(exc).strip().partition("\n")[0]
             raise DegenerateInput(f"hull construction failed: {first_line}") from exc
-        flat = _flat_sliver_vertices(pts, qh, EPS * span)
+        flat, crosses = _flat_sliver_vertices(pts, qh, EPS * span)
         if len(flat) == 0:
             break
         log.debug("dropping %d flat hull vertices", len(flat))
@@ -466,32 +501,31 @@ def _hull3(pts):
     normals = qh.equations[:, :3]
     offsets = -qh.equations[:, 3]
     seeds, group = _coplanar_groups(qh.neighbors, normals, offsets, EPS * span)
-    basis = np.stack(_plane_basis(normals[seeds]), axis=1)
+    seed_normals = normals[seeds]
+    basis = np.stack(_plane_basis(seed_normals), axis=1)
     # outward orientation: the group normal must point away from the body
-    inward = _row_dots(normals[seeds], pts.mean(axis=0)) > offsets[seeds]
+    inward = _row_dots(seed_normals, pts.sum(0) / nv) > offsets[seeds]
 
     # turn each triangle counterclockwise about its normal; qhull's
     # neighbors[:, k] lies across the edge opposite vertex k
-    tri, across = qh.simplices.copy(), qh.neighbors.copy()
-    corners = pts[tri]
-    u, w = corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0]
-    turned = np.sum(_cross(u, w) * normals, axis=1) < 0
-    tri[turned] = tri[turned, ::-1]
-    across[turned] = across[turned, ::-1]
+    turned = ((crosses * normals).sum(1) < 0)[:, None]
+    tri = np.where(turned, qh.simplices[:, ::-1], qh.simplices)
+    across = np.where(turned, qh.neighbors[:, ::-1], qh.neighbors)
 
     # boundary edges tail -> head, keyed and sorted by (group, tail)
-    owner = np.repeat(group, 3)
+    owner = group.repeat(3)
     edge = group[across[:, [2, 0, 1]].ravel()] != owner
-    keys = owner[edge] * nv + tri.ravel()[edge]
-    order = np.argsort(keys)
+    base = owner[edge] * nv
+    keys = base + tri.ravel()[edge]
+    order = keys.argsort()
     keys = keys[order]
-    ends = (owner[edge] * nv + tri[:, [1, 2, 0]].ravel()[edge])[order]
+    ends = (base + tri[:, [1, 2, 0]].ravel()[edge])[order]
     # one boundary edge starts and one ends at each (group, vertex)
-    if np.any(keys[1:] == keys[:-1]) or not np.array_equal(np.sort(ends), keys):
+    if (keys[1:] == keys[:-1]).any() or not (np.sort(ends) == keys).all():
         raise DegenerateInput("a facet boundary is not a simple cycle")
     owner, tails = np.divmod(keys, nv)
     counts = np.bincount(owner)
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
     # plane coordinates as stacked (2, 3) @ (3, 1) products: these round as
     # a group's (k, 3) @ (3,) product `points @ b1` does, and a stacked
     # (1, 3) @ (3, 1) product does not
@@ -500,7 +534,7 @@ def _hull3(pts):
 
     # walk each group's cycle from its lowest point; the walk keeps the
     # group blocks of `keys`, so `owner` holds for it unchanged
-    succ = np.searchsorted(keys, ends).tolist()
+    succ = keys.searchsorted(ends).tolist()
     path = []
     for e, count in zip(lowest.tolist(), counts.tolist()):
         for _ in range(count):
@@ -510,27 +544,28 @@ def _hull3(pts):
         raise DegenerateInput("a facet boundary is not a simple cycle")
     path = np.array(path)
     vids, local = tails[path], local[path]
-    extent = np.max(np.maximum.reduceat(local, starts) - np.minimum.reduceat(local, starts), axis=1)
+    extent = (np.maximum.reduceat(local, starts) - np.minimum.reduceat(local, starts)).max(1)
     tol = EPS * span * np.maximum(extent, EPS * span)
 
     for _ in range(len(path)):
         sizes = np.bincount(owner, minlength=len(seeds))
-        first = (np.cumsum(sizes) - sizes)[owner]
+        first = (sizes.cumsum() - sizes)[owner]
+        size = sizes[owner]
         k = np.arange(len(owner)) - first
-        o, a, b = (local[first + (k + step) % sizes[owner]] for step in (-1, 0, 1))
-        cross = (a[:, 0] - o[:, 0]) * (b[:, 1] - o[:, 1]) - (a[:, 1] - o[:, 1]) * (b[:, 0] - o[:, 0])
+        o = local[first + (k - 1) % size]
+        u, w = local - o, local[first + (k + 1) % size] - o
+        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
         corner = np.zeros(nv, dtype=bool)
         corner[vids[cross > tol[owner]]] = True
         keep = corner[vids]
-        if np.all(keep):
+        if keep.all():
             break
         vids, local, owner = vids[keep], local[keep], owner[keep]
 
-    used = np.unique(vids)
-    remap = np.zeros(nv, dtype=int)
-    remap[used] = np.arange(len(used))
-    rows = remap[vids].tolist()
-    bounds = np.cumsum(np.bincount(owner, minlength=len(seeds))).tolist()
+    # `corner` marks the vertices left in `vids`; number them in order
+    used = corner.nonzero()[0]
+    rows = (corner.cumsum() - 1)[vids].tolist()
+    bounds = np.bincount(owner, minlength=len(seeds)).cumsum().tolist()
     loops = [rows[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
     return Polytope3(pts[used], [loop[::-1] if flip else loop for loop, flip in zip(loops, inward.tolist())])
 
@@ -547,30 +582,34 @@ def _coplanar_groups(neighbors, normals, offsets, offset_tol):
     all of whose members agree with that lowest simplex is one group;
     otherwise the seed search runs on that component alone.
     """
-    nsimp = len(neighbors)
-    a = np.repeat(np.arange(nsimp), neighbors.shape[1])
+    index = np.arange(len(neighbors))
+    a = index.repeat(neighbors.shape[1])
     b = neighbors.ravel()
+    up = a < b
+    a, b = a[up], b[up]
     loose = 2.000001
-    pair = (a < b) & _planes_agree(normals, offsets, a, b, loose * _MERGE_NORMAL_TOL, loose * offset_tol)
+    pair = _planes_agree(normals, offsets, a, b, loose * _MERGE_NORMAL_TOL, loose * offset_tol)
     a, b = a[pair], b[pair]
-    label = np.arange(nsimp)
+    label = index.copy()
     while True:
         low = np.minimum(label[a], label[b])
         new = label.copy()
         np.minimum.at(new, a, low)
         np.minimum.at(new, b, low)
         new = new[new]
-        if np.array_equal(new, label):
+        if (new == label).all():
             break
         label = new
-    merged = np.nonzero(label != np.arange(nsimp))[0]
+    merged = (label != index).nonzero()[0]
     agree = _planes_agree(normals, offsets, merged, label[merged], _MERGE_NORMAL_TOL, offset_tol)
-    drifted = merged[~agree]
-    for root in np.unique(label[drifted]).tolist():
-        comp = np.nonzero(label == root)[0]
+    for root in sorted(set(label[merged[~agree]].tolist())):
+        comp = (label == root).nonzero()[0]
         inside = np.isin(a, comp)
         label[comp] = _seed_search(comp, a[inside], b[inside], normals, offsets, offset_tol)
-    return np.unique(label, return_inverse=True)
+    # every label is a seed that labels itself, so a group's index is its
+    # seed's rank
+    seed = label == index
+    return index[seed], (seed.cumsum() - 1)[label]
 
 
 def _seed_search(comp, a, b, normals, offsets, offset_tol):
@@ -608,16 +647,17 @@ def _flat_sliver_vertices(pts, qh, height_tol):
     One batch over all simplices: a triangle is flat when twice its area is
     at most height_tol times its longest side, and then the vertex opposite
     that side is returned.  Areas are computed as ``np.linalg.norm`` of one
-    cross product would compute them.  Returns sorted point indices.
+    cross product would compute them.  Returns sorted point indices and
+    each triangle's cross product (p1 - p0) x (p2 - p0).
     """
     tri = pts[qh.simplices]
     sides = tri[:, [1, 2, 0]] - tri
-    lengths = np.linalg.norm(sides, axis=2)
-    area2 = _row_norms(_cross(sides[:, 0], -sides[:, 2]))
-    longest = np.argmax(lengths, axis=1)
-    flat = area2 <= height_tol * np.take_along_axis(lengths, longest[:, None], axis=1)[:, 0]
+    # np.linalg.norm over an axis, without its wrapper
+    lengths = np.sqrt((sides * sides).sum(2))
+    crosses = _cross(sides[:, 0], -sides[:, 2])
+    flat = _row_norms(crosses) <= height_tol * lengths.max(1)
     # vertex opposite the longest edge is the nearly-collinear one
-    return np.unique(qh.simplices[flat, (longest[flat] + 2) % 3])
+    return np.unique(qh.simplices[flat, (lengths[flat].argmax(1) + 2) % 3]), crosses
 
 
 # ---------------------------------------------------------------------------
@@ -699,8 +739,13 @@ def _minkowski_vertices_2d(a, b):
 
 
 def difference_body(body):
-    """Difference body K + (-K); always origin-symmetric."""
-    return minkowski_sum(body, body.negate())
+    """Difference body K + (-K); always origin-symmetric.  In 3D the hull
+    is taken of the pairwise differences, which are the sums with the
+    negated vertices bit for bit (x + (-y) is x - y)."""
+    if body.dim == 2:
+        return minkowski_sum(body, body.negate())
+    v = body.vertices
+    return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3))
 
 
 def central_symmetral(body):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -104,6 +106,27 @@ class TestHull:
         with pytest.raises(DegenerateInput):
             Polytope3(tetrahedron.vertices, list(tetrahedron.facet_loops)[:3])
 
+    def test_one_qhull_and_one_polytope3_per_hull(self, monkeypatch):
+        # perfbench/spans.py times qhull and Polytope3 validation by wrapping
+        # these two names; a 3D hull without slivers passes each once
+        v = random_polytope3(np.random.default_rng(5), 9).vertices
+        pts = np.vstack((v, 0.5 * v + [0.3, -0.2, 0.1]))
+        calls = []
+        qhull, init = bodies.ConvexHull, Polytope3.__init__
+
+        def traced_qhull(*args, **kwargs):
+            calls.append("qhull")
+            return qhull(*args, **kwargs)
+
+        def traced_init(self, *args, **kwargs):
+            calls.append("Polytope3")
+            return init(self, *args, **kwargs)
+
+        monkeypatch.setattr(bodies, "ConvexHull", traced_qhull)
+        monkeypatch.setattr(Polytope3, "__init__", traced_init)
+        assert isinstance(hull(pts), Polytope3)
+        assert calls == ["qhull", "Polytope3"]
+
 
 CUBE = np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)], dtype=float)
 
@@ -175,6 +198,32 @@ def _loop_facet_planes(vertices, loops):
     return out
 
 
+def _per_length_heights(pts, normals, starts, sizes):
+    """Reference for `bodies._loop_heights`: heights and offsets as
+    `Polytope3` took them before, one batch per loop length."""
+    heights = np.empty(len(pts))
+    offsets = np.empty(len(sizes))
+    for size in np.unique(sizes):
+        fs = np.nonzero(sizes == size)[0]
+        at = starts[fs, None] + np.arange(size)
+        heights[at] = (pts[at] @ normals[fs, :, None])[:, :, 0]
+        offsets[fs] = np.mean(heights[at], axis=1)
+    return heights, offsets
+
+
+def _unique_isin_edge_error(nv, loops):
+    """Reference for `Polytope3`'s edge checks, with `np.unique` and
+    `np.isin` as before, on outward loops: the message, or None."""
+    heads = np.concatenate(loops)
+    tails = np.concatenate([np.roll(loop, -1) for loop in loops])
+    keys = heads * nv + tails
+    if len(np.unique(keys)) < len(keys):
+        return "facet loops are not consistently oriented"
+    if not np.all(np.isin(tails * nv + heads, keys)):
+        return "facet loops are not edge-consistent"
+    return None
+
+
 class TestHullMerging:
     def test_cube_with_face_points_gives_six_quads(self):
         rng = np.random.default_rng(11)
@@ -196,7 +245,7 @@ class TestHullMerging:
         span = 2.0
         p = [0.3, -1.0 + 0.3 * EPS * span, -1.0 - 0.1 * EPS * span]
         pts = np.vstack((CUBE, p))
-        flat = bodies._flat_sliver_vertices(pts, ConvexHull(pts), EPS * span)
+        flat, _ = bodies._flat_sliver_vertices(pts, ConvexHull(pts), EPS * span)
         assert [int(i) for i in flat] == [8]
         body = hull(pts)
         assert len(body) == 8
@@ -242,6 +291,19 @@ class TestHullMerging:
         # differs from their sequential mean
         body = random_polytope3(np.random.default_rng(2), 9)
         yield illumination_body_3d(body, 0.5 * body.volume).body.vertices
+        # the hulls of the hull functions, K u (K + t) and K u (lam K + t),
+        # with t at random, along an edge (facets merge with the
+        # parallelograms beside that edge) and in a facet plane (the facet
+        # merges with its image)
+        v = random_polytope3(rng, 8).vertices
+        loop = hull(v).facet_loops[0]
+        edge = 0.7 * (v[loop[1]] - v[loop[0]])
+        in_plane = 0.6 * (v[loop[2]] - v[loop[0]]) + 0.3 * edge
+        lam = 0.4
+        for t in (rng.normal(size=3), edge, in_plane):
+            yield np.vstack((v, v + t))
+            # lam K + (1 - lam) p + t is lam K about p, moved by t
+            yield np.vstack((v, lam * v + (1 - lam) * v[loop[0]] + t))
 
     def test_matches_per_simplex_reference(self):
         for pts in self._reference_inputs():
@@ -256,6 +318,30 @@ class TestHullMerging:
             assert np.array_equal(body.facet_normals, np.array([p[1] for p in planes]))
             assert np.array_equal(body.facet_offsets, np.array([p[2] for p in planes]))
             assert np.array_equal(body.facet_areas, np.array([p[3] for p in planes]))
+
+    def test_flat_heights_match_per_length_reference(self):
+        for pts in self._reference_inputs():
+            body = bodies._hull3(pts)
+            sizes = np.array([len(loop) for loop in body.facet_loops])
+            starts = np.cumsum(sizes) - sizes
+            owner = np.repeat(np.arange(len(sizes)), sizes)
+            ring = body.vertices[np.concatenate(body.facet_loops)]
+            got = bodies._loop_heights(ring, body.facet_normals, owner, starts, sizes)
+            want = _per_length_heights(ring, body.facet_normals, starts, sizes)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+    def test_sorted_edge_keys_match_unique_isin_reference(self):
+        for pts in self._reference_inputs():
+            body = bodies._hull3(pts)
+            loops = list(body.facet_loops)
+            # intact, a facet missing, a facet twice, both
+            for variant in (loops, loops[1:], loops + loops[:1], loops[1:] + loops[-1:]):
+                try:
+                    Polytope3(body.vertices, variant)
+                    message = None
+                except DegenerateInput as exc:
+                    message = str(exc)
+                assert message == _unique_isin_edge_error(len(body), variant)
 
 
 class TestCross:
@@ -428,6 +514,18 @@ def test_hull_of_points_near_edges_and_faces(pts):
     assert all(body.contains(p, tol=tol) for p in pts)
 
 
+def _row_by_row_diameter(v):
+    """`_diameter` one row at a time: each pair's coordinate terms summed in
+    the same order, in O(V) memory."""
+    return float(np.sqrt(max(float(np.max(sum((c[i] - c) ** 2 for c in v.T))) for i in range(len(v)))))
+
+
+def _prism(m):
+    th = 2 * np.pi * np.arange(m) / m
+    ring = np.column_stack((np.cos(th), np.sin(th)))
+    return np.vstack((np.column_stack((ring, np.ones(m))), np.column_stack((ring, -np.ones(m)))))
+
+
 class TestDiameter:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_matches_broadcast_sum(self, dim):
@@ -436,6 +534,24 @@ class TestDiameter:
             v = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-3, 4) + rng.normal(size=dim)
             old = float(np.sqrt(np.max(np.sum((v[:, None, :] - v[None, :, :]) ** 2, axis=-1))))
             assert bodies._diameter(v) == old, n
+
+    def test_many_row_blocks(self):
+        rng = np.random.default_rng(33)
+        v = rng.normal(size=(3000, 3)) * [1.0, 2.0, 3.0]
+        assert bodies._diameter(v) == _row_by_row_diameter(v)
+        prism = _prism(2048)
+        assert bodies._diameter(prism) == _row_by_row_diameter(prism)
+
+    def test_memory_is_bounded(self):
+        v = np.random.default_rng(34).normal(size=(4096, 3))
+        tracemalloc.start()
+        try:
+            bodies._diameter(v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (V, V) float array is 134 MB
+        assert peak < 32e6
 
 
 class TestPolytope3Validation:
@@ -620,6 +736,16 @@ class TestMinkowski:
         for body in (random_polygon(rng, 6), random_polytope3(rng, 8)):
             diff = difference_body(body)
             assert hausdorff_distance(diff, diff.negate()) <= 1e-12 * diff.diameter
+
+    def test_difference_body_3d_is_the_sum_with_the_negation(self):
+        rng = np.random.default_rng(9)
+        for n in (4, 6, 9, 12):
+            body = random_polytope3(rng, n)
+            diff, ref = difference_body(body), minkowski_sum(body, body.negate())
+            for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+                assert np.array_equal(getattr(diff, field), getattr(ref, field)), field
+            assert diff.facet_loops == ref.facet_loops
+            assert (diff.volume, diff.diameter) == (ref.volume, ref.diameter)
 
     def test_dimension_mismatch(self, square, cube):
         with pytest.raises(DimensionMismatch):
