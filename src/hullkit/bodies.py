@@ -36,6 +36,9 @@ EPS = 1e-9
 # and plane offsets within EPS relative to the body scale.
 _MERGE_NORMAL_TOL = 1e-9
 
+#: Smallest positive normal double.
+_TINY = float(np.finfo(float).tiny)
+
 
 def _as_points(points, dim=None):
     pts = np.asarray(points, dtype=float)
@@ -188,27 +191,38 @@ class Polygon(_BodyBase):
 
     def __init__(self, vertices):
         v = _as_points(vertices, dim=2).copy()
-        if len(v) < 3:
+        m = len(v)
+        if m < 3:
             raise DegenerateInput("a polygon needs at least 3 vertices")
-        area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
+        # each vertex's (and edge's) successor, read as np.roll(a, -1) reads it
+        nxt = np.arange(1, m + 1)
+        nxt[-1] = 0
+        x, y = v[:, 0], v[:, 1]
+        area2 = (x * y[nxt] - x[nxt] * y).sum()
         if area2 < 0:
             v = v[::-1].copy()
             area2 = -area2
         span = _span(v)
-        edges = np.roll(v, -1, axis=0) - v
-        cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+        edges = v[nxt] - v
+        ex, ey = edges[:, 0], edges[:, 1]
+        cross = ex * ey[nxt] - ey * ex[nxt]
         # validate at half the hull filter's tolerance so rings that passed
         # the strictness filter cannot straddle the threshold in re-check
-        if span <= 0 or np.any(cross <= 0.5 * EPS * span * span):
+        if span <= 0 or (cross <= 0.5 * EPS * span * span).any():
             raise DegenerateInput("vertices are not in strictly convex position")
 
         self.vertices = v
         self.vertices.flags.writeable = False
-        lengths = np.linalg.norm(edges, axis=1)
+        # np.linalg.norm(edges, axis=1), written out
+        lengths = np.sqrt(ex * ex + ey * ey)
         # outward unit normal of the CCW edge [v_i, v_{i+1}]
-        normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
+        normals = np.empty((m, 2))
+        np.divide(ey, lengths, out=normals[:, 0])
+        np.divide(-ex, lengths, out=normals[:, 1])
         self.facet_normals = normals
-        self.facet_offsets = np.sum(normals * v, axis=1)
+        # np.sum(normals * v, axis=1) adds from +0.0, which turns a -0.0 sum
+        # into +0.0; the trailing + 0.0 does the same
+        self.facet_offsets = normals[:, 0] * v[:, 0] + normals[:, 1] * v[:, 1] + 0.0
         self.facet_areas = lengths
         self._volume = 0.5 * float(area2)
         for arr in (self.facet_normals, self.facet_offsets, self.facet_areas):
@@ -401,52 +415,61 @@ def hull(points):
     the points do not span the ambient dimension.
     """
     pts = _as_points(points)
-    span = _span(pts)
-    pts = _dedup_points(pts, EPS * span)
+    tol = EPS * _span(pts)
+    kept = _dedup_points(pts, tol)
     dim = pts.shape[1]
-    if len(pts) < dim + 1 or _affine_rank(pts, 1e-12) < dim:
+    if len(kept) < dim + 1 or _affine_rank(kept, 1e-12) < dim:
+        # cKDTree compares squared distances, and below the smallest normal
+        # double they lose their precision or underflow to 0, so distinct
+        # points can compare as coincident: a full-rank set that the merge
+        # made flat at such a scale has coordinates too small to resolve
+        if len(kept) < len(pts) and tol**2 < _TINY and _affine_rank(pts, 1e-12) == dim:
+            raise DegenerateInput("coordinates too small: squared distances underflow")
         raise DegenerateInput("points are lower-dimensional")
+    pts = kept
     if dim == 2:
         return Polygon(pts[_hull2_indices(pts)])
     return _hull3(pts)
 
 
 def _hull2_indices(pts, tol=None):
-    """Monotone chain; returns CCW indices of the strictly extreme points."""
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    """Monotone chain; returns CCW indices of the strictly extreme points.
+
+    The turns are computed on Python floats, which are IEEE doubles like the
+    numpy scalars they replace: the same operations in the same order give
+    the same bits, without numpy's per-scalar overhead.  A turn counts as
+    flat unless it exceeds tol (so a NaN turn is not flat)."""
+    order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
+    xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
     if tol is None:
-        tol = EPS * _span(pts) ** 2
+        # EPS * _span(pts) ** 2: max and min are exact, so this is its value
+        tol = EPS * max(max(xs) - min(xs), max(ys) - min(ys)) ** 2
 
     def build(seq):
         chain = []
-        for idx in seq:
+        for b in seq:
+            bx, by = xs[b], ys[b]
             while len(chain) >= 2:
-                o, a = pts[chain[-2]], pts[chain[-1]]
-                b = pts[idx]
-                cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-                if cross <= tol:
-                    chain.pop()
-                else:
+                o, a = chain[-2], chain[-1]
+                ox, oy = xs[o], ys[o]
+                if not (xs[a] - ox) * (by - oy) - (ys[a] - oy) * (bx - ox) <= tol:
                     break
-            chain.append(idx)
+                chain.pop()
+            chain.append(b)
         return chain
 
-    lower = build(order)
-    upper = build(order[::-1])
-    ring = lower[:-1] + upper[:-1]
+    ring = build(order)[:-1] + build(order[::-1])[:-1]
     # the chain junctions are never turn-checked; sweep out flat corners
     changed = True
     while changed and len(ring) > 2:
-        changed = False
-        kept = []
         m = len(ring)
+        kept = []
         for k in range(m):
-            o, a, b = pts[ring[k - 1]], pts[ring[k]], pts[ring[(k + 1) % m]]
-            cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-            if cross <= tol:
-                changed = True
-            else:
-                kept.append(ring[k])
+            o, a, b = ring[k - 1], ring[k], ring[(k + 1) % m]
+            ox, oy = xs[o], ys[o]
+            if not (xs[a] - ox) * (ys[b] - oy) - (ys[a] - oy) * (xs[b] - ox) <= tol:
+                kept.append(a)
+        changed = len(kept) < m
         ring = kept
     return np.array(ring, dtype=int)
 
@@ -696,55 +719,57 @@ def minkowski_sum(a, b):
     if a.dim != b.dim:
         raise DimensionMismatch("minkowski_sum needs bodies of equal dimension")
     if a.dim == 2:
-        return Polygon(_minkowski_vertices_2d(a, b))
+        return Polygon(_minkowski_vertices_2d(a.vertices, b.vertices))
     sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, 3)
     return hull(sums)
 
 
-def _minkowski_vertices_2d(a, b):
-    """CCW edge merge.  Each output vertex is the running sum of the edges
-    merged so far, starting from the sum of the two lowest vertices, so its
-    coordinates carry that sum's rounding: in general they are not the exact
-    sum of one vertex of each body."""
+def _minkowski_vertices_2d(va, vb):
+    """CCW edge merge of two CCW polygons' vertex arrays.  Each output
+    vertex is the running sum of the edges merged so far, starting from the
+    sum of the two lowest vertices, so its coordinates carry that sum's
+    rounding: in general they are not the exact sum of one vertex of each
+    body.  The merge runs on Python floats (the same IEEE additions)."""
 
-    def rolled(poly):
-        v = poly.vertices
-        start = np.lexsort((v[:, 0], v[:, 1]))[0]
-        return np.roll(v, -start, axis=0)
-
-    va, vb = rolled(a), rolled(b)
-    ea = np.roll(va, -1, axis=0) - va
-    eb = np.roll(vb, -1, axis=0) - vb
-
-    def unwrapped_angles(e):
-        ang = np.arctan2(e[:, 1], e[:, 0])
-        for i in range(1, len(ang)):
+    def walk(v):
+        # start at the lowest vertex (the leftmost of the lowest)
+        m = len(v)
+        start = int(np.lexsort((v[:, 0], v[:, 1]))[0])
+        ring = v[np.arange(start, start + m + 1) % m]
+        e = ring[1:] - ring[:-1]
+        ang = np.arctan2(e[:, 1], e[:, 0]).tolist()
+        for i in range(1, m):
             while ang[i] <= ang[i - 1] - 1e-15:
                 ang[i] += 2 * np.pi
-        return ang
+        return ring[0].tolist(), e.tolist(), ang
 
-    aa, ab = unwrapped_angles(ea), unwrapped_angles(eb)
-    out = [va[0] + vb[0]]
+    (xa, ya), ea, aa = walk(va)
+    (xb, yb), eb, ab = walk(vb)
+    x, y = xa + xb, ya + yb
+    out = [(x, y)]
     i = j = 0
     while i < len(ea) or j < len(eb):
         if j >= len(eb) or (i < len(ea) and aa[i] <= ab[j]):
-            step = ea[i]
+            sx, sy = ea[i]
             i += 1
         else:
-            step = eb[j]
+            sx, sy = eb[j]
             j += 1
-        out.append(out[-1] + step)
+        x, y = x + sx, y + sy
+        out.append((x, y))
     pts = np.array(out[:-1])
     return pts[_hull2_indices(pts)]
 
 
 def difference_body(body):
-    """Difference body K + (-K); always origin-symmetric.  In 3D the hull
-    is taken of the pairwise differences, which are the sums with the
-    negated vertices bit for bit (x + (-y) is x - y)."""
-    if body.dim == 2:
-        return minkowski_sum(body, body.negate())
+    """Difference body K + (-K); always origin-symmetric.  It is summed with
+    the negated vertices directly (in 2D, -v is already a valid CCW vertex
+    list, as `negate` would build it); in 3D the hull is taken of the
+    pairwise differences, which are the sums with the negated vertices bit
+    for bit (x + (-y) is x - y)."""
     v = body.vertices
+    if body.dim == 2:
+        return Polygon(_minkowski_vertices_2d(v, -v))
     return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3))
 
 

@@ -75,12 +75,19 @@ class SidelineTable:
         self.points.flags.writeable = False
 
     def point(self, i, j):
-        p = self.points[i % self.m, j % self.m]
-        if not np.all(np.isfinite(p)):
-            raise MissingIntersection(
-                f"sidelines {i % self.m} and {j % self.m} do not meet in a point"
-            )
-        return p
+        return self.gather([i], [j])[0]
+
+    def gather(self, i, j):
+        """The entries p[i[t], j[t]] (indices mod m) as one (len(i), 2)
+        array.  Raises MissingIntersection naming the first pair without a
+        point, as reading the pairs one at a time would."""
+        i, j = np.asarray(i) % self.m, np.asarray(j) % self.m
+        pts = self.points[i, j]
+        missing = ~np.isfinite(pts).all(axis=1)
+        if missing.any():
+            t = int(missing.argmax())
+            raise MissingIntersection(f"sidelines {i[t]} and {j[t]} do not meet in a point")
+        return pts
 
 
 def sideline_intersections(polygon):
@@ -97,8 +104,8 @@ def kl_extension(polygon, k, l):
     if k < 0 or l < 0:
         raise ConditionViolated("k and l must be non-negative")
     table = SidelineTable(polygon)
-    m = table.m
-    verts = np.array([table.point(j - k - 1, j + l) for j in range(m)])
+    j = np.arange(table.m)
+    verts = table.gather(j - k - 1, j + l)
     return ExtensionCurve(k=k, l=l, vertices=verts)
 
 
@@ -130,7 +137,8 @@ def extension_homothety_check(polygon, k, l):
     table = SidelineTable(polygon)
     v = polygon.vertices
     # polygon vertex v_t = p[t-1, t] maps to p[t-1-s, t+s]
-    images = np.array([table.point(t - 1 - s, t + s) for t in range(m)])
+    t = np.arange(m)
+    images = table.gather(t - 1 - s, t + s)
     diam = _diameter(images)
     report = homothety_from_pairs(v, images, diam)
     g = point_hull_values(polygon, images)

@@ -2,6 +2,9 @@
 
 Direction sets are fixed (uniform angles in 2D, a Fibonacci spiral on the
 sphere in 3D) so that fitted quantities and reports are bit-reproducible.
+``direction_set`` caches the tables it builds and returns them read-only,
+so the same array is shared by every caller; ``circle_directions`` and
+``fibonacci_sphere`` build a fresh, writable array on each call.
 Random bodies take an explicit numpy Generator; the CLI seeds it once per
 run, which makes search logs reproducible.
 """
@@ -34,10 +37,13 @@ def fibonacci_sphere(n):
     return np.column_stack((r * np.cos(phi), r * np.sin(phi), z))
 
 
+@lru_cache(maxsize=16)
 def direction_set(dim, n):
-    if dim == 2:
-        return circle_directions(n)
-    return fibonacci_sphere(n)
+    """The fixed set of n unit directions in dimension dim, built once and
+    shared: a read-only array (writing to it raises ValueError)."""
+    dirs = circle_directions(n) if dim == 2 else fibonacci_sphere(n)
+    dirs.flags.writeable = False
+    return dirs
 
 
 def regular_polygon(m):

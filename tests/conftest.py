@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hullkit import hull
+from hullkit import GeometryError, hull
 
 
 @pytest.fixture
@@ -27,3 +27,16 @@ def unit_triangle():
 def unit_vector(rng, dim):
     u = rng.normal(size=dim)
     return u / np.linalg.norm(u)
+
+
+def outcome(fn, *args):
+    """fn's result as bytes (a tuple of them for a tuple result), or its
+    exception's type and message: what byte-for-byte reference tests
+    compare."""
+    try:
+        result = fn(*args)
+    except GeometryError as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, tuple):
+        return tuple(np.asarray(r, dtype=float).tobytes() for r in result)
+    return np.asarray(result).tobytes()

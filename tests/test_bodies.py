@@ -31,9 +31,9 @@ from hullkit import (
     support,
 )
 from hullkit import bodies
-from hullkit.sampling import random_polygon, random_polytope3
+from hullkit.sampling import random_polygon, random_polytope3, regular_polygon
 
-from conftest import unit_vector
+from conftest import outcome, unit_vector
 
 
 class TestHull:
@@ -81,6 +81,30 @@ class TestHull:
         for body in (square, cube):
             with pytest.raises(DegenerateInput):
                 hull(scale * body.vertices)
+
+    @pytest.mark.parametrize("scale", [1e-162, 1e-165, 1e-200, 1e-300])
+    def test_coordinates_whose_squared_distances_underflow(self, scale):
+        # cKDTree's squared distances underflow to 0, so every point but
+        # the first looked like a duplicate and the set like a flat one
+        heptagon = regular_polygon(7).vertices
+        simplex_plus = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+        for pts in (heptagon, simplex_plus):
+            with pytest.raises(DegenerateInput, match="^coordinates too small: squared distances underflow$"):
+                hull(scale * pts)
+
+    def test_tiny_coordinates_that_resolve_still_build(self):
+        # at 1e-160 the squared distances are subnormal but not 0: the
+        # heptagon builds, with its input coordinates passed through
+        pts = 1e-160 * regular_polygon(7).vertices
+        body = hull(pts)
+        ref = Polygon(pts[bodies._hull2_indices(pts)])
+        assert sorted(map(tuple, body.vertices.tolist())) == sorted(map(tuple, pts.tolist()))
+        for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+            assert getattr(body, field).tobytes() == getattr(ref, field).tobytes(), field
+
+    def test_tiny_flat_points_stay_lower_dimensional(self):
+        with pytest.raises(DegenerateInput, match="^points are lower-dimensional$"):
+            hull(1e-200 * np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]))
 
     def test_qhull_failure_is_one_line(self, cube):
         # qhull's report runs to about 50 lines; the error keeps its first
@@ -832,3 +856,215 @@ class TestDistances:
         grown = cube.scale(1.25)
         # farthest point of the grown cube from the cube is its corner
         assert hausdorff_distance(cube, grown) == pytest.approx(0.25 * np.sqrt(3), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# 2D kernels against the numpy forms they replace: the chain and the edge
+# merge on numpy scalars, Polygon's arithmetic with np.roll, np.linalg.norm
+# and np.column_stack.  Every value must match byte for byte, and every
+# error message too.
+
+
+def _scalar_hull2_indices(pts, tol=None):
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    if tol is None:
+        tol = EPS * bodies._span(pts) ** 2
+
+    def build(seq):
+        chain = []
+        for idx in seq:
+            while len(chain) >= 2:
+                o, a = pts[chain[-2]], pts[chain[-1]]
+                b = pts[idx]
+                cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+                if cross <= tol:
+                    chain.pop()
+                else:
+                    break
+            chain.append(idx)
+        return chain
+
+    lower = build(order)
+    upper = build(order[::-1])
+    ring = lower[:-1] + upper[:-1]
+    changed = True
+    while changed and len(ring) > 2:
+        changed = False
+        kept = []
+        m = len(ring)
+        for k in range(m):
+            o, a, b = pts[ring[k - 1]], pts[ring[k]], pts[ring[(k + 1) % m]]
+            cross = (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+            if cross <= tol:
+                changed = True
+            else:
+                kept.append(ring[k])
+        ring = kept
+    return np.array(ring, dtype=int)
+
+
+def _rolled_polygon_fields(vertices):
+    """(vertices, normals, offsets, lengths, area) as Polygon computed them
+    with np.roll, np.linalg.norm, np.column_stack and np.sum."""
+    v = bodies._as_points(vertices, dim=2).copy()
+    if len(v) < 3:
+        raise DegenerateInput("a polygon needs at least 3 vertices")
+    area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
+    if area2 < 0:
+        v = v[::-1].copy()
+        area2 = -area2
+    span = bodies._span(v)
+    edges = np.roll(v, -1, axis=0) - v
+    cross = edges[:, 0] * np.roll(edges[:, 1], -1) - edges[:, 1] * np.roll(edges[:, 0], -1)
+    if span <= 0 or np.any(cross <= 0.5 * EPS * span * span):
+        raise DegenerateInput("vertices are not in strictly convex position")
+    lengths = np.linalg.norm(edges, axis=1)
+    normals = np.column_stack((edges[:, 1], -edges[:, 0])) / lengths[:, None]
+    return v, normals, np.sum(normals * v, axis=1), lengths, 0.5 * float(area2)
+
+
+def _scalar_minkowski_vertices_2d(a, b):
+    def rolled(v):
+        start = np.lexsort((v[:, 0], v[:, 1]))[0]
+        return np.roll(v, -start, axis=0)
+
+    va, vb = rolled(a), rolled(b)
+    ea = np.roll(va, -1, axis=0) - va
+    eb = np.roll(vb, -1, axis=0) - vb
+
+    def unwrapped_angles(e):
+        ang = np.arctan2(e[:, 1], e[:, 0])
+        for i in range(1, len(ang)):
+            while ang[i] <= ang[i - 1] - 1e-15:
+                ang[i] += 2 * np.pi
+        return ang
+
+    aa, ab = unwrapped_angles(ea), unwrapped_angles(eb)
+    out = [va[0] + vb[0]]
+    i = j = 0
+    while i < len(ea) or j < len(eb):
+        if j >= len(eb) or (i < len(ea) and aa[i] <= ab[j]):
+            step = ea[i]
+            i += 1
+        else:
+            step = eb[j]
+            j += 1
+        out.append(out[-1] + step)
+    pts = np.array(out[:-1])
+    return pts[_scalar_hull2_indices(pts)]
+
+
+def _polygon_fields(vertices):
+    p = Polygon(vertices)
+    return p.vertices, p.facet_normals, p.facet_offsets, p.facet_areas, p.volume
+
+
+def _planar_vertex_lists():
+    """Vertex lists: random 3-40-gons in both orientations, regular and
+    affine-regular polygons (parallel sidelines), axis-aligned squares (their
+    offsets include -0.0 products), repeated and collinear vertices, and
+    turns just below, at and above Polygon's threshold."""
+    rng = np.random.default_rng(31)
+    out = []
+    for m in range(3, 41):
+        for _ in range(3):
+            ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+            v = rng.uniform(0.1, 5.0) * np.column_stack((np.cos(ang), np.sin(ang))) + rng.normal(size=2)
+            out += [v, v[::-1].copy()]
+    for m in (3, 4, 6, 8, 12):
+        v = regular_polygon(m).vertices
+        out += [v, v @ rng.normal(size=(2, 2)) + rng.normal(size=2)]
+    out += [
+        np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+        np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, 0.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0]]),
+        np.array([[0.0, 0.0], [1.0, 0.0]]),
+    ]
+    for scale in (1.0, 1e-3, 1e5):
+        for f in (0.5, 0.99, 1.0, 1.01, 2.0):
+            dip = f * EPS * scale  # the turn at (1, 0) is f times the threshold
+            out.append(scale * np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+                       - np.array([[0.0, 0.0], [0.0, dip], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]))
+    return out
+
+
+def _planar_point_sets():
+    """Point sets for the chain: random, with repeated points, with edge
+    midpoints (collinear triples), on a lattice, and regular polygons."""
+    rng = np.random.default_rng(32)
+    out = []
+    for n in (3, 5, 12, 40):
+        for _ in range(6):
+            pts = rng.normal(size=(n, 2))
+            out += [pts, np.vstack((pts, pts[: n // 2 + 1])), np.vstack((pts, 0.5 * (pts[:-1] + pts[1:]))),
+                    np.round(3.0 * pts)]
+    grid = np.array([[x, y] for x in range(5) for y in range(5)], dtype=float)
+    return out + [grid, grid[::-1].copy(), regular_polygon(6).vertices, regular_polygon(40).vertices]
+
+
+class TestPlanarKernels:
+    def test_chain_matches_the_numpy_scalar_chain(self):
+        rng = np.random.default_rng(33)
+        cases = [(pts, None) for pts in _planar_point_sets()]
+        cases += [(pts, tol) for pts in _planar_point_sets()[::3] for tol in (0.0, 1e-3, 0.1, np.float64(0.05))]
+        # turns at exactly +-tol, and one ulp either side of it
+        for _ in range(40):
+            pts = rng.normal(size=(12, 2))
+            o, a, b = pts[0], pts[1], pts[2]
+            turn = float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
+            for tol in (turn, -turn, np.nextafter(abs(turn), np.inf), np.nextafter(abs(turn), -np.inf)):
+                cases.append((pts, tol))
+        for pts, tol in cases:
+            assert bodies._hull2_indices(pts, tol).tobytes() == _scalar_hull2_indices(pts, tol).tobytes()
+
+    def test_explicit_tolerance_callers_match(self):
+        # the facet-loop reference passes its own tol; shadow_area projects
+        # a 3-polytope and takes the default
+        rng = np.random.default_rng(34)
+        for _ in range(8):
+            body = random_polytope3(rng, int(rng.integers(6, 14)))
+            u = unit_vector(rng, 3)
+            b1, b2 = (b[0] for b in bodies._plane_basis(u[None, :]))
+            flat = np.column_stack((body.vertices @ b1, body.vertices @ b2))
+            span = bodies._span(flat)
+            for tol in (None, EPS * span * span, EPS * span * max(span, EPS * span)):
+                assert bodies._hull2_indices(flat, tol).tobytes() == _scalar_hull2_indices(flat, tol).tobytes()
+            ring = flat[_scalar_hull2_indices(flat)]
+            area2 = np.sum(ring[:, 0] * np.roll(ring[:, 1], -1) - np.roll(ring[:, 0], -1) * ring[:, 1])
+            assert shadow_area(body, u) == 0.5 * abs(float(area2))
+
+    def test_polygon_matches_the_rolled_arithmetic(self):
+        for v in _planar_vertex_lists():
+            assert outcome(_polygon_fields, v) == outcome(_rolled_polygon_fields, v)
+
+    def test_polygon_offsets_keep_numpys_signed_zeros(self):
+        # the edge from (0, 1) to (0, 0) has normal (-1, -0.0); its offset,
+        # -1 * 0 + -0.0 * 1, is +0.0 as np.sum gives it
+        square = Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        assert np.signbit(square.facet_normals).any()
+        assert not np.signbit(square.facet_offsets).any()
+
+    def test_edge_merge_matches_the_numpy_scalar_merge(self):
+        polys = []
+        for v in _planar_vertex_lists():
+            try:
+                polys.append(Polygon(v))
+            except DegenerateInput:
+                pass
+        for k, a in enumerate(polys):
+            b = polys[(7 * k + 3) % len(polys)]
+            for va, vb in ((a.vertices, b.vertices), (a.vertices, -a.vertices)):
+                got = bodies._minkowski_vertices_2d(va, vb)
+                assert got.tobytes() == _scalar_minkowski_vertices_2d(va, vb).tobytes()
+
+    def test_difference_body_2d_is_the_sum_with_the_negation(self):
+        rng = np.random.default_rng(35)
+        polys = [random_polygon(rng, m) for m in range(3, 13)]
+        polys += [regular_polygon(4), regular_polygon(6), Polygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])]
+        for body in polys:
+            diff, ref = difference_body(body), minkowski_sum(body, body.negate())
+            for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+                assert getattr(diff, field).tobytes() == getattr(ref, field).tobytes(), field
+            assert diff.volume == ref.volume

@@ -1,5 +1,12 @@
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hullkit import (
     ConditionViolated,
@@ -17,8 +24,14 @@ from hullkit import (
     point_hull_values,
     sideline_intersections,
 )
-from hullkit.extensions import PARALLEL_TOL, admissible_extension_pairs
+from hullkit.bodies import _diameter
+from hullkit.cli import main
+from hullkit.extensions import PARALLEL_TOL, SidelineTable, admissible_extension_pairs
+from hullkit.fileio import serialize_body
+from hullkit.illumination import homothety_from_pairs
 from hullkit.sampling import random_polygon, regular_polygon
+
+from conftest import outcome
 
 
 class TestSidelineIntersections:
@@ -227,3 +240,128 @@ class TestAffineRegularity:
     def test_singular_matrix(self):
         with pytest.raises(SingularMatrix):
             affinely_regular_polygon(5, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# SidelineTable.gather against the per-point reading it replaced, and
+# sidelines within a few PARALLEL_TOL of parallel
+
+
+def _loop_points(table, pairs):
+    """The table entries of the pairs read one at a time, raising at the
+    first pair without a point."""
+    m = table.m
+    rows = []
+    for i, j in pairs:
+        p = table.points[i % m, j % m]
+        if not np.all(np.isfinite(p)):
+            raise MissingIntersection(f"sidelines {i % m} and {j % m} do not meet in a point")
+        rows.append(p)
+    return np.array(rows)
+
+
+def _loop_kl_vertices(polygon, k, l):
+    m = len(polygon)
+    return _loop_points(SidelineTable(polygon), [(j - k - 1, j + l) for j in range(m)])
+
+
+def _loop_extension_check(polygon, k, l):
+    """extension_homothety_check's numbers from the per-point images."""
+    m, s = len(polygon), (k + l) // 2
+    images = _loop_points(SidelineTable(polygon), [(t - 1 - s, t + s) for t in range(m)])
+    report = homothety_from_pairs(polygon.vertices, images, _diameter(images))
+    g = point_hull_values(polygon, images)
+    gmean = float(np.mean(g))
+    return report.ratio, report.translation, report.defect, float(np.max(np.abs(g - gmean))) / gmean
+
+
+def _extension_check(polygon, k, l):
+    report, level_residual = extension_homothety_check(polygon, k, l)
+    return report.ratio, report.translation, report.defect, level_residual
+
+
+def _assert_gather_matches_loop(polygon, kl_pairs):
+    for k, l in kl_pairs:
+        got = outcome(lambda: kl_extension(polygon, k, l).vertices)
+        assert got == outcome(_loop_kl_vertices, polygon, k, l), (len(polygon), k, l)
+    for k, l in admissible_extension_pairs(len(polygon)):
+        assert outcome(_extension_check, polygon, k, l) == outcome(_loop_extension_check, polygon, k, l)
+
+
+class TestGather:
+    def test_matches_the_per_point_loop(self):
+        rng = np.random.default_rng(22)
+        polygons = [regular_polygon(m) for m in range(3, 25)]  # even m: parallel sidelines
+        polygons.append(hull([[1, 1], [-1, 1], [-1, -1], [1, -1]]))
+        for _ in range(20):
+            m = int(rng.integers(3, 13))
+            polygons.append(random_polygon(rng, m))
+            polygons.append(affinely_regular_polygon(m, rng.normal(size=(2, 2)), rng.normal(size=2)))
+        kl_pairs = [(k, l) for k in range(4) for l in range(4)]
+        for polygon in polygons:
+            _assert_gather_matches_loop(polygon, kl_pairs)
+
+    def test_names_the_first_missing_pair(self):
+        # the regular hexagon's (1, 1)-extension needs p[j - 2, j + 1]: j = 0
+        # asks for sidelines 4 and 1, parallel, and so do j = 1, 2, ...
+        hexagon = regular_polygon(6)
+        with pytest.raises(MissingIntersection, match="^sidelines 4 and 1 do not meet in a point$"):
+            kl_extension(hexagon, 1, 1)
+        table = SidelineTable(hexagon)
+        with pytest.raises(MissingIntersection, match="^sidelines 2 and 5 do not meet in a point$"):
+            table.gather([0, 2, 3, 0], [1, 5, 0, 3])
+        assert table.gather([0, -1], [7, 3]).tobytes() == table.points[[0, 5], [1, 3]].tobytes()
+
+
+@st.composite
+def _nearly_parallel_polygon(draw):
+    """A rotated, scaled regular 2n-gon (n = 2..6, so side i is parallel to
+    side i + n) whose side i + n is turned by c * PARALLEL_TOL radians,
+    |c| <= 4, by moving its end vertex; that turns side i + n + 1 by about as
+    much against side i + 1."""
+    n = draw(st.integers(2, 6))
+    m = 2 * n
+    ang = draw(st.floats(0.0, 2.0 * np.pi)) + 2.0 * np.pi * np.arange(m) / m
+    v = draw(st.floats(0.1, 10.0)) * np.column_stack((np.cos(ang), np.sin(ang)))
+    j = (draw(st.integers(0, m - 1)) + n) % m
+    t = draw(st.floats(-4.0, 4.0)) * PARALLEL_TOL
+    d = v[(j + 1) % m] - v[j]
+    v[(j + 1) % m] = v[j] + np.array([d[0] * np.cos(t) - d[1] * np.sin(t), d[0] * np.sin(t) + d[1] * np.cos(t)])
+    return Polygon(v)
+
+
+@settings(database=None, max_examples=100, deadline=None, derandomize=True)
+@given(polygon=_nearly_parallel_polygon(), k=st.integers(0, 3), l=st.integers(0, 3))
+def test_nearly_parallel_sidelines(polygon, k, l):
+    """The table has NaN exactly at the non-adjacent pairs with
+    |cross| <= PARALLEL_TOL |d_i| |d_j|; the gather names the pair the loop
+    names; `hullkit extend` keeps the CLI contract."""
+    v = polygon.vertices
+    m = len(v)
+    table = SidelineTable(polygon)
+    dirs = np.roll(v, -1, axis=0) - v
+    lengths = np.linalg.norm(dirs, axis=1)
+    for i in range(m):
+        for j in range(m):
+            if i == j:
+                continue
+            cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
+            adjacent = (j - i) % m in (1, m - 1)
+            if not adjacent and abs(cross) <= PARALLEL_TOL * lengths[i] * lengths[j]:
+                assert np.isnan(table.points[i, j]).all()
+            else:
+                assert np.isfinite(table.points[i, j]).all()
+    _assert_gather_matches_loop(polygon, [(k, l)])
+
+    pairs = admissible_extension_pairs(m) or [(1, 1)]
+    k, l = pairs[min(k, len(pairs) - 1)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "body.json"
+        path.write_text(serialize_body(polygon))
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["extend", str(path), "--k", str(k), "--l", str(l)])
+    assert code in (0, 1)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")

@@ -268,6 +268,25 @@ class TestCli:
                 assert (code, out) == (1, "")
                 assert err.startswith("error:")
 
+    def test_tiny_coordinates_are_input_errors(self, tmp_path):
+        # at 1e-200 every squared distance underflows to 0; at 1e-160 the
+        # heptagon still builds and illum and extend succeed
+        heptagon = regular_polygon(7).vertices
+        simplex_plus = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
+        commands = (["illum", "--delta", "1e-320"], ["tcvp"], ["extend", "--k", "1", "--l", "1"], ["projbody"])
+        for verts in (1e-200 * heptagon, 1e-200 * np.array(simplex_plus, dtype=float)):
+            path = tmp_path / "tiny.json"
+            path.write_text(json.dumps({"dim": verts.shape[1], "vertices": verts.tolist()}))
+            for command in commands:
+                code, out, err = run_cli([command[0], str(path), *command[1:]])
+                assert (code, out) == (1, "")
+                assert err == "error: coordinates too small: squared distances underflow\n"
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": (1e-160 * heptagon).tolist()}))
+        for command in commands[0], commands[2]:
+            code, out, err = run_cli([command[0], str(path), *command[1:]])
+            assert (code, err) == (0, "")
+
     def test_tcvp_with_overflowing_delta_is_one_line_error(self, tmp_path):
         # square scaled by 1e153: Delta(u) is finite, its mean is not
         path = tmp_path / "big.json"
