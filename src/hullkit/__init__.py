@@ -22,6 +22,7 @@ from .bodies import (
     hull,
     minkowski_sum,
     point_body_distance,
+    point_body_distances,
     polar,
     rot90,
     shadow_area,

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from . import extensions as ext
-from .bodies import Polygon, brightness, hausdorff_distance, hull, point_body_distance
+from .bodies import Polygon, brightness, hausdorff_distance, hull, point_body_distances
 from .errors import DegenerateInput, SamplingExhausted
 from .fileio import CheckRow, body_from_dict, body_to_dict
 from .hullfun import (
@@ -144,9 +144,9 @@ def criterion_5():
         delta = rng.uniform(0.2, 1.0) * body.volume
         level_set = illumination_body(body, delta)
         dirs = direction_set(body.dim, 60 if body.dim == 2 else 100)
-        for u, tau in zip(dirs, _ray_level_solves(body, dirs, level_set.level)):
-            gap = point_body_distance(tau * u, level_set.body)
-            worst = max(worst, gap / level_set.body.diameter)
+        taus = _ray_level_solves(body, dirs, level_set.level)
+        gaps = point_body_distances(taus[:, None] * dirs, level_set.body)
+        worst = max(worst, float((gaps / level_set.body.diameter).max()))
     return [
         _row("illum_square_octagon_hausdorff", err_sq, 1e-9),
         _row("illum_cube_24point_hausdorff", err_cube, 1e-9),

@@ -242,6 +242,12 @@ class Polygon(_BodyBase):
     def negate(self):
         return Polygon(-self.vertices)
 
+    @property
+    def _boundary_loops(self):
+        """The vertex ring as one loop, the boundary of the polygon's one
+        2-face, as `Polytope3.facet_loops` are its facets' boundaries."""
+        return (range(len(self.vertices)),)
+
 
 class Polytope3(_BodyBase):
     """Convex polytope in 3-space: vertices plus merged planar facets.
@@ -271,18 +277,13 @@ class Polytope3(_BodyBase):
         if len(v) < 4:
             raise DegenerateInput("a 3-polytope needs at least 4 vertices")
         loops = [tuple(map(int, loop)) for loop in facet_loops]
-        sizes = np.array([len(loop) for loop in loops])
-        if len(loops) < 4 or sizes.min() < 3:
+        if len(loops) < 4 or min(map(len, loops)) < 3:
             raise DegenerateInput("a 3-polytope needs at least 4 facets with 3+ vertices each")
-        flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
+        flat, sizes, starts, owner, nxt = _loop_table(loops)
         if flat.min() < 0 or flat.max() >= len(v):
             raise DegenerateInput("a facet loop refers to a missing vertex")
         tol = max(EPS * _span(v), 1e-300)
 
-        starts = sizes.cumsum() - sizes
-        owner = np.arange(len(loops)).repeat(sizes)
-        nxt = np.arange(1, len(flat) + 1)
-        nxt[starts + sizes - 1] = starts
         pts = v[flat]
         raw = np.zeros((len(loops), 3))
         np.add.at(raw, owner, _cross(pts, pts[nxt]))
@@ -354,9 +355,27 @@ class Polytope3(_BodyBase):
     def negate(self):
         return Polytope3(-self.vertices, [loop[::-1] for loop in self.facet_loops])
 
+    @property
+    def _boundary_loops(self):
+        return self.facet_loops
+
 
 #: A convex body is either a Polygon or a Polytope3.
 Body = Polygon | Polytope3
+
+
+def _loop_table(loops):
+    """The flat table of the positions of vertex-index loops, in loop order:
+    ``(flat, sizes, starts, owner, nxt)``, each position's vertex, each
+    loop's size and first position, and each position's loop and the
+    position after it in its loop (the first, after the last)."""
+    sizes = np.array([len(loop) for loop in loops], dtype=np.int64)
+    starts = sizes.cumsum() - sizes
+    flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
+    owner = np.arange(len(loops)).repeat(sizes)
+    nxt = np.arange(1, len(flat) + 1)
+    nxt[starts + sizes - 1] = starts
+    return flat, sizes, starts, owner, nxt
 
 
 def _loop_heights(pts, normals, owner, starts, sizes):
@@ -379,9 +398,9 @@ def _loop_heights(pts, normals, owner, starts, sizes):
     return heights, offsets
 
 
-# at most this many (row, column) pairs per block of `_diameter`: 8 MB a
-# float array
-_DIAMETER_BLOCK = 1 << 20
+# at most this many floats in the temporaries of one row block of
+# `_diameter` and `point_body_distances`: 8 MB
+_BLOCK = 1 << 20
 
 
 def _diameter(v):
@@ -391,7 +410,7 @@ def _diameter(v):
     are taken in blocks against the rows j >= the block's first, so the
     temporaries stay near 8 MB; (i, j) and (j, i) give the same bits."""
     best = 0.0
-    rows = max(1, _DIAMETER_BLOCK // len(v))
+    rows = max(1, _BLOCK // len(v))
     for lo in range(0, len(v), rows):
         block, rest = v[lo:lo + rows], v[lo:]
         sq = np.zeros((len(block), len(rest)))
@@ -517,6 +536,12 @@ def _hull3(pts):
         keep = np.ones(len(pts), dtype=bool)
         keep[flat] = False
         pts = pts[keep]
+        # below about 1e-80 the sliver test's squared terms underflow, every
+        # triangle reads as flat, and too few points are left for qhull
+        if len(pts) < 4:
+            raise DegenerateInput(
+                "hull construction failed: fewer than 4 points left after dropping flat sliver vertices"
+            )
     else:
         raise DegenerateInput("hull did not stabilize after sliver removal")
 
@@ -711,7 +736,12 @@ def polar(body):
     tol = EPS * body.diameter
     if np.min(body.facet_offsets) <= tol:
         raise OriginNotInterior("polar requires the origin strictly inside the body")
-    return hull(body.facet_normals / body.facet_offsets[:, None])
+    try:
+        return hull(body.facet_normals / body.facet_offsets[:, None])
+    except DegenerateInput as exc:
+        # the vertices n/b are the polar body's, not the input's: a tiny
+        # input gives a polar body too large to build
+        raise DegenerateInput(f"polar body: {exc}") from exc
 
 
 def minkowski_sum(a, b):
@@ -841,34 +871,58 @@ def affine_image(body, mat, shift=None):
 # distances
 
 
+def point_body_distances(X, body):
+    """Euclidean distances from the rows of X to a convex body (0 inside).
+
+    Each is the least distance to a piece of the boundary: to the edges of
+    the body's boundary loops (`_loop_table`) and, in 3D, to each facet
+    whose plane holds the foot of the perpendicular inside the facet's
+    edges, with that facet's edges left out.  Each value equals, bit for
+    bit, that of a loop over the facets for one point: the containment
+    pre-test is a stacked (1, d) @ (d, F) product and the slacks stacked
+    (1, 3) @ (3, 1) products, which round as one point's products do, and
+    the sums over a last axis round as one facet's.  Points go in row
+    blocks, so the temporaries stay near 8 MB.
+    """
+    X = np.ascontiguousarray(_as_points(X, dim=body.dim))
+    normals, offsets = body.facet_normals, body.facet_offsets
+    flat, _, starts, owner, nxt = _loop_table(body._boundary_loops)
+    ring = body.vertices[flat]
+    edges = body.vertices[flat[nxt]] - ring
+    lengths2 = np.sum(edges * edges, axis=-1)
+    # read before the blocks, so that the diameter's first computation and
+    # a block do not hold their temporaries at once
+    edge_tol = -EPS * body.diameter
+
+    def outside_distances(x):
+        # the points x (P, 1, dim) lie outside the body; the temporaries of
+        # a block are freed on return
+        t = np.clip(np.sum((x - ring) * edges, axis=-1) / lengths2, 0.0, 1.0)
+        segments = np.linalg.norm(ring + t[..., None] * edges - x, axis=-1)
+        faces = np.inf
+        if body.dim == 3:
+            slack = (x[:, None] @ normals[:, :, None])[:, :, 0, 0] - offsets
+            feet = (x - slack[..., None] * normals)[:, owner]
+            within = np.sum((feet - ring) * _cross(normals[owner], edges), axis=-1) >= edge_tol
+            on_face = np.logical_and.reduceat(within, starts, axis=1)
+            segments[on_face[:, owner]] = np.inf
+            faces = np.where(on_face, np.abs(slack), np.inf).min(1)
+        return np.minimum(segments.min(1), faces)
+
+    out = np.zeros(len(X))
+    # a block holds up to about four (rows, positions, dim) temporaries at once
+    rows = max(1, _BLOCK // (4 * len(flat) * body.dim))
+    for lo in range(0, len(X), rows):
+        x = X[lo:lo + rows]
+        # `not contains(x, tol=0.0)`, so a NaN slack counts as outside
+        outside = ~(((x[:, None, :] @ normals.T)[:, 0] - offsets).max(1) <= 0.0)
+        out[lo:lo + rows][outside] = outside_distances(x[outside][:, None, :])
+    return out
+
+
 def point_body_distance(x, body):
     """Euclidean distance from a point to a convex body (0 if inside)."""
-    x = np.asarray(x, dtype=float)
-    if body.contains(x, tol=0.0):
-        return 0.0
-    if body.dim == 2:
-        v = body.vertices
-        return float(np.min(_point_segment_distances(x, v, np.roll(v, -1, axis=0))))
-    best = np.inf
-    for f, loop in enumerate(body.facet_loops):
-        n = body.facet_normals[f]
-        slack = float(x @ n - body.facet_offsets[f])
-        foot = x - slack * n
-        ring = body.vertices[list(loop)]
-        edges = np.roll(ring, -1, axis=0) - ring
-        inward = _cross(n, edges)
-        if np.all(np.sum((foot - ring) * inward, axis=1) >= -EPS * body.diameter):
-            best = min(best, abs(slack))
-        else:
-            best = min(best, float(np.min(_point_segment_distances(x, ring, np.roll(ring, -1, axis=0)))))
-    return best
-
-
-def _point_segment_distances(x, starts, ends):
-    d = ends - starts
-    t = np.clip(np.sum((x - starts) * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
-    feet = starts + t[:, None] * d
-    return np.linalg.norm(feet - x, axis=1)
+    return float(point_body_distances([x], body)[0])
 
 
 def hausdorff_distance(a, b):
@@ -876,6 +930,4 @@ def hausdorff_distance(a, b):
     the directed distance from a polytope is attained at a vertex)."""
     if a.dim != b.dim:
         raise DimensionMismatch("hausdorff_distance needs bodies of equal dimension")
-    d_ab = max(point_body_distance(v, b) for v in a.vertices)
-    d_ba = max(point_body_distance(v, a) for v in b.vertices)
-    return max(d_ab, d_ba)
+    return float(max(point_body_distances(a.vertices, b).max(), point_body_distances(b.vertices, a).max()))

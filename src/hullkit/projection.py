@@ -60,7 +60,24 @@ def projection_body(body):
 
 
 def _zonotope(generators):
-    """Hull of the Minkowski sum of the segments [-g, g], from one hull call.
+    """Hull of the Minkowski sum of the segments [-g, g]: one hull call on
+    the candidate vertices of `_zonotope_points`.
+
+    A projection body's generators are of order coordinate², so the squared
+    norms of their cross products are of order coordinate⁸ and overflow from
+    coordinates of about 10^38.5 on.  Any overflow raises DegenerateInput
+    (no warning), before the candidates reach the hull.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            pts = _zonotope_points(generators)
+    except FloatingPointError as exc:
+        raise DegenerateInput("projection body: generator cross products overflow: coordinates too large") from exc
+    return hull(pts)
+
+
+def _zonotope_points(generators):
+    """Candidate vertices of the Minkowski sum of the segments [-g, g].
 
     Every facet of a 3D zonotope is parallel to a pair of generators
     (g_i, g_j), and its vertices are sum_k s_k g_k for sign vectors s.  With
@@ -116,7 +133,7 @@ def _zonotope(generators):
     pts = signs[:, 0, None] * gens[0]
     for c in range(1, len(gens)):
         pts = pts + signs[:, c, None] * gens[c]
-    return hull(pts)
+    return pts
 
 
 def _zonotope_signs(gens):

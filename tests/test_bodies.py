@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -15,6 +16,7 @@ from hullkit import (
     OriginNotInterior,
     Polygon,
     Polytope3,
+    affinely_regular_polygon,
     brightness,
     brightness_many,
     central_symmetral,
@@ -22,16 +24,21 @@ from hullkit import (
     gauge,
     hausdorff_distance,
     hull,
+    illumination_body,
     illumination_body_3d,
+    kl_extension,
     minkowski_sum,
     point_body_distance,
+    point_body_distances,
+    point_hull_values,
     polar,
     projection_body,
     shadow_area,
     support,
 )
-from hullkit import bodies
-from hullkit.sampling import random_polygon, random_polytope3, regular_polygon
+from hullkit import acceptance, bodies
+from hullkit.illumination import _ray_level_solves
+from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
 from conftest import outcome, unit_vector
 
@@ -81,6 +88,21 @@ class TestHull:
         for body in (square, cube):
             with pytest.raises(DegenerateInput):
                 hull(scale * body.vertices)
+
+    @pytest.mark.parametrize("k", [-276, -400, -528])
+    def test_sliver_removal_that_leaves_too_few_points(self, k):
+        # the sliver test's squared terms underflow, so every triangle reads
+        # as flat and every point is dropped
+        v = random_polytope3(np.random.default_rng(0), 9).vertices
+        with pytest.raises(DegenerateInput, match="^hull construction failed: fewer than 4 points left"):
+            hull(v * 2.0**k)
+
+    def test_illumination_body_scaled_below_the_sliver_test(self):
+        body = random_polytope3(np.random.default_rng(7), 9)
+        v = illumination_body(body, 0.05 * body.volume).body.vertices
+        assert len(v) == 144
+        with pytest.raises(DegenerateInput, match="^hull construction failed: fewer than 4 points left"):
+            hull(v * 1e-100)
 
     @pytest.mark.parametrize("scale", [1e-162, 1e-165, 1e-200, 1e-300])
     def test_coordinates_whose_squared_distances_underflow(self, scale):
@@ -733,6 +755,11 @@ class TestPolar:
         with pytest.raises(OriginNotInterior):
             polar(square.translate([3, 0]))
 
+    def test_polar_body_out_of_range_is_named(self):
+        # the heptagon builds at 1e-160; its polar's vertices n/b are ~1e160
+        with pytest.raises(DegenerateInput, match="^polar body: coordinates too large"):
+            polar(regular_polygon(7).scale(1e-160))
+
 
 class TestMinkowski:
     def test_square_plus_square(self, square):
@@ -841,6 +868,85 @@ class TestBrightness:
             brightness(cube, [1.0, 1.0, 1.0])
 
 
+def _segment_distances(x, starts, ends):
+    d = ends - starts
+    t = np.clip(np.sum((x - starts) * d, axis=1) / np.sum(d * d, axis=1), 0.0, 1.0)
+    feet = starts + t[:, None] * d
+    return np.linalg.norm(feet - x, axis=1)
+
+
+def _loop_point_body_distance(x, body):
+    """Reference for `point_body_distances`: one point, one facet at a
+    time, with the facet's edges only where the foot of the perpendicular
+    falls outside them."""
+    x = np.asarray(x, dtype=float)
+    if body.contains(x, tol=0.0):
+        return 0.0
+    if body.dim == 2:
+        v = body.vertices
+        return float(np.min(_segment_distances(x, v, np.roll(v, -1, axis=0))))
+    best = np.inf
+    for f, loop in enumerate(body.facet_loops):
+        n = body.facet_normals[f]
+        slack = float(x @ n - body.facet_offsets[f])
+        foot = x - slack * n
+        ring = body.vertices[list(loop)]
+        edges = np.roll(ring, -1, axis=0) - ring
+        inward = bodies._cross(n, edges)
+        if np.all(np.sum((foot - ring) * inward, axis=1) >= -EPS * body.diameter):
+            best = min(best, abs(slack))
+        else:
+            best = min(best, float(np.min(_segment_distances(x, ring, np.roll(ring, -1, axis=0)))))
+    return best
+
+
+def _loop_distances(points, body):
+    return np.array([_loop_point_body_distance(x, body) for x in points])
+
+
+def _loop_hausdorff_distance(a, b):
+    return max(max(_loop_distances(a.vertices, b)), max(_loop_distances(b.vertices, a)))
+
+
+def _probe_points(rng, body):
+    """Points inside, outside, and on the body's faces, edges and vertices,
+    and just off them (1e-12 of the size of the body)."""
+    v = body.vertices
+    centre = v.sum(0) / len(v)
+    loops = [range(len(v))] if body.dim == 2 else body.facet_loops
+    faces = np.array([v[list(loop)].sum(0) / len(loop) for loop in loops])
+    ring = np.concatenate([list(loop) for loop in loops])
+    ahead = np.concatenate([np.roll(list(loop), -1) for loop in loops])
+    w = rng.uniform(size=(len(ring), 1))
+    on_edges = w * v[ring] + (1 - w) * v[ahead]
+    boundary = np.vstack((v, faces, on_edges))
+    return np.vstack((
+        boundary,
+        centre + (boundary - centre) * (1 + 1e-12),
+        centre + (boundary - centre) * (1 - 1e-12),
+        centre + (boundary - centre) * rng.uniform(0.0, 1.0, size=(len(boundary), 1)),
+        centre + (boundary - centre) * rng.uniform(1.0, 3.0, size=(len(boundary), 1)),
+        centre + rng.normal(size=(40, body.dim)) * body.diameter,
+    ))
+
+
+def _criterion_9_pairs():
+    """The (extension hull, illumination body) pairs whose Hausdorff
+    distance acceptance criterion 9 takes, from its seeded draws."""
+    rng = np.random.default_rng(109)
+    pairs = []
+    for m in range(7, 13):
+        for _ in range(3):
+            mat = acceptance._well_conditioned_matrix(rng)
+            shift = rng.normal(size=2)
+            body = affinely_regular_polygon(m, mat, shift)
+            curve = kl_extension(body, 1, 1)
+            level = float(np.mean(point_hull_values(body, curve.vertices)))
+            pairs.append((hull(curve.vertices), illumination_body(body, level - body.volume).body))
+            acceptance._perturbed_polygon(rng, body, 0.01)
+    return pairs
+
+
 class TestDistances:
     def test_point_distance_outside_corner(self, square):
         assert point_body_distance([2.0, 2.0], square) == pytest.approx(np.sqrt(2), rel=1e-12)
@@ -856,6 +962,85 @@ class TestDistances:
         grown = cube.scale(1.25)
         # farthest point of the grown cube from the cube is its corner
         assert hausdorff_distance(cube, grown) == pytest.approx(0.25 * np.sqrt(3), rel=1e-12)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_the_per_facet_loop(self, dim, square, cube):
+        rng = np.random.default_rng(40 + dim)
+        if dim == 2:
+            shapes = [square, regular_polygon(7)] + [random_polygon(rng, m) for m in range(3, 13)]
+        else:
+            shapes = [cube, polar(cube)] + [random_polytope3(rng, n) for n in (5, 8, 11)]
+        for body in shapes:
+            points = _probe_points(rng, body)
+            got = point_body_distances(points, body)
+            assert got.tobytes() == _loop_distances(points, body).tobytes()
+            assert (got == 0.0).any() and (got > 0.0).any()
+            for x in points[::17]:
+                assert point_body_distance(x, body) == _loop_point_body_distance(x, body)
+
+    def test_matches_the_per_facet_loop_on_ray_oracle_points(self):
+        # criterion 5's bodies and its ray-oracle boundary points: the gaps
+        # near 0 are where a different rounding order would show
+        rng = np.random.default_rng(105)
+        polys, tops = acceptance._random_bodies(15, 10, 10)
+        for body in polys[:3] + tops[:2]:
+            delta = rng.uniform(0.2, 1.0) * body.volume
+            level_set = illumination_body(body, delta)
+            dirs = direction_set(body.dim, 60 if body.dim == 2 else 100)
+            points = _ray_level_solves(body, dirs, level_set.level)[:, None] * dirs
+            got = point_body_distances(points, level_set.body)
+            assert got.tobytes() == _loop_distances(points, level_set.body).tobytes()
+
+    def test_hausdorff_matches_the_loop_on_criterion_9_pairs(self):
+        for a, b in _criterion_9_pairs():
+            assert hausdorff_distance(a, b) == _loop_hausdorff_distance(a, b)
+
+    def test_hausdorff_matches_the_loop_on_the_cube_24_point_body(self, cube):
+        got = illumination_body(cube, 4.0 / 3.0).body
+        corners = itertools.product((-2, -1, 1, 2), repeat=3)
+        expected = hull([p for p in corners if sorted(map(abs, p)) == [1, 1, 2]])
+        assert len(expected) == 24
+        assert hausdorff_distance(got, expected) == _loop_hausdorff_distance(got, expected)
+
+    def test_row_blocks_in_bounded_memory(self):
+        prism = hull(_prism(400))
+        assert sum(map(len, prism.facet_loops)) >= 2000
+        points = np.random.default_rng(37).normal(size=(4096, 3)) * 2.0
+        tracemalloc.start()
+        try:
+            got = point_body_distances(points, prism)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one (points, positions, 3) float array is 236 MB
+        assert peak < 32e6
+        # over a hundred row blocks: each value is the one that a call for
+        # its point alone gives
+        assert (got > 0).sum() > 2000
+        for k in range(0, len(points), 97):
+            assert got[k] == point_body_distance(points[k], prism)
+        for k in range(0, len(points), 512):
+            assert got[k] == _loop_point_body_distance(points[k], prism)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_points_of_the_wrong_dimension(self, dim, square, cube):
+        body = square if dim == 2 else cube
+        wrong = np.ones(5 - dim)
+        with pytest.raises(DimensionMismatch):
+            point_body_distance(wrong, body)
+        with pytest.raises(DimensionMismatch):
+            point_body_distances(np.ones((2, 5 - dim)), body)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points(self, dim, bad, square, cube):
+        body = square if dim == 2 else cube
+        x = np.full(dim, 2.0)
+        x[-1] = bad
+        with pytest.raises(DegenerateInput, match="finite"):
+            point_body_distance(x, body)
+        with pytest.raises(DegenerateInput, match="finite"):
+            point_body_distances([np.zeros(dim), x], body)
 
 
 # ---------------------------------------------------------------------------

@@ -287,6 +287,37 @@ class TestCli:
             code, out, err = run_cli([command[0], str(path), *command[1:]])
             assert (code, err) == (0, "")
 
+    def test_body_emptied_by_sliver_removal_is_one_line_error(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        verts = random_polytope3(np.random.default_rng(0), 9).vertices * 2.0**-276
+        path.write_text(json.dumps({"dim": 3, "vertices": verts.tolist()}))
+        commands = (["eval", "--t", "0,0,0"], ["illum", "--delta", "1e-250"], ["tcvp"],
+                    ["extend", "--k", "1", "--l", "1"], ["projbody"])
+        for command in commands:
+            code, out, err = run_cli([command[0], str(path), *command[1:]])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: hull construction failed: fewer than 4 points left after dropping")
+            assert err.count("\n") == 1
+
+    def test_projection_body_overflow_is_one_line_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        cube = [[1e40 * x, 1e40 * y, 1e40 * z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        path.write_text(json.dumps({"dim": 3, "vertices": cube}))
+        for command in ("tcvp", "projbody"):
+            code, out, err = run_cli([command, str(path)])
+            assert (code, out) == (1, "")
+            assert err.startswith("error: projection body: generator cross products overflow")
+            assert err.count("\n") == 1
+
+    def test_polar_body_out_of_range_is_named(self, tmp_path):
+        # the heptagon at 1e-160 builds, and its polar's vertices n/b are ~1e160
+        path = tmp_path / "small.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": (1e-160 * regular_polygon(7).vertices).tolist()}))
+        for command in ("tcvp", "projbody"):
+            code, out, err = run_cli([command, str(path)])
+            assert (code, out) == (1, "")
+            assert err == "error: polar body: coordinates too large: squared distances overflow\n"
+
     def test_tcvp_with_overflowing_delta_is_one_line_error(self, tmp_path):
         # square scaled by 1e153: Delta(u) is finite, its mean is not
         path = tmp_path / "big.json"

@@ -164,6 +164,14 @@ class TestZonotope:
         assert np.array_equal(zono.vertices, ref.vertices)
         assert zono.volume == pytest.approx(ref.volume, rel=1e-14, abs=0)
 
+    def test_large_coordinates(self, cube):
+        # the generators' cross products have squared norms of order
+        # coordinate^8: finite at 1e38, overflowing at 1e40
+        gens = _facet_generators(cube.scale(1e38))
+        assert np.array_equal(_zonotope(gens).vertices, _iterated_zonotope(gens).vertices)
+        with pytest.raises(DegenerateInput, match="^projection body: generator cross products overflow"):
+            projection_body(cube.scale(1e40))
+
     def test_triple_point_vertices(self):
         zono = _zonotope(TRIPLE_POINT_GENERATORS)
         assert len(zono) == 26
