@@ -57,6 +57,11 @@ def _span(pts):
     return float((pts.max(0) - pts.min(0)).max()) if len(pts) else 0.0
 
 
+#: Up to this many points, `_dedup_points` first tries to show at once that
+#: no two of them are close.
+_FEW_POINTS = 32
+
+
 def _dedup_points(pts, tol):
     """Drop points closer than tol to an earlier point (keep-first).
 
@@ -65,6 +70,8 @@ def _dedup_points(pts, tol):
     squared diagonal of their bounding box overflows.
     """
     if len(pts) < 2 or tol <= 0:
+        return pts
+    if len(pts) <= _FEW_POINTS and _far_apart(pts, tol):
         return pts
     try:
         pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
@@ -79,11 +86,56 @@ def _dedup_points(pts, tol):
     return pts[~drop]
 
 
-def _affine_rank(pts, tol):
+def _far_apart(pts, tol):
+    """Whether every two points are shown to lie more than 2 tol apart, so
+    that `cKDTree.query_pairs(tol)` finds no pair.  The test is that every
+    pairwise squared distance exceeds 4 tol²: that margin is far wider than
+    the rounding of these sums or of cKDTree's.  It is taken only where
+    4 tol² is a normal double and every |coordinate| is below 1e149, which
+    keeps every squared distance, cKDTree's bounding-box diagonal too, far
+    from overflow.  So every set whose squared distances underflow or
+    overflow goes on to cKDTree, and to its messages."""
+    if not (_TINY <= tol * tol and np.abs(pts).max() < 1e149):
+        return False
+    d = pts[:, None] - pts
+    # summed in any order, each is within a few ulps of the true sum
+    sq = (d * d) @ np.ones(pts.shape[1])
+    # a point's distance to itself is no pair
+    sq.flat[:: len(pts) + 1] = np.inf
+    return bool(sq.min() > 4 * tol * tol)
+
+
+def _affine_rank(pts, span):
+    """Rank of the centred points: their singular values above 1e-12 times
+    the largest (or above 1e-312).  `span` bounds their coordinates' extent.
+
+    Most full-rank sets are settled without an SVD, by the Gram matrix G of
+    the centred points, whose eigenvalues are the squared singular values:
+    the smallest is at least det G / tr(G)^(d-1) and the largest at most
+    tr G.  So det G > 1e-8 tr(G)^d puts the smallest singular value above
+    1e-4 times the largest, which the rounding of G, of det G and of the SVD
+    (relative 1e-9 here, for up to a million points) cannot bring down to
+    1e-12.  Extents in (1e-40, 1e40) keep G and the products in det G
+    normal doubles, with no overflow.
+    """
     if len(pts) < 2:
         return 0
-    s = np.linalg.svd(pts - pts.sum(0) / len(pts), compute_uv=False)
-    return int((s > tol * max(s[0], 1e-300)).sum())
+    c = pts - pts.sum(0) / len(pts)
+    if len(pts) <= 10**6 and 1e-40 < span < 1e40:
+        g = (c.T @ c).tolist()
+        if len(g) == 2:
+            (a, b), (d, e) = g
+            det, tr = a * e - b * d, a + e
+            bound = tr * tr
+        else:
+            (a, b, f), (d, e, h), (k, m, q) = g
+            det = a * (e * q - h * m) - b * (d * q - h * k) + f * (d * m - e * k)
+            tr = a + e + q
+            bound = tr * tr * tr
+        if det > 1e-8 * bound:
+            return len(g)
+    s = np.linalg.svd(c, compute_uv=False)
+    return int((s > 1e-12 * max(s[0], 1e-300)).sum())
 
 
 def rot90(u):
@@ -109,24 +161,23 @@ def _row_norms(a):
     return np.sqrt(_row_dots(a, a))
 
 
+# for each of three coordinates (or triangle corners), the next and the one
+# before
+_NEXT = np.array([1, 2, 0])
+_PREV = np.array([2, 0, 1])
+
+
 def _cross(a, b):
-    """a x b over the last axis, broadcasting, written out as `np.cross`
-    computes it (the same bits) without its axis handling."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    out = np.empty(np.broadcast(a, b).shape)
-    np.subtract(a1 * b2, a2 * b1, out=out[..., 0])
-    np.subtract(a2 * b0, a0 * b2, out=out[..., 1])
-    np.subtract(a0 * b1, a1 * b0, out=out[..., 2])
-    return out
+    """a x b over the last axis, broadcasting: the products and differences
+    of `np.cross` (the same bits), on whole rotated copies of the operands."""
+    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
 
 
 def _plane_basis(normals):
     """Orthonormal in-plane bases (b1, b2) for unit normals, one per row:
     b1 = n x e_x normalised (n x e_y where that is too short), b2 = n x b1."""
-    b1 = _cross(normals, np.array([1.0, 0.0, 0.0]))
-    short = _row_norms(b1) < 0.5
-    b1[short] = _cross(normals[short], np.array([0.0, 1.0, 0.0]))
+    both = _cross(normals[:, None], np.eye(2, 3))
+    b1 = np.where((_row_norms(both[:, 0]) < 0.5)[:, None], both[:, 1], both[:, 0])
     b1 /= _row_norms(b1)[:, None]
     return b1, _cross(normals, b1)
 
@@ -304,10 +355,12 @@ class Polytope3(_BodyBase):
                 raise DegenerateInput(f"facet {f} is degenerate")
             raise DegenerateInput(f"facet {f} is not planar within tolerance")
         flip = _row_dots(normals, v.sum(0) / len(v)) > offsets
-        # multiplying by 1.0 or -1.0 is exact
-        sign = np.where(flip, -1.0, 1.0)
-        normals *= sign[:, None]
-        offsets *= sign
+        flipped = bool(flip.any())
+        if flipped:
+            # multiplying by 1.0 or -1.0 is exact
+            sign = np.where(flip, -1.0, 1.0)
+            normals *= sign[:, None]
+            offsets *= sign
         areas = 0.5 * nrm
 
         if (v @ normals.T - offsets).max() > 10 * tol:
@@ -315,22 +368,28 @@ class Polytope3(_BodyBase):
 
         # consistent orientation: every edge appears in exactly two loops,
         # traversed in opposite directions (a flipped loop's edges reversed)
-        turned, ahead = flip[owner], flat[nxt]
-        heads = np.where(turned, ahead, flat)
-        tails = np.where(turned, flat, ahead)
-        keys = np.sort(heads * len(v) + tails)
+        heads, tails = flat, flat[nxt]
+        if flipped:
+            turned = flip[owner]
+            heads, tails = np.where(turned, tails, heads), np.where(turned, heads, tails)
+        keys = heads * len(v) + tails
+        keys.sort()
         if (keys[1:] == keys[:-1]).any():
             raise DegenerateInput("facet loops are not consistently oriented")
         # distinct keys have distinct reverses, so every reverse is a key
         # exactly when the two sorted arrays are equal
-        if not np.array_equal(np.sort(tails * len(v) + heads), keys):
+        reverses = tails * len(v) + heads
+        reverses.sort()
+        if not (reverses == keys).all():
             raise DegenerateInput("facet loops are not edge-consistent")
         n_edges = len(keys) // 2
         if len(v) - n_edges + len(loops) != 2:
             raise DegenerateInput("facet structure violates the Euler relation")
 
         self.vertices = v
-        self.facet_loops = tuple(loop[::-1] if turned else loop for loop, turned in zip(loops, flip.tolist()))
+        if flipped:
+            loops = [loop[::-1] if turned else loop for loop, turned in zip(loops, flip.tolist())]
+        self.facet_loops = tuple(loops)
         self.facet_normals = normals
         self.facet_offsets = offsets
         self.facet_areas = areas
@@ -369,12 +428,14 @@ def _loop_table(loops):
     ``(flat, sizes, starts, owner, nxt)``, each position's vertex, each
     loop's size and first position, and each position's loop and the
     position after it in its loop (the first, after the last)."""
-    sizes = np.array([len(loop) for loop in loops], dtype=np.int64)
-    starts = sizes.cumsum() - sizes
-    flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=int(sizes.sum()))
+    lengths = [len(loop) for loop in loops]
+    sizes = np.array(lengths, dtype=np.int64)
+    ends = sizes.cumsum()
+    starts = ends - sizes
+    flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=sum(lengths))
     owner = np.arange(len(loops)).repeat(sizes)
     nxt = np.arange(1, len(flat) + 1)
-    nxt[starts + sizes - 1] = starts
+    nxt[ends - 1] = starts
     return flat, sizes, starts, owner, nxt
 
 
@@ -434,21 +495,21 @@ def hull(points):
     the points do not span the ambient dimension.
     """
     pts = _as_points(points)
-    tol = EPS * _span(pts)
+    span = _span(pts)
+    tol = EPS * span
     kept = _dedup_points(pts, tol)
     dim = pts.shape[1]
-    if len(kept) < dim + 1 or _affine_rank(kept, 1e-12) < dim:
+    if len(kept) < dim + 1 or _affine_rank(kept, span) < dim:
         # cKDTree compares squared distances, and below the smallest normal
         # double they lose their precision or underflow to 0, so distinct
         # points can compare as coincident: a full-rank set that the merge
         # made flat at such a scale has coordinates too small to resolve
-        if len(kept) < len(pts) and tol**2 < _TINY and _affine_rank(pts, 1e-12) == dim:
+        if len(kept) < len(pts) and tol**2 < _TINY and _affine_rank(pts, span) == dim:
             raise DegenerateInput("coordinates too small: squared distances underflow")
         raise DegenerateInput("points are lower-dimensional")
-    pts = kept
     if dim == 2:
-        return Polygon(pts[_hull2_indices(pts)])
-    return _hull3(pts)
+        return Polygon(kept[_hull2_indices(kept)])
+    return _hull3(kept, span if len(kept) == len(pts) else _span(kept))
 
 
 def _hull2_indices(pts, tol=None):
@@ -493,7 +554,7 @@ def _hull2_indices(pts, tol=None):
     return np.array(ring, dtype=int)
 
 
-def _hull3(pts):
+def _hull3(pts, span):
     """Qhull-backed 3D hull with coplanar triangles merged into facet loops.
 
     Points within EPS*span of being non-extreme (flat sliver vertices from
@@ -520,8 +581,9 @@ def _hull3(pts):
       are taken again until no vertex drops.  A vertex is thus kept or
       dropped in all its facets at once, and neighbouring loops share their
       edges.  A loop is reversed where its seed normal points into the body.
+
+    ``span`` is the points' largest coordinate extent, `_span(pts)`.
     """
-    span = _span(pts)
     for _ in range(16):
         try:
             qh = ConvexHull(pts)
@@ -546,32 +608,34 @@ def _hull3(pts):
         raise DegenerateInput("hull did not stabilize after sliver removal")
 
     nv = len(pts)
+    simplices, neighbors = qh.simplices, qh.neighbors
     normals = qh.equations[:, :3]
     offsets = -qh.equations[:, 3]
-    seeds, group = _coplanar_groups(qh.neighbors, normals, offsets, EPS * span)
+    seeds, group = _coplanar_groups(neighbors, qh.equations, EPS * span)
     seed_normals = normals[seeds]
-    basis = np.stack(_plane_basis(seed_normals), axis=1)
+    basis = np.concatenate(_plane_basis(seed_normals), 1).reshape(-1, 2, 3)
     # outward orientation: the group normal must point away from the body
     inward = _row_dots(seed_normals, pts.sum(0) / nv) > offsets[seeds]
 
-    # turn each triangle counterclockwise about its normal; qhull's
-    # neighbors[:, k] lies across the edge opposite vertex k
+    # boundary edges tail -> head, keyed and sorted by (group, tail): the
+    # edge from corner k of a triangle to corner k + 1 lies opposite corner
+    # k + 2, so qhull's neighbors[:, k + 2] lies across it, and turning a
+    # triangle counterclockwise about its normal reverses each of its edges
+    tail_keys = (group * nv)[:, None] + simplices
+    head_keys = tail_keys.take(_NEXT, 1)
     turned = ((crosses * normals).sum(1) < 0)[:, None]
-    tri = np.where(turned, qh.simplices[:, ::-1], qh.simplices)
-    across = np.where(turned, qh.neighbors[:, ::-1], qh.neighbors)
-
-    # boundary edges tail -> head, keyed and sorted by (group, tail)
-    owner = group.repeat(3)
-    edge = group[across[:, [2, 0, 1]].ravel()] != owner
-    base = owner[edge] * nv
-    keys = base + tri.ravel()[edge]
+    tail_keys, head_keys = np.where(turned, head_keys, tail_keys), np.where(turned, tail_keys, head_keys)
+    edge = (group[neighbors.take(_PREV, 1)] != group[:, None]).ravel()
+    keys = tail_keys.ravel()[edge]
     order = keys.argsort()
     keys = keys[order]
-    ends = (base + tri[:, [1, 2, 0]].ravel()[edge])[order]
+    ends = head_keys.ravel()[edge][order]
     # one boundary edge starts and one ends at each (group, vertex)
     if (keys[1:] == keys[:-1]).any() or not (np.sort(ends) == keys).all():
         raise DegenerateInput("a facet boundary is not a simple cycle")
     owner, tails = np.divmod(keys, nv)
+    # every group has a boundary (no plane holds a closed surface), so
+    # `counts` has an entry for each
     counts = np.bincount(owner)
     starts = counts.cumsum() - counts
     # plane coordinates as stacked (2, 3) @ (3, 1) products: these round as
@@ -580,87 +644,117 @@ def _hull3(pts):
     local = (basis[owner] @ pts[tails][:, :, None])[:, :, 0]
     lowest = np.lexsort((local[:, 1], local[:, 0], owner))[starts]
 
-    # walk each group's cycle from its lowest point; the walk keeps the
-    # group blocks of `keys`, so `owner` holds for it unchanged
-    succ = keys.searchsorted(ends).tolist()
+    # walk each group's cycle from its lowest point
+    after = keys.searchsorted(ends)
+    ahead = after.tolist()
     path = []
     for e, count in zip(lowest.tolist(), counts.tolist()):
         for _ in range(count):
             path.append(e)
-            e = succ[e]
+            e = ahead[e]
     if len(set(path)) < len(path):
         raise DegenerateInput("a facet boundary is not a simple cycle")
     path = np.array(path)
-    vids, local = tails[path], local[path]
     extent = (np.maximum.reduceat(local, starts) - np.minimum.reduceat(local, starts)).max(1)
-    tol = EPS * span * np.maximum(extent, EPS * span)
+    tol = (EPS * span * np.maximum(extent, EPS * span))[owner]
 
+    # the turn at each position is taken between the positions before and
+    # after it in its cycle, at all positions at once, in the order of
+    # `keys`; the positions of dropped vertices are spliced out
+    before = np.empty_like(after)
+    before[after] = np.arange(len(after))
+    sizes = counts
     for _ in range(len(path)):
-        sizes = np.bincount(owner, minlength=len(seeds))
-        first = (sizes.cumsum() - sizes)[owner]
-        size = sizes[owner]
-        k = np.arange(len(owner)) - first
-        o = local[first + (k - 1) % size]
-        u, w = local - o, local[first + (k + 1) % size] - o
+        o = local[before]
+        u, w = local - o, local[after] - o
         cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
         corner = np.zeros(nv, dtype=bool)
-        corner[vids[cross > tol[owner]]] = True
-        keep = corner[vids]
+        corner[tails[cross > tol]] = True
+        keep = corner[tails]
         if keep.all():
             break
-        vids, local, owner = vids[keep], local[keep], owner[keep]
+        before, after, path = _splice_out(before, after, path, keep)
+        local, tails, owner, tol = local[keep], tails[keep], owner[keep], tol[keep]
+        sizes = np.bincount(owner, minlength=len(seeds))
 
-    # `corner` marks the vertices left in `vids`; number them in order
+    # `corner` marks the vertices left in `tails`; number them in order
     used = corner.nonzero()[0]
-    rows = (corner.cumsum() - 1)[vids].tolist()
-    bounds = np.bincount(owner, minlength=len(seeds)).cumsum().tolist()
+    rows = used.searchsorted(tails[path]).tolist()
+    bounds = sizes.cumsum().tolist()
     loops = [rows[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
     return Polytope3(pts[used], [loop[::-1] if flip else loop for loop, flip in zip(loops, inward.tolist())])
 
 
-def _coplanar_groups(neighbors, normals, offsets, offset_tol):
+def _splice_out(before, after, path, keep):
+    """Splice the positions where keep is False out of the cycles that
+    ``before`` and ``after`` (each position's predecessor and successor)
+    describe, and number the kept positions in order.  Returns the new
+    (before, after, path), ``path`` being a walk over the positions."""
+    back, ahead = before.tolist(), after.tolist()
+    for p in (~keep).nonzero()[0].tolist():
+        prev, nxt = back[p], ahead[p]
+        ahead[prev], back[nxt] = nxt, prev
+    rank = keep.cumsum() - 1
+    kept = keep.nonzero()[0]
+    return rank[np.array(back)[kept]], rank[np.array(ahead)[kept]], rank[path[keep[path]]]
+
+
+def _coplanar_groups(neighbors, planes, offset_tol):
     """Group qhull simplices into facets, as the seed search of `_hull3`.
 
+    ``planes`` are the simplices' rows (n, -b) of qhull's ``equations``.
     Returns ``(seeds, group)``: each group's lowest simplex, ascending, and
     each simplex's group index.  Two members of one group agree with its seed
     within the tolerances, so with each other within twice them.  Only
     neighbour pairs that pass that looser test (with a little slack for
     rounding) can share a group, and a simplex in none is a group alone.
-    Components over those pairs get the lowest index as label.  A component
-    all of whose members agree with that lowest simplex is one group;
-    otherwise the seed search runs on that component alone.
+    Those few pairs are joined by a union-find whose every root is the
+    lowest simplex of its component.  A component all of whose members
+    agree with that lowest simplex is one group; otherwise the seed search
+    runs on that component alone.
     """
     index = np.arange(len(neighbors))
     a = index.repeat(neighbors.shape[1])
     b = neighbors.ravel()
-    up = a < b
-    a, b = a[up], b[up]
     loose = 2.000001
-    pair = _planes_agree(normals, offsets, a, b, loose * _MERGE_NORMAL_TOL, loose * offset_tol)
+    # each neighbour pair once, as (a, b) with a < b
+    pair = _planes_agree(planes, a, b, loose * _MERGE_NORMAL_TOL, loose * offset_tol) & (a < b)
+    if not pair.any():
+        return index, index
     a, b = a[pair], b[pair]
-    label = index.copy()
-    while True:
-        low = np.minimum(label[a], label[b])
-        new = label.copy()
-        np.minimum.at(new, a, low)
-        np.minimum.at(new, b, low)
-        new = new[new]
-        if (new == label).all():
-            break
-        label = new
+    # a parent is never above its child, so every root is its component's
+    # lowest simplex
+    parent = list(range(len(neighbors)))
+
+    def root(x):
+        while parent[x] != x:
+            # path halving: point x at its grandparent, then step there
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    for x, y in zip(a.tolist(), b.tolist()):
+        x, y = root(x), root(y)
+        if x < y:
+            parent[y] = x
+        elif y < x:
+            parent[x] = y
+    # in index order, each parent already points at its root
+    for x in index.tolist():
+        parent[x] = parent[parent[x]]
+    label = np.array(parent)
     merged = (label != index).nonzero()[0]
-    agree = _planes_agree(normals, offsets, merged, label[merged], _MERGE_NORMAL_TOL, offset_tol)
-    for root in sorted(set(label[merged[~agree]].tolist())):
-        comp = (label == root).nonzero()[0]
+    agree = _planes_agree(planes, merged, label[merged], _MERGE_NORMAL_TOL, offset_tol)
+    for top in sorted(set(label[merged[~agree]].tolist())):
+        comp = (label == top).nonzero()[0]
         inside = np.isin(a, comp)
-        label[comp] = _seed_search(comp, a[inside], b[inside], normals, offsets, offset_tol)
+        label[comp] = _seed_search(comp, a[inside], b[inside], planes, offset_tol)
     # every label is a seed that labels itself, so a group's index is its
     # seed's rank
     seed = label == index
     return index[seed], (seed.cumsum() - 1)[label]
 
 
-def _seed_search(comp, a, b, normals, offsets, offset_tol):
+def _seed_search(comp, a, b, planes, offset_tol):
     """Seed of each simplex of ``comp`` (ascending) under the seed-plane
     search, walking the candidate pairs (a, b) inside the component."""
     adjacent = {s: [] for s in comp.tolist()}
@@ -671,7 +765,7 @@ def _seed_search(comp, a, b, normals, offsets, offset_tol):
     for seed in adjacent:
         if seed in seed_of:
             continue
-        near = set(comp[_planes_agree(normals, offsets, comp, seed, _MERGE_NORMAL_TOL, offset_tol)].tolist())
+        near = set(comp[_planes_agree(planes, comp, seed, _MERGE_NORMAL_TOL, offset_tol)].tolist())
         seed_of[seed] = seed
         stack = [seed]
         while stack:
@@ -682,10 +776,16 @@ def _seed_search(comp, a, b, normals, offsets, offset_tol):
     return [seed_of[s] for s in comp.tolist()]
 
 
-def _planes_agree(normals, offsets, i, j, normal_tol, offset_tol):
-    """Whether simplex planes i and j agree: unit normals within normal_tol
-    as a chord and offsets within offset_tol."""
-    return (_row_norms(normals[i] - normals[j]) <= normal_tol) & (np.abs(offsets[i] - offsets[j]) <= offset_tol)
+def _planes_agree(planes, i, j, normal_tol, offset_tol):
+    """Whether simplex planes i and j, rows (n, -b), agree: unit normals
+    within normal_tol as a chord and offsets within offset_tol.  One
+    difference of the rows gives both; |b_i - b_j| is |(-b_i) - (-b_j)|,
+    bit for bit."""
+    d = planes[i] - planes[j]
+    agree = np.abs(d[:, 3]) <= offset_tol
+    # the normals only of the few pairs whose offsets agree
+    agree[agree] = _row_norms(d[agree, :3]) <= normal_tol
+    return agree
 
 
 def _flat_sliver_vertices(pts, qh, height_tol):
@@ -698,14 +798,18 @@ def _flat_sliver_vertices(pts, qh, height_tol):
     cross product would compute them.  Returns sorted point indices and
     each triangle's cross product (p1 - p0) x (p2 - p0).
     """
-    tri = pts[qh.simplices]
-    sides = tri[:, [1, 2, 0]] - tri
+    simplices = qh.simplices
+    tri = pts[simplices]
+    sides = tri.take(_NEXT, 1) - tri
     # np.linalg.norm over an axis, without its wrapper
     lengths = np.sqrt((sides * sides).sum(2))
-    crosses = _cross(sides[:, 0], -sides[:, 2])
-    flat = _row_norms(crosses) <= height_tol * lengths.max(1)
-    # vertex opposite the longest edge is the nearly-collinear one
-    return np.unique(qh.simplices[flat, (lengths[flat].argmax(1) + 2) % 3]), crosses
+    # (p0 - p2) x (p1 - p0) is (p1 - p0) x -(p0 - p2), bit for bit
+    crosses = _cross(sides[:, 2], sides[:, 0])
+    flat = (_row_norms(crosses) <= height_tol * lengths.max(1)).nonzero()[0]
+    if len(flat):
+        # vertex opposite the longest edge is the nearly-collinear one
+        flat = np.unique(simplices[flat, (lengths[flat].argmax(1) + 2) % 3])
+    return flat, crosses
 
 
 # ---------------------------------------------------------------------------

@@ -100,7 +100,10 @@ def _zonotope_points(generators):
     """
     gens = np.asarray(generators, dtype=float)
     norms = _row_norms(gens)
-    gens, norms = gens[norms > 1e-14], norms[norms > 1e-14]
+    # every threshold is relative to the generators' norms, so that a body
+    # and its scaled copies have the same generators, seed and candidates
+    kept = norms > 1e-14 * np.max(norms, initial=0.0)
+    gens, norms = gens[kept], norms[kept]
     # each generator joins the first earlier merged generator parallel to it
     merged = np.empty_like(gens)
     m = 0
@@ -116,11 +119,16 @@ def _zonotope_points(generators):
     if len(merged) < 3:
         raise DegenerateInput("zonotope generators do not span 3-space")
     # seed with a parallelepiped of three independent generators
+    # g is independent of the seed so far when its sine with seed[0], or
+    # with the plane of seed[0] and seed[1], is above 1e-12
     seed = [merged[0]]
     for g in merged[1:]:
-        if len(seed) == 1 and np.linalg.norm(_cross(seed[0], g)) > 1e-12:
-            seed.append(g)
-        elif len(seed) == 2 and abs(_cross(seed[0], seed[1]) @ g) > 1e-12:
+        if len(seed) == 1:
+            independent = np.linalg.norm(_cross(seed[0], g)) > 1e-12 * np.linalg.norm(seed[0]) * np.linalg.norm(g)
+        else:
+            n = _cross(seed[0], seed[1])
+            independent = abs(n @ g) > 1e-12 * np.linalg.norm(n) * np.linalg.norm(g)
+        if independent:
             seed.append(g)
         if len(seed) == 3:
             break

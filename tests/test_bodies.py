@@ -1,11 +1,12 @@
 import itertools
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, cKDTree
 
 from hullkit import (
     EPS,
@@ -350,6 +351,15 @@ class TestHullMerging:
             yield np.vstack((v, v + t))
             # lam K + (1 - lam) p + t is lam K about p, moved by t
             yield np.vstack((v, lam * v + (1 - lam) * v[loop[0]] + t))
+        # 2K about a vertex p, moved by about 1e-12: its facets at p and
+        # their images are nearly coplanar, and their loops drop runs of
+        # neighbouring vertices
+        for seed in (22, 23, 27):
+            rng = np.random.default_rng(seed)
+            body = random_polytope3(rng, int(rng.integers(5, 13)))
+            v, p = body.vertices, body.vertices[body.facet_loops[0][0]]
+            rng.normal(size=3)
+            yield np.vstack((v, 2.0 * v - p + 1e-12 * rng.normal(size=3)))
 
     def test_matches_per_simplex_reference(self):
         for pts in self._reference_inputs():
@@ -357,7 +367,7 @@ class TestHullMerging:
             used = sorted({i for loop in ref_loops for i in loop})
             remap = {old: new for new, old in enumerate(used)}
             ref_loops = [[remap[i] for i in loop] for loop in ref_loops]
-            body = bodies._hull3(pts)
+            body = bodies._hull3(pts, bodies._span(pts))
             assert np.array_equal(body.vertices, ref_pts[used])
             planes = _loop_facet_planes(body.vertices, ref_loops)
             assert body.facet_loops == tuple(p[0] for p in planes)
@@ -367,7 +377,7 @@ class TestHullMerging:
 
     def test_flat_heights_match_per_length_reference(self):
         for pts in self._reference_inputs():
-            body = bodies._hull3(pts)
+            body = bodies._hull3(pts, bodies._span(pts))
             sizes = np.array([len(loop) for loop in body.facet_loops])
             starts = np.cumsum(sizes) - sizes
             owner = np.repeat(np.arange(len(sizes)), sizes)
@@ -378,7 +388,7 @@ class TestHullMerging:
 
     def test_sorted_edge_keys_match_unique_isin_reference(self):
         for pts in self._reference_inputs():
-            body = bodies._hull3(pts)
+            body = bodies._hull3(pts, bodies._span(pts))
             loops = list(body.facet_loops)
             # intact, a facet missing, a facet twice, both
             for variant in (loops, loops[1:], loops + loops[:1], loops[1:] + loops[-1:]):
@@ -447,10 +457,10 @@ def _merging(monkeypatch, pick):
     into one group, as a seed search never would."""
     groups = bodies._coplanar_groups
 
-    def merged(neighbors, normals, offsets, offset_tol):
-        seeds, group = groups(neighbors, normals, offsets, offset_tol)
+    def merged(neighbors, planes, offset_tol):
+        seeds, group = groups(neighbors, planes, offset_tol)
         label = seeds[group]
-        chosen = pick(normals)
+        chosen = pick(planes[:, :3])
         label[chosen] = np.min(label[chosen])
         return np.unique(label, return_inverse=True)
 
@@ -558,6 +568,244 @@ def test_hull_of_points_near_edges_and_faces(pts):
         return
     tol = 10 * EPS * bodies._span(body.vertices)
     assert all(body.contains(p, tol=tol) for p in pts)
+
+
+def _propagation_planes_agree(normals, offsets, i, j, normal_tol, offset_tol):
+    return (bodies._row_norms(normals[i] - normals[j]) <= normal_tol) & (np.abs(offsets[i] - offsets[j]) <= offset_tol)
+
+
+def _propagation_seed_search(comp, a, b, normals, offsets, offset_tol):
+    adjacent = {s: [] for s in comp.tolist()}
+    for x, y in zip(a.tolist(), b.tolist()):
+        adjacent[x].append(y)
+        adjacent[y].append(x)
+    seed_of = {}
+    for seed in adjacent:
+        if seed in seed_of:
+            continue
+        agree = _propagation_planes_agree(normals, offsets, comp, seed, bodies._MERGE_NORMAL_TOL, offset_tol)
+        near = set(comp[agree].tolist())
+        seed_of[seed] = seed
+        stack = [seed]
+        while stack:
+            for nb in adjacent[stack.pop()]:
+                if nb not in seed_of and nb in near:
+                    seed_of[nb] = seed
+                    stack.append(nb)
+    return [seed_of[s] for s in comp.tolist()]
+
+
+def _propagation_groups(neighbors, normals, offsets, offset_tol):
+    """Reference for `bodies._coplanar_groups`: the components of the
+    loosely agreeing neighbour pairs found by min-label propagation over
+    whole arrays, as `_hull3` grouped its simplices before the union-find."""
+    index = np.arange(len(neighbors))
+    a = index.repeat(neighbors.shape[1])
+    b = neighbors.ravel()
+    up = a < b
+    a, b = a[up], b[up]
+    loose = 2.000001
+    pair = _propagation_planes_agree(normals, offsets, a, b, loose * bodies._MERGE_NORMAL_TOL, loose * offset_tol)
+    a, b = a[pair], b[pair]
+    label = index.copy()
+    while True:
+        low = np.minimum(label[a], label[b])
+        new = label.copy()
+        np.minimum.at(new, a, low)
+        np.minimum.at(new, b, low)
+        new = new[new]
+        if (new == label).all():
+            break
+        label = new
+    merged = (label != index).nonzero()[0]
+    agree = _propagation_planes_agree(normals, offsets, merged, label[merged], bodies._MERGE_NORMAL_TOL, offset_tol)
+    for root in sorted(set(label[merged[~agree]].tolist())):
+        comp = (label == root).nonzero()[0]
+        inside = np.isin(a, comp)
+        label[comp] = _propagation_seed_search(comp, a[inside], b[inside], normals, offsets, offset_tol)
+    seed = label == index
+    return index[seed], (seed.cumsum() - 1)[label]
+
+
+def _assert_groups_match(pts):
+    """`_coplanar_groups` against the propagation reference on qhull's
+    triangulation of pts, at the merge tolerance of `_hull3` and at 10^3
+    and 10^6 times it (more and larger components, more seed searches)."""
+    qh = ConvexHull(pts)
+    eq = qh.equations
+    for factor in (1.0, 1e3, 1e6):
+        offset_tol = factor * EPS * bodies._span(pts)
+        got = bodies._coplanar_groups(qh.neighbors, eq, offset_tol)
+        want = _propagation_groups(qh.neighbors, eq[:, :3], -eq[:, 3], offset_tol)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes())
+
+
+def _hull_function_point_sets(seed):
+    """The hulls of the hull functions, K u (K + t) and K u (lam K + t), of
+    one random polytope, with t at random, along an edge and in a facet
+    plane, at lam = 0.4 and 2."""
+    rng = np.random.default_rng(seed)
+    v = random_polytope3(rng, int(rng.integers(5, 13))).vertices
+    loop = hull(v).facet_loops[0]
+    edge = 0.7 * (v[loop[1]] - v[loop[0]])
+    in_plane = 0.6 * (v[loop[2]] - v[loop[0]]) + 0.3 * edge
+    for t in (rng.normal(size=3), edge, in_plane):
+        yield np.vstack((v, v + t))
+        for lam in (0.4, 2.0):
+            yield np.vstack((v, lam * v + (1 - lam) * v[loop[0]] + t))
+
+
+class TestCoplanarGroups:
+    """The union-find of `_coplanar_groups` returns the same (seeds, group)
+    arrays, dtype and bytes, as min-label propagation."""
+
+    def test_reference_inputs(self):
+        for pts in TestHullMerging()._reference_inputs():
+            _assert_groups_match(pts)
+
+    def test_hull_function_point_sets(self):
+        for seed in range(12):
+            for pts in _hull_function_point_sets(seed):
+                _assert_groups_match(pts)
+
+    def test_drifting_fan_and_cube_faces(self):
+        # the fan's one component fails the seed test, so the seed search
+        # splits it; the cube's face points make six many-triangle groups
+        m = 24
+        th = 2 * np.pi * np.arange(m) / m
+        rim = np.column_stack((np.cos(th), np.sin(th), np.ones(m)))
+        _assert_groups_match(np.vstack(([[0.0, 0.0, 1.0 + 1e-9]], rim, rim * [1.0, 1.0, -1.0])))
+        rng = np.random.default_rng(11)
+        faces = [np.insert(rng.uniform(-0.9, 0.9, size=(5, 2)), axis, side, axis=1)
+                 for axis in range(3) for side in (-1.0, 1.0)]
+        _assert_groups_match(np.vstack([CUBE, *faces]))
+
+    def test_no_pair_returns_one_group_per_simplex(self):
+        qh = ConvexHull(np.random.default_rng(3).normal(size=(12, 3)))
+        seeds, group = bodies._coplanar_groups(qh.neighbors, qh.equations, EPS)
+        assert seeds.tolist() == group.tolist() == list(range(len(qh.simplices)))
+
+
+@settings(database=None, max_examples=200, deadline=None, derandomize=True)
+@given(pts=_near_tolerance_points())
+def test_coplanar_groups_match_propagation_near_edges_and_faces(pts):
+    _assert_groups_match(pts)
+
+
+def _kdtree_dedup(pts, tol):
+    """Reference for `bodies._dedup_points` without its broadcast test:
+    keep-first over the pairs of `cKDTree.query_pairs`."""
+    pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+    drop = np.zeros(len(pts), dtype=bool)
+    for i, j in pairs[np.argsort(pairs[:, 1])]:
+        if not drop[i]:
+            drop[j] = True
+    return pts[~drop]
+
+
+class TestDedupPoints:
+    """The broadcast test of `_dedup_points` only shows that cKDTree finds no
+    pair; wherever it does not, cKDTree decides."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
+    def test_pairs_near_the_tolerance(self, scale):
+        v = CUBE * scale
+        tol = EPS * bodies._span(v)
+        shown = 0
+        for f in (0.0, 0.5, 1.0, 2.0, 2.5):
+            for step in (f * tol, np.nextafter(f * tol, np.inf), np.nextafter(f * tol, -np.inf)):
+                for direction in ([1.0, 0.0, 0.0], np.full(3, 3**-0.5)):
+                    p = v[:3] + step * np.array(direction)
+                    for pts in (np.vstack((v, p)), np.vstack((p, v))):
+                        want = _kdtree_dedup(pts, tol)
+                        assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
+                        if bodies._far_apart(pts, tol):
+                            assert len(want) == len(pts)
+                            shown += 1
+        # twice the tolerance and beyond is shown without cKDTree
+        assert shown >= 6
+
+    def test_random_sets_and_exact_duplicates(self):
+        rng = np.random.default_rng(4)
+        for n in (2, 3, 8, 18, bodies._FEW_POINTS, bodies._FEW_POINTS + 1):
+            pts = rng.normal(size=(n, 3))
+            tol = EPS * bodies._span(pts)
+            assert bodies._far_apart(pts, tol)
+            for dup in (pts, np.vstack((pts, pts[:1])), np.vstack((pts[-1:], pts))):
+                assert bodies._dedup_points(dup, tol).tobytes() == _kdtree_dedup(dup, tol).tobytes()
+        assert not bodies._far_apart(np.vstack((CUBE, CUBE[:1])), 2 * EPS)
+
+    def test_range_messages_are_unchanged(self, cube):
+        with pytest.raises(DegenerateInput, match="^coordinates too large: squared distances overflow$"):
+            hull(1e155 * cube.vertices)
+        simplex_plus = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
+        for scale in (1e-162, 1e-200):
+            with pytest.raises(DegenerateInput, match="^coordinates too small: squared distances underflow$"):
+                hull(scale * simplex_plus)
+        # where squared distances near overflow, cKDTree raises although each
+        # one is finite, and the broadcast test leaves it to cKDTree
+        pts = 0.9e154 * np.vstack((np.eye(3), [[0.0, 0.0, 0.0]]))
+        assert not bodies._far_apart(pts, EPS * bodies._span(pts))
+        with pytest.raises(DegenerateInput, match="^coordinates too large"):
+            bodies._dedup_points(pts, EPS * bodies._span(pts))
+
+
+def _svd_rank(pts):
+    c = pts - pts.sum(0) / len(pts)
+    s = np.linalg.svd(c, compute_uv=False)
+    return int((s > 1e-12 * max(s[0], 1e-300)).sum())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_affine_rank_matches_the_svd(dim):
+    """The Gram-determinant shortcut of `_affine_rank` returns the SVD's rank
+    on sets from round to flat within 1e-15, at scales from 1e-60 to 1e60
+    (outside (1e-40, 1e40) the SVD alone decides)."""
+    rng = np.random.default_rng(dim)
+    for flatness in (1.0, 1e-2, 1e-4, 1e-6, 1e-9, 1e-12, 1e-15, 0.0):
+        for n in (dim + 1, 18, 60):
+            pts = rng.normal(size=(n, dim))
+            pts[:, -1] *= flatness
+            pts = pts @ np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+            for scale in (1e-60, 1e-39, 1e-3, 1.0, 1e7, 1e39, 1e60):
+                scaled = pts * scale
+                assert bodies._affine_rank(scaled, bodies._span(scaled)) == _svd_rank(scaled)
+
+
+def _calls_in(fn, *args):
+    """Python-level function calls (``call`` and ``c_call`` profile events)
+    that fn(*args) makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+#: 10% above the 398 calls counted with numpy 2.4 and scipy 1.17 (481 before
+#: the small-hull path was cut)
+HULL_CALLS = 437
+
+
+def test_small_hull_call_count():
+    """A cost guard on the fixed per-call work of a small 3D hull: one hull()
+    of an 18-point K u (K + t) set makes at most HULL_CALLS Python-level
+    calls, so that work added to this path fails here rather than going
+    unseen."""
+    v = random_polytope3(np.random.default_rng(1), 9).vertices
+    pts = np.vstack((v, v + [0.4, -0.3, 0.2]))
+    assert len(pts) == 18
+    hull(pts)  # first-call set-up in numpy and scipy is not per-call work
+    assert _calls_in(hull, pts) <= HULL_CALLS
 
 
 def _row_by_row_diameter(v):

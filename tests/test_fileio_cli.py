@@ -299,6 +299,15 @@ class TestCli:
             assert err.startswith("error: hull construction failed: fewer than 4 points left after dropping")
             assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("scale", [5e-3, 1e-3, 1e-7])
+    def test_small_cube_has_a_projection_body(self, tmp_path, scale):
+        path = tmp_path / "small.json"
+        cube = [[scale * x, scale * y, scale * z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
+        path.write_text(json.dumps({"dim": 3, "vertices": cube}))
+        for command in ("tcvp", "projbody"):
+            code, out, err = run_cli([command, str(path)])
+            assert (code, err) == (0, "")
+
     def test_projection_body_overflow_is_one_line_error(self, tmp_path):
         path = tmp_path / "big.json"
         cube = [[1e40 * x, 1e40 * y, 1e40 * z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]

@@ -20,7 +20,7 @@ from hullkit import (
     tcvp_check,
     translative_volume_constant,
 )
-from hullkit.projection import _zonotope
+from hullkit.projection import _zonotope, _zonotope_points
 from hullkit.sampling import (
     direction_set,
     random_polygon,
@@ -171,6 +171,21 @@ class TestZonotope:
         assert np.array_equal(_zonotope(gens).vertices, _iterated_zonotope(gens).vertices)
         with pytest.raises(DegenerateInput, match="^projection body: generator cross products overflow"):
             projection_body(cube.scale(1e40))
+
+    @pytest.mark.parametrize("scale", [5e-3, 1e-3, 1e-7])
+    def test_small_bodies(self, cube, scale):
+        # the generators are of order scale², so the seed's cross and triple
+        # products (scale⁴, scale⁶) once fell below absolute thresholds
+        want = scale**6 * projection_body(cube).volume
+        assert projection_body(cube.scale(scale)).volume == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [-60, -20, 20])
+    def test_candidates_scale_with_the_generators(self, cube, k):
+        # every threshold is relative, and scaling by 2^k is exact
+        body = random_polytope3(np.random.default_rng(6), 9)
+        for gens in (_facet_generators(cube), _facet_generators(body)):
+            want = _zonotope_points(gens) * 2.0**k
+            assert _zonotope_points(gens * 2.0**k).tobytes() == want.tobytes()
 
     def test_triple_point_vertices(self):
         zono = _zonotope(TRIPLE_POINT_GENERATORS)
