@@ -12,7 +12,7 @@ the test suite are checked relatively against it.
 from __future__ import annotations
 
 import logging
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -182,6 +182,36 @@ def _plane_basis(normals):
     return b1, _cross(normals, b1)
 
 
+#: Rows up to this long are reduced by `_row_max` across a transposed copy.
+_SHORT_ROW = 64
+
+
+def _row_max(m):
+    """``np.max(m, axis=1)``, bit for bit.  numpy reduces short rows one at a
+    time, slowly; so up to `_SHORT_ROW` columns the maxima are taken down
+    the columns of a contiguous transposed copy.  A maximum is the same
+    number in either layout, except that tied +0.0 and -0.0 (and NaN) may
+    come out with another sign or payload: rows whose maximum is 0 or NaN
+    are taken again along the row."""
+    if m.shape[1] > _SHORT_ROW:
+        return m.max(axis=1)
+    out = np.ascontiguousarray(m.T).max(axis=0)
+    redo = ~(np.abs(out) > 0)
+    if redo.any():
+        out[redo] = m[redo].max(axis=1)
+    return out
+
+
+@lru_cache(maxsize=64)
+def _successors(m):
+    """Each of m ring positions' successor, read as ``np.roll(a, -1)``
+    reads it: a cached, read-only index array."""
+    nxt = np.arange(1, m + 1)
+    nxt[-1] = 0
+    nxt.flags.writeable = False
+    return nxt
+
+
 # ---------------------------------------------------------------------------
 # body types
 
@@ -209,7 +239,7 @@ class _BodyBase:
         return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
 
     def support_many(self, dirs):
-        return np.max(np.asarray(dirs, dtype=float) @ self.vertices.T, axis=1)
+        return _row_max(np.asarray(dirs, dtype=float) @ self.vertices.T)
 
     def gauge(self, u):
         return float(self.gauge_many(np.asarray(u, dtype=float)[None, :])[0])
@@ -218,8 +248,7 @@ class _BodyBase:
         dirs = np.asarray(dirs, dtype=float)
         if np.min(self.facet_offsets) <= EPS * self.diameter:
             raise OriginNotInterior("gauge requires the origin strictly inside the body")
-        ratios = (dirs @ self.facet_normals.T) / self.facet_offsets
-        return 1.0 / np.max(ratios, axis=1)
+        return 1.0 / _row_max((dirs @ self.facet_normals.T) / self.facet_offsets)
 
     def contains(self, x, tol=None):
         if tol is None:
@@ -245,9 +274,7 @@ class Polygon(_BodyBase):
         m = len(v)
         if m < 3:
             raise DegenerateInput("a polygon needs at least 3 vertices")
-        # each vertex's (and edge's) successor, read as np.roll(a, -1) reads it
-        nxt = np.arange(1, m + 1)
-        nxt[-1] = 0
+        nxt = _successors(m)
         x, y = v[:, 0], v[:, 1]
         area2 = (x * y[nxt] - x[nxt] * y).sum()
         if area2 < 0:
@@ -339,12 +366,14 @@ class Polytope3(_BodyBase):
         raw = np.zeros((len(loops), 3))
         np.add.at(raw, owner, _cross(pts, pts[nxt]))
         nrm = _row_norms(raw)
+        # a normal whose squared norm underflows is 0/0 = NaN, and so are its
+        # heights; such a facet is named degenerate below
         with np.errstate(invalid="ignore", divide="ignore"):
             normals = raw / nrm[:, None]
-        heights, offsets = _loop_heights(pts, normals, owner, starts, sizes)
+            heights, offsets = _loop_heights(pts, normals, owner, starts, sizes)
+            # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
+            defects = np.maximum.reduceat(np.abs(heights - offsets[owner]), starts)
         facet_spans = (np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)).max(1)
-        # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
-        defects = np.maximum.reduceat(np.abs(heights - offsets[owner]), starts)
         # degeneracy is relative to the facet's own extent: genuinely tiny
         # facets (near-concurrent crease lines) are legitimate
         degenerate = (facet_spans <= 0) | (nrm <= EPS * facet_spans * facet_spans)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon, _diameter
+from .bodies import Polygon, _diameter, _successors
 from .errors import ConditionViolated, MissingIntersection, SingularMatrix
 from .hullfun import point_hull_values
 from .illumination import homothety_from_pairs
@@ -58,19 +58,12 @@ class SidelineTable:
         m = len(v)
         self.m = m
         pts = np.full((m, m, 2), np.nan)
-        dirs = np.roll(v, -1, axis=0) - v
-        lengths = np.linalg.norm(dirs, axis=1)
-        ids, nbr = np.arange(m), (np.arange(m) + 1) % m
+        ids, nbr = np.arange(m), _successors(m)
         pts[ids, nbr] = pts[nbr, ids] = v[nbr]
         # non-adjacent pairs i < j (0 and m - 1 are adjacent around the wrap)
         i, j = np.triu_indices(m, 2)
         i, j = i[j - i < m - 1], j[j - i < m - 1]
-        cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
-        meet = ~(np.abs(cross) <= PARALLEL_TOL * lengths[i] * lengths[j])
-        i, j, cross = i[meet], j[meet], cross[meet]
-        rhs = v[j] - v[i]
-        s = (rhs[:, 0] * dirs[j, 1] - rhs[:, 1] * dirs[j, 0]) / cross
-        pts[i, j] = pts[j, i] = v[i] + s[:, None] * dirs[i]
+        pts[i, j] = pts[j, i] = _meets(v, i, j)
         self.points = pts
         self.points.flags.writeable = False
 
@@ -82,12 +75,34 @@ class SidelineTable:
         array.  Raises MissingIntersection naming the first pair without a
         point, as reading the pairs one at a time would."""
         i, j = np.asarray(i) % self.m, np.asarray(j) % self.m
-        pts = self.points[i, j]
-        missing = ~np.isfinite(pts).all(axis=1)
-        if missing.any():
-            t = int(missing.argmax())
-            raise MissingIntersection(f"sidelines {i[t]} and {j[t]} do not meet in a point")
-        return pts
+        return _present(self.points[i, j], i, j)
+
+
+def _meets(v, i, j):
+    """The points L_i cap L_j of the side pairs i < j, none adjacent, as
+    (len(i), 2) rows; NaN where the sidelines are parallel.  Each point is
+    computed on its own, so a subset of pairs gives the same bits as the
+    whole table."""
+    dirs = v[_successors(len(v))] - v
+    lengths = np.linalg.norm(dirs, axis=1)
+    cross = dirs[i, 0] * dirs[j, 1] - dirs[i, 1] * dirs[j, 0]
+    meet = ~(np.abs(cross) <= PARALLEL_TOL * lengths[i] * lengths[j])
+    i, j, cross = i[meet], j[meet], cross[meet]
+    rhs = v[j] - v[i]
+    s = (rhs[:, 0] * dirs[j, 1] - rhs[:, 1] * dirs[j, 0]) / cross
+    pts = np.full((len(meet), 2), np.nan)
+    pts[meet] = v[i] + s[:, None] * dirs[i]
+    return pts
+
+
+def _present(pts, i, j):
+    """pts, the points of the side pairs (i[t], j[t]); raises
+    MissingIntersection naming the first pair without a point."""
+    missing = ~np.isfinite(pts).all(axis=1)
+    if missing.any():
+        t = int(missing.argmax())
+        raise MissingIntersection(f"sidelines {i[t]} and {j[t]} do not meet in a point")
+    return pts
 
 
 def sideline_intersections(polygon):
@@ -134,11 +149,12 @@ def extension_homothety_check(polygon, k, l):
     if 2 * (k + l + 1) >= m:
         raise ConditionViolated(f"need k + l + 1 < m/2 = {m / 2}")
     s = (k + l) // 2
-    table = SidelineTable(polygon)
     v = polygon.vertices
-    # polygon vertex v_t = p[t-1, t] maps to p[t-1-s, t+s]
+    # polygon vertex v_t = p[t-1, t] maps to p[t-1-s, t+s]; these sides are
+    # never adjacent, and only these m table entries are needed
     t = np.arange(m)
-    images = table.gather(t - 1 - s, t + s)
+    i, j = (t - 1 - s) % m, (t + s) % m
+    images = _present(_meets(v, np.minimum(i, j), np.maximum(i, j)), i, j)
     diam = _diameter(images)
     report = homothety_from_pairs(v, images, diam)
     g = point_hull_values(polygon, images)

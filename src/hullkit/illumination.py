@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, _cross, _dedup_points, _row_norms, hull
+from .bodies import EPS, Body, _cross, _dedup_points, _row_norms, _successors, hull
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -116,58 +116,71 @@ def _block_crossings(body, x0, d, level):
     den = (normals @ d[:, :, None])[:, :, 0]
     num = body.facet_offsets - (normals @ x0[:, :, None])[:, :, 0]
     mag = np.abs(den)
-    crosses = mag > 1e-14 * np.max(mag, axis=1, keepdims=True)
-    breaks = np.sort(np.divide(num, den, out=np.full((nl, nf), np.inf), where=crosses), axis=1)
+    crosses = mag > 1e-14 * mag.max(axis=1, keepdims=True)
+    breaks = np.divide(num, den, out=np.full((nl, nf), np.inf), where=crosses)
+    breaks.sort(axis=1)
     col = np.arange(nf)
-    kept = col < np.count_nonzero(crosses, axis=1)[:, None]
+    kept = col < crosses.sum(axis=1)[:, None]
     kept[:, 1:] &= breaks[:, 1:] != breaks[:, :-1]
-    breaks = np.take_along_axis(breaks, np.argsort(~kept, axis=1, kind="stable"), axis=1)
-    count = np.count_nonzero(kept, axis=1)
+    count = kept.sum(axis=1)
+    if (kept[:, 1:] > kept[:, :-1]).any():
+        # a repeat was dropped inside a row: move the kept breakpoints up front
+        breaks = np.take_along_axis(breaks, np.argsort(~kept, axis=1, kind="stable"), axis=1)
 
     # lines without breakpoints keep +inf values: above the level, no crossing
     vals = np.full((nl, nf), np.inf)
-    for k in np.unique(count[count > 0]).tolist():
-        rows = np.nonzero(count == k)[0]
-        pts = x0[rows, None, :] + breaks[rows, :k, None] * d[rows, None, :]
-        vals[rows, :k] = point_hull_values(body, pts)
-    low = np.argmin(vals, axis=1)
-    vmin = np.take_along_axis(vals, low[:, None], axis=1)[:, 0]
-    pair = np.take_along_axis(breaks, np.column_stack((low, low)), axis=1)
+    most = int(count.max())
+    if count.min() == most:
+        groups = [(most, slice(None))] if most else []
+    else:
+        groups = [(k, np.nonzero(count == k)[0]) for k in np.unique(count[count > 0]).tolist()]
+    for k, rows in groups:
+        vals[rows, :k] = point_hull_values(body, x0[rows, None, :] + breaks[rows, :k, None] * d[rows, None, :])
+    rows = np.arange(nl)
+    low = vals.argmin(axis=1)
+    vmin = vals[rows, low]
+    pair = np.empty((nl, 2))
+    pair[:, 0] = pair[:, 1] = breaks[rows, low]
     # tangency: the whole line sits on or above the level
     tangent = vmin >= level
-    pick = np.column_stack((tangent & (vmin <= level * (1 + 1e-12)), ~tangent))
-    pick[:, 0] |= pick[:, 1]
+    pick = np.empty((nl, 2), dtype=bool)
+    pick[:, 1] = ~tangent
+    pick[:, 0] = (tangent & (vmin <= level * (1 + 1e-12))) | pick[:, 1]
 
     # every other line crosses twice, between j, the breakpoint nearest its
     # minimum at or above the level on either side, and its neighbour i
-    r = np.nonzero(~tangent)[0]
-    vals, breaks, count, low = vals[r], breaks[r], count[r], low[r]
+    r = np.nonzero(pick[:, 1])[0]
+    if len(r) < nl:
+        vals, breaks, count, low = vals[r], breaks[r], count[r], low[r]
     above = (vals >= level) & (col < count[:, None])
     left = col < low[:, None]
-    j = np.column_stack(
-        (np.max(np.where(above & left, col, -1), axis=1), np.min(np.where(above & ~left, col, nf), axis=1))
-    )
+    j = np.empty((len(r), 2), dtype=np.intp)
+    j[:, 0] = np.where(above & left, col, -1).max(axis=1)
+    j[:, 1] = np.where(above & ~left, col, nf).min(axis=1)
     beyond = (j < 0) | (j == nf)
-    i = np.where(beyond, np.column_stack((np.zeros_like(count), count - 1)), j + [1, -1])
-    j = np.where(beyond, i, j)
-    bi, vi = np.take_along_axis(breaks, i, axis=1), np.take_along_axis(vals, i, axis=1)
-    bj, vj = np.take_along_axis(breaks, j, axis=1), np.take_along_axis(vals, j, axis=1)
+    i = j + [1, -1]
+    out, side = np.nonzero(beyond)
+    i[out, side] = np.where(side == 0, 0, count[out] - 1)
+    j[out, side] = i[out, side]
+    rows = np.arange(len(r))[:, None]
+    bi, vi, bj, vj = breaks[rows, i], vals[rows, i], breaks[rows, j], vals[rows, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         s = bi + (level - vi) * (bj - bi) / (vj - vi)
     # beyond the outermost breakpoint g is one linear piece; a probe one
     # breakpoint span further out gives its slope
-    span = np.take_along_axis(breaks, count[:, None] - 1, axis=1)[:, 0] - breaks[:, 0]
+    span = breaks[out, count[out] - 1] - breaks[out, 0]
     span[span == 0] = 1.0
-    out, side = np.nonzero(beyond)
-    step = np.array([-1.0, 1.0])[side]
+    step = np.where(side == 0, -1.0, 1.0)
     s_end, g_end = bi[out, side], vi[out, side]
-    probe = s_end + step * span[out]
+    probe = s_end + step * span
     far = r[out]
     g_probe = point_hull_values(body, (x0[far] + probe[:, None] * d[far])[:, None, :])[:, 0]
     slope = (g_probe - g_end) / (probe - s_end)
-    if np.any(slope * step <= 0):
+    if (slope * step <= 0).any():
         raise GeometryError("level crossing not found; body may be unbounded along the line")
-    s[out, side] = s_end + (level - g_end) / slope
+    # a level far beyond a tiny body overflows here; hull() then names it
+    with np.errstate(over="ignore"):
+        s[out, side] = s_end + (level - g_end) / slope
     pair[r] = s
     return np.nonzero(pick)[0], pair[pick]
 
@@ -233,7 +246,7 @@ def _facet_lines(body):
     """
     if body.dim == 2:
         v = body.vertices
-        return v, np.roll(v, -1, axis=0) - v
+        return v, v[_successors(len(v))] - v
     normals, offsets = body.facet_normals, body.facet_offsets
     i, j = np.triu_indices(len(normals), 1)
     d = _cross(normals[i], normals[j])

@@ -881,6 +881,14 @@ class TestPolytope3Validation:
         with pytest.raises(DegenerateInput, match="Euler relation"):
             Polytope3(v, cube.facet_loops)
 
+    def test_underflowing_normals_are_degenerate_without_warnings(self):
+        # every Newell normal's squared norm underflows, so each normal is
+        # 0/0; the heights and defects of those NaN normals warn nowhere
+        # (pytest turns warnings into errors) before the one typed error
+        body = random_polytope3(np.random.default_rng(0), 9)
+        with pytest.raises(DegenerateInput, match="^facet 0 is degenerate$"):
+            body.scale(1e-100)
+
     def test_loops_face_outward_whatever_their_input_direction(self, cube):
         flipped = Polytope3(cube.vertices, [loop[::-1] for loop in cube.facet_loops])
         assert flipped.facet_loops == cube.facet_loops
@@ -964,6 +972,52 @@ class TestSupportGauge:
                 u = unit_vector(rng, body.dim)
                 assert gauge(dual, u) * support(body, u) == pytest.approx(1.0, rel=1e-9)
                 assert support(dual, u) * gauge(body, u) == pytest.approx(1.0, rel=1e-9)
+
+    def test_row_maxima_match_np_max_bit_for_bit(self):
+        # bodies with fewer and with more than bodies._SHORT_ROW vertices and
+        # facets, so that both reduction layouts are compared
+        rng = np.random.default_rng(13)
+        sphere = direction_set(3, 150)
+        cases = [random_polygon(rng, 7), regular_polygon(12), regular_polygon(100),
+                 random_polytope3(rng, 9), hull(sphere), polar(hull(sphere))]
+        sizes = [(len(body), len(body.facet_offsets)) for body in cases]
+        assert min(map(min, sizes)) <= bodies._SHORT_ROW < max(map(min, sizes))
+        for body in cases:
+            dirs = direction_set(body.dim, {2: 720, 3: 1024}[body.dim])
+            got = body.support_many(dirs)
+            assert got.tobytes() == np.max(dirs @ body.vertices.T, axis=1).tobytes()
+            ratios = (dirs @ body.facet_normals.T) / body.facet_offsets
+            assert body.gauge_many(dirs).tobytes() == (1.0 / np.max(ratios, axis=1)).tobytes()
+            if body.dim == 2:
+                w = np.column_stack((-dirs[:, 1], dirs[:, 0]))
+                want = np.max(w @ body.vertices.T, axis=1) + np.max(-w @ body.vertices.T, axis=1)
+                assert brightness_many(body, dirs).tobytes() == want.tobytes()
+
+    @staticmethod
+    def _tied_zero_rows(cols):
+        rng = np.random.default_rng(cols)
+        m = np.where(rng.random((400, cols)) < 0.5, 0.0, -0.0)
+        m[rng.random(m.shape) < 0.3] = -1.0
+        m[7, 3] = np.nan
+        m[8, :] = np.nan
+        return m
+
+    def test_transposed_layout_alone_changes_signed_zeros(self):
+        # why `_row_max` takes zero maxima again: down the columns, tied
+        # +0.0 and -0.0 rows of 9 columns come out with other signs
+        m = self._tied_zero_rows(9)
+        across = np.ascontiguousarray(m.T).max(axis=0)
+        assert across.tobytes() != np.max(m, axis=1).tobytes()
+
+    @pytest.mark.parametrize("cols", [9, 10, 16, 17, 25, 33])
+    def test_tied_signed_zero_and_nan_maxima(self, cols):
+        m = self._tied_zero_rows(cols)
+        assert bodies._row_max(m).tobytes() == np.max(m, axis=1).tobytes()
+        # the same through a body: zero directions tie +0.0 and -0.0 products
+        body = regular_polygon(cols)
+        dirs = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [np.nan, 0.0], [1.0, 0.0]])
+        want = np.max(dirs @ body.vertices.T, axis=1)
+        assert body.support_many(dirs).tobytes() == want.tobytes()
 
     def test_gauge_needs_interior_origin(self, square):
         with pytest.raises(OriginNotInterior):

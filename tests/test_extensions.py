@@ -312,6 +312,17 @@ class TestGather:
             table.gather([0, 2, 3, 0], [1, 5, 0, 3])
         assert table.gather([0, -1], [7, 3]).tobytes() == table.points[[0, 5], [1, 3]].tobytes()
 
+    def test_extension_check_names_the_first_missing_pair(self):
+        # an octagon whose sides 0 and 3 are parallel: the (1, 1) check maps
+        # v_2 to p[0, 3], and reads only its own m sideline pairs
+        ang = np.concatenate((np.pi * np.arange(4) / 3, np.pi + np.pi * np.arange(1, 5) / 5))
+        lengths = np.array([1.0, 1.0, 1.0, 1.0] + [np.sqrt(3) / np.sum(np.sin(np.pi * np.arange(1, 5) / 5))] * 4)
+        edges = lengths[:, None] * np.column_stack((np.cos(ang), np.sin(ang)))
+        octagon = Polygon(np.cumsum(edges, axis=0) - edges)
+        with pytest.raises(MissingIntersection, match="^sidelines 0 and 3 do not meet in a point$"):
+            extension_homothety_check(octagon, 1, 1)
+        _assert_gather_matches_loop(octagon, [(1, 1)])
+
 
 @st.composite
 def _nearly_parallel_polygon(draw):

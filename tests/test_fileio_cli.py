@@ -287,6 +287,22 @@ class TestCli:
             code, out, err = run_cli([command[0], str(path), *command[1:]])
             assert (code, err) == (0, "")
 
+    @pytest.mark.parametrize("k", [-510, -516, -520, -530])
+    def test_tiny_heptagon_illum_warns_nowhere(self, tmp_path, k):
+        # from 2^-516 on, delta = 0.5 puts the level so far beyond the body
+        # that the outer crossings overflow; hull() then names the overflow
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": (2.0**k * regular_polygon(7).vertices).tolist()}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(["illum", str(path), "--delta", "0.5"])
+        assert [str(w.message) for w in caught] == []
+        if k == -510:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, out) == (1, "")
+            assert err == "error: coordinates too large: squared distances overflow\n"
+
     def test_body_emptied_by_sliver_removal_is_one_line_error(self, tmp_path):
         path = tmp_path / "tiny.json"
         verts = random_polytope3(np.random.default_rng(0), 9).vertices * 2.0**-276

@@ -30,17 +30,23 @@ from conftest import unit_vector
 # breakpoints out from the minimum.  ``seen`` collects which branches ran.
 
 
-def _breakpoints(body, x0, d):
-    """Where the line crosses facet planes, ascending, and the values there."""
+def _breakpoints(body, x0, d, seen=None):
+    """Where the line crosses facet planes, ascending, and the values there.
+    Marks "repeat" in seen where np.unique drops a breakpoint that has a
+    larger, kept one after it (so the batched kernel compacts its row)."""
     den = body.facet_normals @ d
     num = body.facet_offsets - body.facet_normals @ x0
     mask = np.abs(den) > 1e-14 * np.max(np.abs(den))
-    breaks = np.unique(num[mask] / den[mask])
+    raw = np.sort(num[mask] / den[mask])
+    kept = np.concatenate(([True], raw[1:] != raw[:-1]))
+    if seen is not None and np.any(kept[1:] > kept[:-1]):
+        seen.add("repeat")
+    breaks = np.unique(raw)
     return breaks, point_hull_values(body, x0 + breaks[:, None] * d)
 
 
 def _loop_line_crossings(body, x0, d, level, seen):
-    breaks, vals = _breakpoints(body, x0, d)
+    breaks, vals = _breakpoints(body, x0, d, seen)
     if len(breaks) == 0:
         return []
     imin = int(np.argmin(vals))
@@ -119,6 +125,9 @@ def _kernel_cases():
         "prism5": hull(np.vstack([np.column_stack((prism, np.full(5, z))) for z in (-1.0, 1.0)])),
         "polytope9": random_polytope3(rng, 9),
         "polytope12": random_polytope3(rng, 12),
+        # degree-4 vertices: lines through them meet two facet planes there
+        "octahedron": hull(np.vstack((np.eye(3), -np.eye(3)))),
+        "pyramid4": hull([[1, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0], [0, 0, 1.5]]),
     }
 
 
@@ -185,24 +194,26 @@ class TestBatchedLineSolves:
         ref = _loop_candidates(body, level, set())
         got = _batched_candidates(body, level)
         assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()
 
     def test_every_branch_is_compared(self):
         # probes beyond the outermost breakpoint (every sideline of the square),
-        # lines that miss the level (far facet pairs at a small delta) and
-        # lines that touch it in one point all occur among the cases above
+        # lines that miss the level (far facet pairs at a small delta),
+        # lines that touch it in one point and repeated breakpoints inside a
+        # line (through the octahedron's vertices) all occur among the cases
+        # above
         seen = set()
         for body in KERNEL_CASES.values():
             for factor in (0.05, 0.5, 2.0):
                 _loop_candidates(body, body.volume + factor * body.volume, seen)
-        assert {"probe", "tangent"} <= seen
+        assert {"probe", "tangent", "repeat"} <= seen
         # at the minimum of the line that lies highest, that line touches
         body = KERNEL_CASES["polytope12"]
         level = max(np.min(_breakpoints(body, x0, d)[1]) for x0, d in _loop_lines(body))
         seen = set()
         ref = _loop_candidates(body, level, seen)
         assert "touch" in seen
-        assert np.array_equal(_batched_candidates(body, level), ref)
+        assert _batched_candidates(body, level).tobytes() == ref.tobytes()
 
 
 class TestIlluminationBody2D:
