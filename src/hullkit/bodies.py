@@ -57,8 +57,8 @@ def _span(pts):
     return float((pts.max(0) - pts.min(0)).max()) if len(pts) else 0.0
 
 
-#: Up to this many points, `_dedup_points` first tries to show at once that
-#: no two of them are close.
+#: Up to this many points, `_far_apart` compares every two of them; above,
+#: it sorts their coordinates.
 _FEW_POINTS = 32
 
 
@@ -69,9 +69,7 @@ def _dedup_points(pts, tol):
     it works with squared distances, and refuses (ValueError) once the
     squared diagonal of their bounding box overflows.
     """
-    if len(pts) < 2 or tol <= 0:
-        return pts
-    if len(pts) <= _FEW_POINTS and _far_apart(pts, tol):
+    if len(pts) < 2 or tol <= 0 or _far_apart(pts, tol):
         return pts
     try:
         pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
@@ -88,15 +86,21 @@ def _dedup_points(pts, tol):
 
 def _far_apart(pts, tol):
     """Whether every two points are shown to lie more than 2 tol apart, so
-    that `cKDTree.query_pairs(tol)` finds no pair.  The test is that every
-    pairwise squared distance exceeds 4 tol²: that margin is far wider than
-    the rounding of these sums or of cKDTree's.  It is taken only where
-    4 tol² is a normal double and every |coordinate| is below 1e149, which
-    keeps every squared distance, cKDTree's bounding-box diagonal too, far
-    from overflow.  So every set whose squared distances underflow or
+    that `cKDTree.query_pairs(tol)` finds no pair.  Up to `_FEW_POINTS`
+    points the test is that every pairwise squared distance exceeds 4 tol²;
+    above, that on some axis every gap between consecutive sorted
+    coordinates exceeds 2 tol, so that every two points differ by more than
+    2 tol on that axis.  Either margin is far wider than the rounding of
+    these sums and differences or of cKDTree's.  The test is taken only
+    where 4 tol² is a normal double and every |coordinate| is below 1e149,
+    which keeps every squared distance, cKDTree's bounding-box diagonal too,
+    far from overflow.  So every set whose squared distances underflow or
     overflow goes on to cKDTree, and to its messages."""
     if not (_TINY <= tol * tol and np.abs(pts).max() < 1e149):
         return False
+    if len(pts) > _FEW_POINTS:
+        ordered = np.sort(pts, axis=0)
+        return bool((ordered[1:] - ordered[:-1]).min(0).max() > 2 * tol)
     d = pts[:, None] - pts
     # summed in any order, each is within a few ulps of the true sum
     sq = (d * d) @ np.ones(pts.shape[1])
@@ -165,19 +169,29 @@ def _row_norms(a):
 # before
 _NEXT = np.array([1, 2, 0])
 _PREV = np.array([2, 0, 1])
+_AXES = np.arange(3)
+_UNIT = np.eye(3)
+
+#: Up to this many elements, `take` makes `_cross`'s rotated copies faster
+#: than indexing does; beyond, it is slower (about 3x at 2 000).
+_TAKE_SIZE = 384
 
 
 def _cross(a, b):
     """a x b over the last axis, broadcasting: the products and differences
     of `np.cross` (the same bits), on whole rotated copies of the operands."""
-    return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+    if max(a.size, b.size) <= _TAKE_SIZE:
+        return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
+    return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
 
 
 def _plane_basis(normals):
     """Orthonormal in-plane bases (b1, b2) for unit normals, one per row:
     b1 = n x e_x normalised (n x e_y where that is too short), b2 = n x b1."""
-    both = _cross(normals[:, None], np.eye(2, 3))
-    b1 = np.where((_row_norms(both[:, 0]) < 0.5)[:, None], both[:, 1], both[:, 0])
+    b1 = _cross(normals, _UNIT[0])
+    short = _row_norms(b1) < 0.5
+    if short.any():
+        b1[short] = _cross(normals[short], _UNIT[1])
     b1 /= _row_norms(b1)[:, None]
     return b1, _cross(normals, b1)
 
@@ -321,31 +335,34 @@ class Polygon(_BodyBase):
         return Polygon(-self.vertices)
 
     @property
-    def _boundary_loops(self):
+    def _loops(self):
         """The vertex ring as one loop, the boundary of the polygon's one
-        2-face, as `Polytope3.facet_loops` are its facets' boundaries."""
-        return (range(len(self.vertices)),)
+        2-face, as `Polytope3`'s loops are its facets' boundaries."""
+        m = len(self.vertices)
+        return _LoopTable(np.arange(m), np.array([m]))
 
 
 class Polytope3(_BodyBase):
     """Convex polytope in 3-space: vertices plus merged planar facets.
 
     Each facet is a CCW vertex-index loop (seen from outside) together with
-    its outward unit normal and plane offset.  Construction validates
-    planarity, containment of every vertex in every facet halfspace, loop
-    consistency (each edge shared by exactly two facets) and Euler's relation
-    V - E + F = 2.
+    its outward unit normal and plane offset.  Construction validates that
+    each loop is a simple cycle (no vertex twice), planarity, containment of
+    every vertex in every facet halfspace, loop consistency (each edge
+    shared by exactly two facets) and Euler's relation V - E + F = 2.
 
-    Validation is one pass over the flat table of loop positions.  Newell
-    normals add each loop's terms in loop order from zero, as a sum over a
-    loop axis does (``np.add.at``; ``np.add.reduceat`` rounds differently).
-    Each height is one row of a stacked (2, 3) @ (3, 1) product, which
-    rounds as a loop's (k, 3) @ (3, 1) product does.  An offset is the mean
-    of its loop's heights: summed in loop order for loops of fewer than 8
-    vertices, which is what `np.mean` does there, and taken with `np.mean`
-    per loop length from 8 vertices on, where it sums pairwise.  The edge
-    checks work on the sorted integer keys ``head * V + tail`` of the
-    directed loop edges.
+    Validation is one pass over the flat table of loop positions
+    (`_LoopTable`): `hull()` hands over the table it has built, and the
+    loops of any other caller are put into one first.  Newell normals add
+    each loop's terms in loop order from zero, as a sum over a loop axis
+    does (``np.bincount`` with weights, as ``np.add.at`` would;
+    ``np.add.reduceat`` rounds differently).  Each height is one row of a
+    stacked (2, 3) @ (3, 1) product, which rounds as a loop's (k, 3) @
+    (3, 1) product does.  An offset is the mean of its loop's heights:
+    summed in loop order for loops of fewer than 8 vertices, which is what
+    `np.mean` does there, and taken with `np.mean` per loop length from 8
+    vertices on, where it sums pairwise.  The edge checks work on the sorted
+    integer keys ``head * V + tail`` of the directed loop edges.
     """
 
     dim = 3
@@ -354,17 +371,26 @@ class Polytope3(_BodyBase):
         v = _as_points(vertices, dim=3).copy()
         if len(v) < 4:
             raise DegenerateInput("a 3-polytope needs at least 4 vertices")
-        loops = [tuple(map(int, loop)) for loop in facet_loops]
-        if len(loops) < 4 or min(map(len, loops)) < 3:
+        table = facet_loops if isinstance(facet_loops, _LoopTable) else _LoopTable.of(facet_loops)
+        flat, sizes, starts, owner, nxt = table.flat, table.sizes, table.starts, table.owner, table.nxt
+        n_loops = len(sizes)
+        if n_loops < 4 or sizes.min() < 3:
             raise DegenerateInput("a 3-polytope needs at least 4 facets with 3+ vertices each")
-        flat, sizes, starts, owner, nxt = _loop_table(loops)
         if flat.min() < 0 or flat.max() >= len(v):
             raise DegenerateInput("a facet loop refers to a missing vertex")
+        # a loop is a simple cycle: no vertex twice in one loop
+        members = owner * len(v) + flat
+        members.sort()
+        if (members[1:] == members[:-1]).any():
+            raise DegenerateInput("a facet loop repeats a vertex")
         tol = max(EPS * _span(v), 1e-300)
 
-        pts = v[flat]
-        raw = np.zeros((len(loops), 3))
-        np.add.at(raw, owner, _cross(pts, pts[nxt]))
+        # row gathers by `take`, several times faster than indexing
+        pts = v.take(flat, 0)
+        # the Newell sums: `np.bincount` adds each loop's terms in loop
+        # order from +0.0
+        terms = _cross(pts, pts.take(nxt, 0)).ravel()
+        raw = np.bincount(((3 * owner)[:, None] + _AXES).ravel(), terms, 3 * n_loops).reshape(-1, 3)
         nrm = _row_norms(raw)
         # a normal whose squared norm underflows is 0/0 = NaN, and so are its
         # heights; such a facet is named degenerate below
@@ -373,7 +399,8 @@ class Polytope3(_BodyBase):
             heights, offsets = _loop_heights(pts, normals, owner, starts, sizes)
             # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
             defects = np.maximum.reduceat(np.abs(heights - offsets[owner]), starts)
-        facet_spans = (np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)).max(1)
+        extents = np.maximum.reduceat(pts, starts) - np.minimum.reduceat(pts, starts)
+        facet_spans = np.maximum(np.maximum(extents[:, 0], extents[:, 1]), extents[:, 2])
         # degeneracy is relative to the facet's own extent: genuinely tiny
         # facets (near-concurrent crease lines) are legitimate
         degenerate = (facet_spans <= 0) | (nrm <= EPS * facet_spans * facet_spans)
@@ -384,23 +411,24 @@ class Polytope3(_BodyBase):
                 raise DegenerateInput(f"facet {f} is degenerate")
             raise DegenerateInput(f"facet {f} is not planar within tolerance")
         flip = _row_dots(normals, v.sum(0) / len(v)) > offsets
-        flipped = bool(flip.any())
-        if flipped:
+        if flip.any():
             # multiplying by 1.0 or -1.0 is exact
             sign = np.where(flip, -1.0, 1.0)
             normals *= sign[:, None]
             offsets *= sign
+            table = table.reversed(flip)
+            flat, nxt = table.flat, table.nxt
         areas = 0.5 * nrm
 
-        if (v @ normals.T - offsets).max() > 10 * tol:
+        # rounding is monotone, so max_i fl(a_ij - b_j) is fl(max_i a_ij - b_j)
+        # (NaN included): the column maxima decide, bit for bit, what the
+        # whole (V, F) array of slacks would
+        if ((v @ normals.T).max(0) - offsets).max() > 10 * tol:
             raise DegenerateInput("a vertex lies outside a facet halfspace")
 
         # consistent orientation: every edge appears in exactly two loops,
-        # traversed in opposite directions (a flipped loop's edges reversed)
+        # traversed in opposite directions
         heads, tails = flat, flat[nxt]
-        if flipped:
-            turned = flip[owner]
-            heads, tails = np.where(turned, tails, heads), np.where(turned, heads, tails)
         keys = heads * len(v) + tails
         keys.sort()
         if (keys[1:] == keys[:-1]).any():
@@ -412,13 +440,11 @@ class Polytope3(_BodyBase):
         if not (reverses == keys).all():
             raise DegenerateInput("facet loops are not edge-consistent")
         n_edges = len(keys) // 2
-        if len(v) - n_edges + len(loops) != 2:
+        if len(v) - n_edges + n_loops != 2:
             raise DegenerateInput("facet structure violates the Euler relation")
 
         self.vertices = v
-        if flipped:
-            loops = [loop[::-1] if turned else loop for loop, turned in zip(loops, flip.tolist())]
-        self.facet_loops = tuple(loops)
+        self._loops = table
         self.facet_normals = normals
         self.facet_offsets = offsets
         self.facet_areas = areas
@@ -426,46 +452,76 @@ class Polytope3(_BodyBase):
         for arr in (self.vertices, self.facet_normals, self.facet_offsets, self.facet_areas):
             arr.flags.writeable = False
 
+    @cached_property
+    def facet_loops(self):
+        """The facet loops, outward, as tuples of vertex indices: built from
+        the validated table on first read and then kept."""
+        return self._loops.loops()
+
     def __repr__(self):
         return f"Polytope3({len(self)} vertices, {len(self.facet_loops)} facets, volume={self._volume:.6g})"
 
     def translate(self, t):
-        return Polytope3(self.vertices + np.asarray(t, dtype=float), self.facet_loops)
+        return Polytope3(self.vertices + np.asarray(t, dtype=float), self._loops)
 
     def scale(self, s):
         s = float(s)
         if s == 0:
             raise DegenerateInput("scale factor must be nonzero")
         if s > 0:
-            return Polytope3(self.vertices * s, self.facet_loops)
-        return Polytope3(self.vertices * s, [loop[::-1] for loop in self.facet_loops])
+            return Polytope3(self.vertices * s, self._loops)
+        return Polytope3(self.vertices * s, self._every_loop_reversed())
 
     def negate(self):
-        return Polytope3(-self.vertices, [loop[::-1] for loop in self.facet_loops])
+        return Polytope3(-self.vertices, self._every_loop_reversed())
 
-    @property
-    def _boundary_loops(self):
-        return self.facet_loops
+    def _every_loop_reversed(self):
+        return self._loops.reversed(np.ones(len(self._loops.sizes), dtype=bool))
 
 
 #: A convex body is either a Polygon or a Polytope3.
 Body = Polygon | Polytope3
 
 
-def _loop_table(loops):
+class _LoopTable:
     """The flat table of the positions of vertex-index loops, in loop order:
-    ``(flat, sizes, starts, owner, nxt)``, each position's vertex, each
-    loop's size and first position, and each position's loop and the
-    position after it in its loop (the first, after the last)."""
-    lengths = [len(loop) for loop in loops]
-    sizes = np.array(lengths, dtype=np.int64)
-    ends = sizes.cumsum()
-    starts = ends - sizes
-    flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=sum(lengths))
-    owner = np.arange(len(loops)).repeat(sizes)
-    nxt = np.arange(1, len(flat) + 1)
-    nxt[ends - 1] = starts
-    return flat, sizes, starts, owner, nxt
+    each position's vertex (``flat``), each loop's size and first position
+    (``sizes``, ``starts``), and each position's loop (``owner``) and the
+    position after it in its loop (``nxt``: the first, after the last).  A
+    loop may be empty."""
+
+    __slots__ = ("flat", "sizes", "starts", "owner", "nxt")
+
+    def __init__(self, flat, sizes):
+        self.flat, self.sizes = flat, sizes
+        ends = sizes.cumsum()
+        self.starts = ends - sizes
+        self.owner = np.arange(len(sizes)).repeat(sizes)
+        self.nxt = np.arange(1, len(flat) + 1)
+        full = sizes > 0
+        self.nxt[ends[full] - 1] = self.starts[full]
+
+    @classmethod
+    def of(cls, loops):
+        """The table of a sequence of loops of vertex indices."""
+        loops = [tuple(map(int, loop)) for loop in loops]
+        lengths = [len(loop) for loop in loops]
+        flat = np.fromiter(chain.from_iterable(loops), dtype=np.int64, count=sum(lengths))
+        return cls(flat, np.array(lengths, dtype=np.int64))
+
+    def reversed(self, turn):
+        """The table with the loops where ``turn`` is True reversed."""
+        at = np.arange(len(self.flat))
+        turned = turn[self.owner]
+        # position j of a loop at s of size k is read from s + k - 1 - j
+        at[turned] = (2 * self.starts + self.sizes - 1)[self.owner[turned]] - at[turned]
+        return _LoopTable(self.flat[at], self.sizes)
+
+    def loops(self):
+        """The loops as tuples of Python ints."""
+        rows = self.flat.tolist()
+        bounds = self.starts.tolist()
+        return tuple([tuple(rows[lo:lo + k]) for lo, k in zip(bounds, self.sizes.tolist())])
 
 
 def _loop_heights(pts, normals, owner, starts, sizes):
@@ -474,13 +530,12 @@ def _loop_heights(pts, normals, owner, starts, sizes):
 
     A (2, 3) @ (3, 1) product rounds each row as a loop's (k, 3) @ (3, 1)
     product does (a (1, 3) @ (3, 1) product does not), so each position's
-    row is taken twice.  `np.mean` adds fewer than 8 terms in order, as
-    ``np.add.at`` does, and 8 or more pairwise, so those loops take it per
-    loop length.
+    row is taken twice.  `np.mean` adds fewer than 8 terms in order from
+    +0.0, as ``np.bincount`` does, and 8 or more pairwise, so those loops
+    take it per loop length.
     """
-    heights = (pts[:, None].repeat(2, 1) @ normals[owner][:, :, None])[:, 0, 0]
-    offsets = np.zeros(len(sizes))
-    np.add.at(offsets, owner, heights)
+    heights = (pts[:, None].repeat(2, 1) @ normals.take(owner, 0)[:, :, None])[:, 0, 0]
+    offsets = np.bincount(owner, heights, len(sizes))
     offsets /= sizes
     for size in sorted(set(sizes[sizes >= 8].tolist())):
         fs = (sizes == size).nonzero()[0]
@@ -496,20 +551,44 @@ _BLOCK = 1 << 20
 def _diameter(v):
     """Largest distance between two rows of v.  The squared distances are
     summed one coordinate at a time, in the order that a sum over a last
-    axis of length 2 or 3 adds them, so with that sum's rounding.  Rows i
-    are taken in blocks against the rows j >= the block's first, so the
-    temporaries stay near 8 MB; (i, j) and (j, i) give the same bits."""
+    axis of length 2 or 3 adds them, so with that sum's rounding.
+
+    Above `_FEW_POINTS` rows, only rows that can reach the largest are
+    paired.  With r_i the distance of row i from the centroid, a pair at
+    distance D has r_i + r_j >= D.  The farthest row from the centroid and
+    its farthest row give a real pair, whose squared distance L² the full
+    pass also takes; so every pair at the largest has both rows with
+    (r_i + max r)² >= L², which a factor 1 + 1e-12 keeps true through the
+    rounding of r.  That holds where L² is a normal double far above
+    underflow and finite; elsewhere every row is paired.  The largest
+    squared distance is the same number, bit for bit.
+    """
+    if len(v) > _FEW_POINTS:
+        c = v - v.sum(0) / len(v)
+        r = np.sqrt((c * c) @ np.ones(v.shape[1]))
+        far = r.argmax()
+        worst = float(_sq_distances(v, v[far:far + 1]).max())
+        reach = float(r[far])
+        if 1e-250 <= worst < np.inf and reach < np.inf:
+            v = v.compress((r + reach) ** 2 * (1.0 + 1e-12) >= worst, 0)
     best = 0.0
+    # rows i are taken in blocks against the rows j >= the block's first,
+    # so the temporaries stay near 8 MB; (i, j) and (j, i) give the same bits
     rows = max(1, _BLOCK // len(v))
     for lo in range(0, len(v), rows):
-        block, rest = v[lo:lo + rows], v[lo:]
-        sq = np.zeros((len(block), len(rest)))
-        for c, r in zip(block.T, rest.T):
-            d = c[:, None] - r
-            d *= d
-            sq += d
-        best = max(best, float(sq.max()))
+        best = max(best, float(_sq_distances(v[lo:lo + rows], v[lo:]).max()))
     return float(np.sqrt(best))
+
+
+def _sq_distances(a, b):
+    """Squared distances of the rows of a to those of b, (len(a), len(b)),
+    summed one coordinate at a time."""
+    sq = np.zeros((len(a), len(b)))
+    for c, r in zip(a.T, b.T):
+        d = c[:, None] - r
+        d *= d
+        sq += d
+    return sq
 
 
 # ---------------------------------------------------------------------------
@@ -611,6 +690,12 @@ def _hull3(pts, span):
       dropped in all its facets at once, and neighbouring loops share their
       edges.  A loop is reversed where its seed normal points into the body.
 
+    Apart from the seed search of a component that fails the seed test, no
+    step loops in Python over points, triangles or loop positions: the
+    groups' components and each position's place along its cycle are found
+    by pointer jumping, and the loops go to `Polytope3` as the table
+    (`_LoopTable`) they already form.
+
     ``span`` is the points' largest coordinate extent, `_span(pts)`.
     """
     for _ in range(16):
@@ -641,7 +726,8 @@ def _hull3(pts, span):
     normals = qh.equations[:, :3]
     offsets = -qh.equations[:, 3]
     seeds, group = _coplanar_groups(neighbors, qh.equations, EPS * span)
-    seed_normals = normals[seeds]
+    # row gathers by `take`, several times faster than indexing
+    seed_normals = normals.take(seeds, 0)
     basis = np.concatenate(_plane_basis(seed_normals), 1).reshape(-1, 2, 3)
     # outward orientation: the group normal must point away from the body
     inward = _row_dots(seed_normals, pts.sum(0) / nv) > offsets[seeds]
@@ -652,15 +738,20 @@ def _hull3(pts, span):
     # triangle counterclockwise about its normal reverses each of its edges
     tail_keys = (group * nv)[:, None] + simplices
     head_keys = tail_keys.take(_NEXT, 1)
-    turned = ((crosses * normals).sum(1) < 0)[:, None]
+    # the sign of a sum over the last axis, which adds from +0.0
+    facing = crosses * normals
+    turned = (facing[:, 0] + facing[:, 1] + facing[:, 2] < 0)[:, None]
     tail_keys, head_keys = np.where(turned, head_keys, tail_keys), np.where(turned, tail_keys, head_keys)
     edge = (group[neighbors.take(_PREV, 1)] != group[:, None]).ravel()
     keys = tail_keys.ravel()[edge]
     order = keys.argsort()
     keys = keys[order]
     ends = head_keys.ravel()[edge][order]
+    # each position's predecessor, the edge that ends where it starts, once
+    # the ends match the keys
+    hop = ends.argsort()
     # one boundary edge starts and one ends at each (group, vertex)
-    if (keys[1:] == keys[:-1]).any() or not (np.sort(ends) == keys).all():
+    if (keys[1:] == keys[:-1]).any() or not (ends[hop] == keys).all():
         raise DegenerateInput("a facet boundary is not a simple cycle")
     owner, tails = np.divmod(keys, nv)
     # every group has a boundary (no plane holds a closed surface), so
@@ -670,62 +761,57 @@ def _hull3(pts, span):
     # plane coordinates as stacked (2, 3) @ (3, 1) products: these round as
     # a group's (k, 3) @ (3,) product `points @ b1` does, and a stacked
     # (1, 3) @ (3, 1) product does not
-    local = (basis[owner] @ pts[tails][:, :, None])[:, :, 0]
-    lowest = np.lexsort((local[:, 1], local[:, 0], owner))[starts]
-
-    # walk each group's cycle from its lowest point
-    after = keys.searchsorted(ends)
-    ahead = after.tolist()
-    path = []
-    for e, count in zip(lowest.tolist(), counts.tolist()):
-        for _ in range(count):
-            path.append(e)
-            e = ahead[e]
-    if len(set(path)) < len(path):
-        raise DegenerateInput("a facet boundary is not a simple cycle")
-    path = np.array(path)
-    extent = (np.maximum.reduceat(local, starts) - np.minimum.reduceat(local, starts)).max(1)
+    local = (basis.take(owner, 0) @ pts.take(tails, 0)[:, :, None])[:, :, 0]
+    low = np.minimum.reduceat(local, starts)
+    spread = np.maximum.reduceat(local, starts) - low
+    extent = np.maximum(spread[:, 0], spread[:, 1])
     tol = (EPS * span * np.maximum(extent, EPS * span))[owner]
+    # each group's lowest point (x, then y, then the first position), which
+    # a stable lexsort by (group, x, y) puts first
+    at = np.arange(len(keys))
+    y = np.where(local[:, 0] == low[owner, 0], local[:, 1], np.inf)
+    lowest = np.minimum.reduceat(np.where(y == np.minimum.reduceat(y, starts)[owner], at, len(at)), starts)
+
+    # rank each position by its steps along the cycle from its group's
+    # lowest point, by pointer jumping back towards it; a position that
+    # does not reach it lies on another cycle of the same boundary
+    hop[lowest] = lowest
+    steps = (hop != at).astype(np.int64)
+    for _ in range(int(counts.max()).bit_length()):
+        steps += steps[hop]
+        hop = hop[hop]
+    if (hop != lowest[owner]).any():
+        raise DegenerateInput("a facet boundary is not a simple cycle")
+    # from here on, every position array runs along the cycles
+    path = np.empty_like(at)
+    path[starts[owner] + steps] = at
+    local, tails, tol = local.take(path, 0), tails[path], tol[path]
 
     # the turn at each position is taken between the positions before and
-    # after it in its cycle, at all positions at once, in the order of
-    # `keys`; the positions of dropped vertices are spliced out
-    before = np.empty_like(after)
-    before[after] = np.arange(len(after))
-    sizes = counts
+    # after it in its cycle, at all positions at once; the positions of
+    # dropped vertices are left out
+    loops = _LoopTable(tails, counts)
     for _ in range(len(path)):
-        o = local[before]
-        u, w = local - o, local[after] - o
+        after = loops.nxt
+        before = np.empty_like(after)
+        before[after] = at[:len(after)]
+        o = local.take(before, 0)
+        u, w = local - o, local.take(after, 0) - o
         cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
         corner = np.zeros(nv, dtype=bool)
         corner[tails[cross > tol]] = True
         keep = corner[tails]
         if keep.all():
             break
-        before, after, path = _splice_out(before, after, path, keep)
-        local, tails, owner, tol = local[keep], tails[keep], owner[keep], tol[keep]
-        sizes = np.bincount(owner, minlength=len(seeds))
+        local, tails, tol = local[keep], tails[keep], tol[keep]
+        loops = _LoopTable(tails, np.bincount(loops.owner[keep], minlength=len(seeds)))
 
-    # `corner` marks the vertices left in `tails`; number them in order
-    used = corner.nonzero()[0]
-    rows = used.searchsorted(tails[path]).tolist()
-    bounds = sizes.cumsum().tolist()
-    loops = [rows[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
-    return Polytope3(pts[used], [loop[::-1] if flip else loop for loop, flip in zip(loops, inward.tolist())])
-
-
-def _splice_out(before, after, path, keep):
-    """Splice the positions where keep is False out of the cycles that
-    ``before`` and ``after`` (each position's predecessor and successor)
-    describe, and number the kept positions in order.  Returns the new
-    (before, after, path), ``path`` being a walk over the positions."""
-    back, ahead = before.tolist(), after.tolist()
-    for p in (~keep).nonzero()[0].tolist():
-        prev, nxt = back[p], ahead[p]
-        ahead[prev], back[nxt] = nxt, prev
-    rank = keep.cumsum() - 1
-    kept = keep.nonzero()[0]
-    return rank[np.array(back)[kept]], rank[np.array(ahead)[kept]], rank[path[keep[path]]]
+    # `corner` marks the vertices left in `tails`: number them in order, in
+    # the table whose positions already run along the loops
+    loops.flat = (corner.cumsum() - 1)[tails]
+    if inward.any():
+        loops = loops.reversed(inward)
+    return Polytope3(pts.compress(corner, 0), loops)
 
 
 def _coplanar_groups(neighbors, planes, offset_tol):
@@ -737,40 +823,23 @@ def _coplanar_groups(neighbors, planes, offset_tol):
     within the tolerances, so with each other within twice them.  Only
     neighbour pairs that pass that looser test (with a little slack for
     rounding) can share a group, and a simplex in none is a group alone.
-    Those few pairs are joined by a union-find whose every root is the
-    lowest simplex of its component.  A component all of whose members
-    agree with that lowest simplex is one group; otherwise the seed search
-    runs on that component alone.
+    The components of those pairs are labelled by their lowest simplex
+    (`_lowest_labels`).  A component all of whose members agree with that
+    lowest simplex is one group; otherwise the seed search runs on that
+    component alone.
     """
     index = np.arange(len(neighbors))
     a = index.repeat(neighbors.shape[1])
     b = neighbors.ravel()
-    loose = 2.000001
     # each neighbour pair once, as (a, b) with a < b
-    pair = _planes_agree(planes, a, b, loose * _MERGE_NORMAL_TOL, loose * offset_tol) & (a < b)
+    up = a < b
+    a, b = a[up], b[up]
+    loose = 2.000001
+    pair = _planes_agree(planes, a, b, loose * _MERGE_NORMAL_TOL, loose * offset_tol)
     if not pair.any():
         return index, index
     a, b = a[pair], b[pair]
-    # a parent is never above its child, so every root is its component's
-    # lowest simplex
-    parent = list(range(len(neighbors)))
-
-    def root(x):
-        while parent[x] != x:
-            # path halving: point x at its grandparent, then step there
-            parent[x] = x = parent[parent[x]]
-        return x
-
-    for x, y in zip(a.tolist(), b.tolist()):
-        x, y = root(x), root(y)
-        if x < y:
-            parent[y] = x
-        elif y < x:
-            parent[x] = y
-    # in index order, each parent already points at its root
-    for x in index.tolist():
-        parent[x] = parent[parent[x]]
-    label = np.array(parent)
+    label = _lowest_labels(len(index), a, b)
     merged = (label != index).nonzero()[0]
     agree = _planes_agree(planes, merged, label[merged], _MERGE_NORMAL_TOL, offset_tol)
     for top in sorted(set(label[merged[~agree]].tolist())):
@@ -781,6 +850,31 @@ def _coplanar_groups(neighbors, planes, offset_tol):
     # seed's rank
     seed = label == index
     return index[seed], (seed.cumsum() - 1)[label]
+
+
+def _lowest_labels(n, a, b):
+    """The lowest node of each of n nodes' component under the edges (a, b),
+    a < b, with no loop over nodes or edges.  Each label is a node of the
+    same component and at most the node itself.  Each round hooks every
+    root above its edges' lowest root, then points every node at its root
+    by pointer jumping.  Once every edge joins two nodes of one label, each
+    component holds one label, which its lowest node, labelled at most
+    itself, must carry."""
+    label = np.arange(n)
+    lo, hi = a, b
+    for _ in range(n):
+        np.minimum.at(label, hi, lo)
+        for _ in range(n):
+            up = label[label]
+            if (up == label).all():
+                break
+            label = up
+        lo, hi = label[a], label[b]
+        apart = lo != hi
+        if not apart.any():
+            break
+        lo, hi = np.minimum(lo[apart], hi[apart]), np.maximum(lo[apart], hi[apart])
+    return label
 
 
 def _seed_search(comp, a, b, planes, offset_tol):
@@ -810,10 +904,10 @@ def _planes_agree(planes, i, j, normal_tol, offset_tol):
     within normal_tol as a chord and offsets within offset_tol.  One
     difference of the rows gives both; |b_i - b_j| is |(-b_i) - (-b_j)|,
     bit for bit."""
-    d = planes[i] - planes[j]
+    d = planes.take(i, 0) - planes.take(j, 0)
     agree = np.abs(d[:, 3]) <= offset_tol
     # the normals only of the few pairs whose offsets agree
-    agree[agree] = _row_norms(d[agree, :3]) <= normal_tol
+    agree[agree] = _row_norms(d.compress(agree, 0)[:, :3]) <= normal_tol
     return agree
 
 
@@ -828,13 +922,16 @@ def _flat_sliver_vertices(pts, qh, height_tol):
     each triangle's cross product (p1 - p0) x (p2 - p0).
     """
     simplices = qh.simplices
-    tri = pts[simplices]
+    tri = pts.take(simplices, 0)
     sides = tri.take(_NEXT, 1) - tri
-    # np.linalg.norm over an axis, without its wrapper
-    lengths = np.sqrt((sides * sides).sum(2))
+    # np.linalg.norm over an axis, without its wrapper: a sum over the last
+    # axis adds from +0.0, and the squares are not -0.0
+    sq = sides * sides
+    lengths = np.sqrt(sq[:, :, 0] + sq[:, :, 1] + sq[:, :, 2])
     # (p0 - p2) x (p1 - p0) is (p1 - p0) x -(p0 - p2), bit for bit
     crosses = _cross(sides[:, 2], sides[:, 0])
-    flat = (_row_norms(crosses) <= height_tol * lengths.max(1)).nonzero()[0]
+    longest = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]), lengths[:, 2])
+    flat = (_row_norms(crosses) <= height_tol * longest).nonzero()[0]
     if len(flat):
         # vertex opposite the longest edge is the nearly-collinear one
         flat = np.unique(simplices[flat, (lengths[flat].argmax(1) + 2) % 3])
@@ -1008,7 +1105,7 @@ def point_body_distances(X, body):
     """Euclidean distances from the rows of X to a convex body (0 inside).
 
     Each is the least distance to a piece of the boundary: to the edges of
-    the body's boundary loops (`_loop_table`) and, in 3D, to each facet
+    the body's boundary loops (`_LoopTable`) and, in 3D, to each facet
     whose plane holds the foot of the perpendicular inside the facet's
     edges, with that facet's edges left out.  Each value equals, bit for
     bit, that of a loop over the facets for one point: the containment
@@ -1019,7 +1116,8 @@ def point_body_distances(X, body):
     """
     X = np.ascontiguousarray(_as_points(X, dim=body.dim))
     normals, offsets = body.facet_normals, body.facet_offsets
-    flat, _, starts, owner, nxt = _loop_table(body._boundary_loops)
+    loops = body._loops
+    flat, starts, owner, nxt = loops.flat, loops.starts, loops.owner, loops.nxt
     ring = body.vertices[flat]
     edges = body.vertices[flat[nxt]] - ring
     lengths2 = np.sum(edges * edges, axis=-1)

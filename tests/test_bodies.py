@@ -37,7 +37,7 @@ from hullkit import (
     shadow_area,
     support,
 )
-from hullkit import acceptance, bodies
+from hullkit import acceptance, bodies, illumination, projection
 from hullkit.illumination import _ray_level_solves
 from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
@@ -228,6 +228,20 @@ def _loop_hull3(pts):
     return pts, loops
 
 
+def _assert_matches_per_simplex_reference(pts):
+    ref_pts, ref_loops = _loop_hull3(pts)
+    used = sorted({i for loop in ref_loops for i in loop})
+    remap = {old: new for new, old in enumerate(used)}
+    ref_loops = [[remap[i] for i in loop] for loop in ref_loops]
+    body = bodies._hull3(pts, bodies._span(pts))
+    assert np.array_equal(body.vertices, ref_pts[used])
+    planes = _loop_facet_planes(body.vertices, ref_loops)
+    assert body.facet_loops == tuple(p[0] for p in planes)
+    assert np.array_equal(body.facet_normals, np.array([p[1] for p in planes]))
+    assert np.array_equal(body.facet_offsets, np.array([p[2] for p in planes]))
+    assert np.array_equal(body.facet_areas, np.array([p[3] for p in planes]))
+
+
 def _loop_facet_planes(vertices, loops):
     """Per-facet reference for Polytope3's Newell normals, offsets and areas,
     with each loop turned to face outward."""
@@ -363,17 +377,7 @@ class TestHullMerging:
 
     def test_matches_per_simplex_reference(self):
         for pts in self._reference_inputs():
-            ref_pts, ref_loops = _loop_hull3(pts)
-            used = sorted({i for loop in ref_loops for i in loop})
-            remap = {old: new for new, old in enumerate(used)}
-            ref_loops = [[remap[i] for i in loop] for loop in ref_loops]
-            body = bodies._hull3(pts, bodies._span(pts))
-            assert np.array_equal(body.vertices, ref_pts[used])
-            planes = _loop_facet_planes(body.vertices, ref_loops)
-            assert body.facet_loops == tuple(p[0] for p in planes)
-            assert np.array_equal(body.facet_normals, np.array([p[1] for p in planes]))
-            assert np.array_equal(body.facet_offsets, np.array([p[2] for p in planes]))
-            assert np.array_equal(body.facet_areas, np.array([p[3] for p in planes]))
+            _assert_matches_per_simplex_reference(pts)
 
     def test_flat_heights_match_per_length_reference(self):
         for pts in self._reference_inputs():
@@ -808,6 +812,93 @@ def test_small_hull_call_count():
     assert _calls_in(hull, pts) <= HULL_CALLS
 
 
+def _medium_hull_inputs(bodies_of=((7, 9), (3, 12))):
+    """The point sets of 50 points or more that hull() is handed while the
+    illumination bodies (at delta = 0.05, 0.5 and 2 vol), the projection
+    body (its zonotope candidates), the polar projection body and the
+    difference body of random 3-polytopes are built, in that order: the
+    medium hulls of the paper's 3D constructions."""
+    inputs = []
+    real = bodies.hull
+
+    def grab(points):
+        inputs.append(np.array(points, dtype=float))
+        return real(points)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (bodies, illumination, projection):
+            mp.setattr(module, "hull", grab)
+        for seed, n in bodies_of:
+            body = random_polytope3(np.random.default_rng(seed), n)
+            for factor in (0.05, 0.5, 2.0):
+                illumination_body(body, factor * body.volume)
+            polar(projection_body(body))
+            difference_body(body)
+    return [pts for pts in inputs if len(pts) >= 50]
+
+
+@pytest.fixture(scope="module")
+def medium_inputs():
+    return _medium_hull_inputs()
+
+
+def test_medium_hull_call_count():
+    """A cost guard on the size-dependent work of a 3D hull: one hull() of
+    the 380 illumination-body candidates of a 12-vertex body at delta = 2 vol
+    makes at most 1.5 times the Python-level calls of the 18-point guard
+    set, counted here too (2 953 against 398 when the work was per point)."""
+    v = random_polytope3(np.random.default_rng(1), 9).vertices
+    small = np.vstack((v, v + [0.4, -0.3, 0.2]))
+    body = random_polytope3(np.random.default_rng(3), 12)
+    candidates = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(illumination, "hull", lambda pts: candidates.append(pts) or hull(pts))
+        illumination_body(body, 2.0 * body.volume)
+    (large,) = candidates
+    assert len(large) == 380
+    hull(small), hull(large)  # first-call set-up is not per-call work
+    assert _calls_in(hull, large) <= 1.5 * _calls_in(hull, small)
+
+
+class TestMediumHulls:
+    """hull() on the medium point sets of the paper's 3D constructions."""
+
+    def test_the_inputs_are_medium(self, medium_inputs):
+        sizes = [len(pts) for pts in medium_inputs]
+        assert len(sizes) == 12 and min(sizes) >= 50 and max(sizes) >= 300
+
+    def test_fields_equal_the_public_constructors(self, medium_inputs):
+        # hull() hands Polytope3 its loop table; the public constructor
+        # builds one from the loops, and both give the same bits
+        for pts in medium_inputs:
+            body = hull(pts)
+            again = Polytope3(body.vertices, body.facet_loops)
+            assert again.facet_loops == body.facet_loops
+            for name in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+                assert getattr(again, name).tobytes() == getattr(body, name).tobytes()
+            assert np.float64(again.volume).tobytes() == np.float64(body.volume).tobytes()
+
+    def test_matches_per_simplex_reference(self, medium_inputs):
+        for pts in medium_inputs:
+            _assert_matches_per_simplex_reference(pts)
+
+    def test_groups_match_propagation(self, medium_inputs):
+        for pts in medium_inputs:
+            _assert_groups_match(pts)
+
+    def test_sorted_coordinates_show_no_pair(self, medium_inputs):
+        # every set without a close pair is shown to have none; a difference
+        # body's input has a zero row per vertex, and cKDTree drops them
+        shown = 0
+        for pts in medium_inputs:
+            tol = EPS * bodies._span(pts)
+            want = _kdtree_dedup(pts, tol)
+            assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
+            assert bodies._far_apart(pts, tol) == (len(want) == len(pts))
+            shown += len(want) == len(pts)
+        assert shown == 10
+
+
 def _row_by_row_diameter(v):
     """`_diameter` one row at a time: each pair's coordinate terms summed in
     the same order, in O(V) memory."""
@@ -835,6 +926,31 @@ class TestDiameter:
         assert bodies._diameter(v) == _row_by_row_diameter(v)
         prism = _prism(2048)
         assert bodies._diameter(prism) == _row_by_row_diameter(prism)
+
+    def test_level_sets_zonotopes_and_scaled_sets(self, monkeypatch):
+        # the bound pairs few of the rows of these bodies, and all of them
+        # where the squared distances fall below 1e-250 (at 2^-500) or
+        # overflow (at 2^520, where the full pass overflows too)
+        sets = []
+        for seed, n in ((7, 9), (3, 12), (2, 9)):
+            body = random_polytope3(np.random.default_rng(seed), n)
+            sets += [illumination_body(body, f * body.volume).body.vertices for f in (0.05, 0.5, 2.0)]
+            sets.append(projection_body(body).vertices)
+        paired = []
+        real = bodies._sq_distances
+        monkeypatch.setattr(bodies, "_sq_distances", lambda a, b: paired.append(len(b)) or real(a, b))
+        kept = {}
+        for scale in (1.0, 2.0**500, 2.0**-500, 2.0**520):
+            kept[scale] = 0
+            for v in sets:
+                w = v * scale
+                with np.errstate(over="ignore"):
+                    got, want = bodies._diameter(w), _row_by_row_diameter(w)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
+                kept[scale] += paired[-1]
+        rows = sum(map(len, sets))
+        assert kept[1.0] == kept[2.0**500] <= rows // 4
+        assert kept[2.0**-500] == kept[2.0**520] == rows
 
     def test_memory_is_bounded(self):
         v = np.random.default_rng(34).normal(size=(4096, 3))
@@ -888,6 +1004,21 @@ class TestPolytope3Validation:
         body = random_polytope3(np.random.default_rng(0), 9)
         with pytest.raises(DegenerateInput, match="^facet 0 is degenerate$"):
             body.scale(1e-100)
+
+    def test_empty_or_short_loops(self, cube):
+        # the loop table takes an empty loop; the size check names it
+        for variant in ([(), *cube.facet_loops], [*cube.facet_loops[:-1], (), cube.facet_loops[-1][:2]]):
+            with pytest.raises(DegenerateInput, match="^a 3-polytope needs at least 4 facets with 3"):
+                Polytope3(cube.vertices, variant)
+
+    def test_loop_that_repeats_a_vertex(self, cube):
+        # each built at one time (volume 8), and the zero-length edge made
+        # point_body_distances divide 0 by 0
+        loops = list(cube.facet_loops)
+        assert loops[0] == (6, 4, 0, 2)
+        for variant in ([(6, 6, 4, 0, 2), *loops[1:]], [*loops[:-1], loops[-1] + loops[-1][:1]]):
+            with pytest.raises(DegenerateInput, match="^a facet loop repeats a vertex$"):
+                Polytope3(cube.vertices, variant)
 
     def test_loops_face_outward_whatever_their_input_direction(self, cube):
         flipped = Polytope3(cube.vertices, [loop[::-1] for loop in cube.facet_loops])

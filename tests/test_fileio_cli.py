@@ -580,19 +580,33 @@ def _body_file(draw):
         return draw(st.text(max_size=40)).encode()
     dim = draw(st.sampled_from([2, 3]))
     if kind > 3:
-        n = draw(st.integers(dim + 1, 12))
-        ang = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n, unique=True)))
-        if dim == 2:
-            verts = np.column_stack((np.cos(ang), np.sin(ang)))
-        else:
-            z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
-            r = np.sqrt(1.0 - z * z)
-            verts = np.column_stack((r * np.cos(ang), r * np.sin(ang), z))
-        return json.dumps({"dim": dim, "vertices": verts.tolist()}).encode()
+        return json.dumps({"dim": dim, "vertices": _on_circle_or_sphere(draw, dim).tolist()}).encode()
     row_len = dim if kind > 2 else draw(st.integers(1, 4))
     verts = draw(st.lists(st.lists(_COORD, min_size=row_len, max_size=row_len), max_size=12))
     obj = {"dim": dim if kind != 3 else draw(st.sampled_from([1, 4, "2", None])), "vertices": verts}
     return json.dumps(obj).encode()
+
+
+def _on_circle_or_sphere(draw, dim):
+    """Up to 12 points on the unit circle or sphere, drawn by ``draw``: a
+    valid body, though not always with the origin inside."""
+    n = draw(st.integers(dim + 1, 12))
+    ang = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n, unique=True)))
+    if dim == 2:
+        return np.column_stack((np.cos(ang), np.sin(ang)))
+    z = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)))
+    r = np.sqrt(1.0 - z * z)
+    return np.column_stack((r * np.cos(ang), r * np.sin(ang), z))
+
+
+@st.composite
+def _scaled_body_file(draw):
+    """Bytes of a valid circle or sphere body file (as `_body_file` draws
+    them) scaled by 2^k, k in [-1070, 1000]: from subnormal coordinates to
+    about 1e301."""
+    dim = draw(st.sampled_from([2, 3]))
+    verts = _on_circle_or_sphere(draw, dim) * 2.0 ** draw(st.integers(-1070, 1000))
+    return json.dumps({"dim": dim, "vertices": verts.tolist()}).encode()
 
 
 _VALUE = st.sampled_from(["0.5", "2", "0", "1e-9", "-1", "1e300", "nan", "inf", "x"])
@@ -626,6 +640,16 @@ def _argv(draw):
 @settings(database=None, max_examples=200, deadline=None, derandomize=True)
 @given(data=_body_file(), args=_argv())
 def test_cli_contract_holds_for_any_body_file_and_argv(data, args):
+    _assert_cli_contract(data, args)
+
+
+@settings(database=None, max_examples=100, deadline=None, derandomize=True)
+@given(data=_scaled_body_file(), args=_argv())
+def test_cli_contract_holds_for_valid_bodies_at_any_scale(data, args):
+    _assert_cli_contract(data, args)
+
+
+def _assert_cli_contract(data, args):
     """Exit 0, 1 or 2; no traceback and no warning; on exit 1, empty
     stdout, one line of stderr and no file written."""
     with tempfile.TemporaryDirectory() as tmp:
