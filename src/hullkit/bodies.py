@@ -147,22 +147,14 @@ def rot90(u):
     return np.array([-u[1], u[0]], dtype=float)
 
 
-# Row-wise products as stacked (1, 3) @ (3, 1) matmuls: each row rounds
-# exactly as a one-vector dot product (and so ``np.linalg.norm`` of one
-# vector), which a reduction over axis 1 does not guarantee.
-
-
-def _row_dots(a, b):
-    """<a_i, b> for each row of a (b one vector) or <a_i, b_i> (b rows too)."""
-    a = np.ascontiguousarray(a)
-    b = np.ascontiguousarray(b)
-    if b.ndim == 1:
-        return (a[:, None, :] @ b)[:, 0]
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _row_norms(a):
-    return np.sqrt(_row_dots(a, a))
+    """|a_i| for each row of a.
+
+    Row products here are taken with ``np.vecdot``, one BLAS dot call per
+    row: each row rounds exactly as a one-vector dot product (and so as
+    ``np.linalg.norm`` of one vector, and as a stacked (1, 3) @ (3, 1)
+    matmul), which a sum over axis 1 does not guarantee."""
+    return np.sqrt(np.vecdot(a, a))
 
 
 # for each of three coordinates (or triangle corners), the next and the one
@@ -388,13 +380,17 @@ class Polytope3(_BodyBase):
         # row gathers by `take`, several times faster than indexing
         pts = v.take(flat, 0)
         # the Newell sums: `np.bincount` adds each loop's terms in loop
-        # order from +0.0
-        terms = _cross(pts, pts.take(nxt, 0)).ravel()
-        raw = np.bincount(((3 * owner)[:, None] + _AXES).ravel(), terms, 3 * n_loops).reshape(-1, 3)
-        nrm = _row_norms(raw)
-        # a normal whose squared norm underflows is 0/0 = NaN, and so are its
-        # heights; such a facet is named degenerate below
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # order from +0.0.  From coordinates of about 1e77 on, the squares
+        # of the sums overflow (and from about 1e154 the terms do), which is
+        # named here, before any warning; a normal whose squared norm
+        # underflows is 0/0 = NaN, and so are its heights, and such a facet
+        # is named degenerate below
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            terms = _cross(pts, pts.take(nxt, 0)).ravel()
+            raw = np.bincount(((3 * owner)[:, None] + _AXES).ravel(), terms, 3 * n_loops).reshape(-1, 3)
+            nrm = _row_norms(raw)
+            if not (nrm < np.inf).all():
+                raise DegenerateInput("coordinates too large: facet normals overflow")
             normals = raw / nrm[:, None]
             heights, offsets = _loop_heights(pts, normals, owner, starts, sizes)
             # |<p, n> - b| is unchanged, bit for bit, when n and b both flip
@@ -410,7 +406,7 @@ class Polytope3(_BodyBase):
             if degenerate[f]:
                 raise DegenerateInput(f"facet {f} is degenerate")
             raise DegenerateInput(f"facet {f} is not planar within tolerance")
-        flip = _row_dots(normals, v.sum(0) / len(v)) > offsets
+        flip = np.vecdot(normals, v.sum(0) / len(v)) > offsets
         if flip.any():
             # multiplying by 1.0 or -1.0 is exact
             sign = np.where(flip, -1.0, 1.0)
@@ -730,7 +726,7 @@ def _hull3(pts, span):
     seed_normals = normals.take(seeds, 0)
     basis = np.concatenate(_plane_basis(seed_normals), 1).reshape(-1, 2, 3)
     # outward orientation: the group normal must point away from the body
-    inward = _row_dots(seed_normals, pts.sum(0) / nv) > offsets[seeds]
+    inward = np.vecdot(seed_normals, pts.sum(0) / nv) > offsets[seeds]
 
     # boundary edges tail -> head, keyed and sorted by (group, tail): the
     # edge from corner k of a triangle to corner k + 1 lies opposite corner
@@ -1026,11 +1022,21 @@ def difference_body(body):
     the negated vertices directly (in 2D, -v is already a valid CCW vertex
     list, as `negate` would build it); in 3D the hull is taken of the
     pairwise differences, which are the sums with the negated vertices bit
-    for bit (x + (-y) is x - y)."""
+    for bit (x + (-y) is x - y).
+
+    Of the zero rows v_i - v_i, only the first, v_0 - v_0, goes to `hull`:
+    its keep-first `_dedup_points` would drop every later one against it
+    (distance 0), and a dropped row drops no other.  So the kept rows are
+    the same, and so are the extent and the tolerance, which the first zero
+    row keeps.  Without the other zero rows, `_far_apart` can usually show
+    that no two rows are close, and no cKDTree is built."""
     v = body.vertices
     if body.dim == 2:
         return Polygon(_minkowski_vertices_2d(v, -v))
-    return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3))
+    n = len(v)
+    keep = np.ones(n * n, dtype=bool)
+    keep[n + 1::n + 1] = False
+    return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3).compress(keep, 0))
 
 
 def central_symmetral(body):

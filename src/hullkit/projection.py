@@ -104,7 +104,58 @@ def _zonotope_points(generators):
     # and its scaled copies have the same generators, seed and candidates
     kept = norms > 1e-14 * np.max(norms, initial=0.0)
     gens, norms = gens[kept], norms[kept]
-    # each generator joins the first earlier merged generator parallel to it
+    # the merge loop changes nothing where no generator passes its parallel
+    # test against an earlier one; one batch over the pairs shows that with
+    # the loop's own products, and leaves any inf or NaN (an overflow, on
+    # which the loop raises) to the loop
+    i, j = _pairs(len(gens))
+    with np.errstate(over="ignore", invalid="ignore"):
+        crosses = _row_norms(_cross(gens.take(j, 0), gens.take(i, 0)))
+    if not ((crosses > (1e-12 * norms[j]) * norms[i]) & (crosses < np.inf)).all():
+        gens = _merge_parallel(gens, norms)
+    if len(gens) < 3:
+        raise DegenerateInput("zonotope generators do not span 3-space")
+    # seed with a parallelepiped of three independent generators
+    # g is independent of the seed so far when its sine with seed[0], or
+    # with the plane of seed[0] and seed[1], is above 1e-12
+    seed = [0]
+    for c in range(1, len(gens)):
+        g = gens[c]
+        if len(seed) == 1:
+            independent = np.linalg.norm(_cross(gens[0], g)) > 1e-12 * np.linalg.norm(gens[0]) * np.linalg.norm(g)
+        else:
+            n = _cross(gens[0], gens[seed[1]])
+            independent = abs(n @ g) > 1e-12 * np.linalg.norm(n) * np.linalg.norm(g)
+        if independent:
+            seed.append(c)
+            if len(seed) == 3:
+                break
+    if len(seed) < 3:
+        raise DegenerateInput("zonotope generators do not span 3-space")
+    rest = np.ones(len(gens), dtype=bool)
+    rest[seed] = False
+    gens = gens.take(np.concatenate((seed, rest.nonzero()[0])), 0)
+
+    # each point summed one generator at a time, in order: `np.add.reduce`
+    # over the outer axis of a C-ordered (generators, 3, points) array adds
+    # one generator's terms at a time, as pts = pts + s_c g_c does (numpy
+    # sums pairwise only along the fast axis)
+    signs = _zonotope_signs(gens)
+    terms = np.empty((len(gens), 3, len(signs)))
+    np.multiply(signs.T[:, None, :], gens[:, :, None], out=terms)
+    return np.add.reduce(terms, axis=0).T.copy()
+
+
+def _pairs(k):
+    """The index pairs i < j of k rows, as ``np.triu_indices(k, 1)`` lists
+    them (by i, then j), with fewer numpy calls."""
+    at = np.arange(k)
+    return (at[:, None] < at).nonzero()
+
+
+def _merge_parallel(gens, norms):
+    """The generators with each joined to the first earlier merged generator
+    parallel to it: |g x h| at most 1e-12 |g| |h|."""
     merged = np.empty_like(gens)
     m = 0
     for g, norm in zip(gens, norms.tolist()):
@@ -115,43 +166,31 @@ def _zonotope_points(generators):
         else:
             merged[m] = g
             m += 1
-    merged = list(merged[:m])
-    if len(merged) < 3:
-        raise DegenerateInput("zonotope generators do not span 3-space")
-    # seed with a parallelepiped of three independent generators
-    # g is independent of the seed so far when its sine with seed[0], or
-    # with the plane of seed[0] and seed[1], is above 1e-12
-    seed = [merged[0]]
-    for g in merged[1:]:
-        if len(seed) == 1:
-            independent = np.linalg.norm(_cross(seed[0], g)) > 1e-12 * np.linalg.norm(seed[0]) * np.linalg.norm(g)
-        else:
-            n = _cross(seed[0], seed[1])
-            independent = abs(n @ g) > 1e-12 * np.linalg.norm(n) * np.linalg.norm(g)
-        if independent:
-            seed.append(g)
-        if len(seed) == 3:
-            break
-    if len(seed) < 3:
-        raise DegenerateInput("zonotope generators do not span 3-space")
-    rest = [g for g in merged if not any(g is s for s in seed)]
-    gens = np.array(seed + rest)
+    return merged[:m]
 
-    signs = _zonotope_signs(gens)
-    pts = signs[:, 0, None] * gens[0]
-    for c in range(1, len(gens)):
-        pts = pts + signs[:, c, None] * gens[c]
-    return pts
+
+#: Up to this many generators, `_zonotope_signs` orders its rows by one
+#: exact double per row (2^k - 1 < 2^53); above, by `np.lexsort`.
+_KEYED_GENERATORS = 52
 
 
 def _zonotope_signs(gens):
     """Distinct vertex sign vectors (int8 rows) of the zonotope of gens, in
     the order the iterated sums list the vertices: v + g before v - g for the
     last generator g, and so on back to the seed corners, which are listed
-    with -1 before +1."""
+    with -1 before +1.
+
+    That is lexicographic order on the keys (-s_{k-1}, ..., -s_3, s_0, s_1,
+    s_2), most significant first.  For +-1 entries it is the order of the
+    number with weight 2^c on -s_c (c >= 3) and 4, 2, 1 on s_0, s_1, s_2:
+    each weight exceeds the sum of all lower ones.  Every sum of these
+    weights is an integer below 2^k, so the product with the signs is
+    exact in any order of addition, the key of -s is the negated key, and
+    equal keys are equal rows, so that any sort of the keys puts the
+    distinct rows in lexsort's order."""
     k = len(gens)
     tie_tol = 1e-12 * np.linalg.norm(gens, axis=1)
-    i, j = np.triu_indices(k, 1)
+    i, j = _pairs(k)
     n = _cross(gens[i], gens[j])
     n /= np.linalg.norm(n, axis=1)[:, None]
     ti = _cross(gens[j], n)
@@ -167,10 +206,19 @@ def _zonotope_signs(gens):
         s = np.where(np.abs(heights) > tie_tol, np.sign(heights), np.sign(w @ gens.T))
         rows.append(s.reshape(-1, k).astype(np.int8))
     signs = np.concatenate(rows)
-    signs = signs[np.all(signs != 0, axis=1)]
-    signs = np.concatenate((signs, -signs))
-    signs = signs[np.lexsort(np.vstack((signs[:, 2::-1].T, -signs[:, 3:].T)))]
-    return signs[np.r_[True, np.any(signs[1:] != signs[:-1], axis=1)]]
+    if not signs.all():
+        signs = signs[np.all(signs != 0, axis=1)]
+    both = np.concatenate((signs, -signs))
+    if k > _KEYED_GENERATORS:
+        both = both[np.lexsort(np.vstack((both[:, 2::-1].T, -both[:, 3:].T)))]
+        return both[np.r_[True, np.any(both[1:] != both[:-1], axis=1)]]
+    weights = -(2.0 ** np.arange(k))
+    weights[:3] = (4.0, 2.0, 1.0)
+    keys = signs @ weights
+    keys = np.concatenate((keys, -keys))
+    order = keys.argsort()
+    keys = keys[order]
+    return both.take(order[np.r_[True, keys[1:] != keys[:-1]]], 0)
 
 
 def polar_projection_body(body):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,21 @@ def outcome(fn, *args):
     if isinstance(result, tuple):
         return tuple(np.asarray(r, dtype=float).tobytes() for r in result)
     return np.asarray(result).tobytes()
+
+
+def calls_in(fn, *args):
+    """Python-level function calls (``call`` and ``c_call`` profile events)
+    that fn(*args) makes."""
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event in ("call", "c_call"):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return count

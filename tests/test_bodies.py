@@ -1,6 +1,6 @@
 import itertools
-import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -41,7 +41,7 @@ from hullkit import acceptance, bodies, illumination, projection
 from hullkit.illumination import _ray_level_solves
 from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
-from conftest import outcome, unit_vector
+from conftest import calls_in, outcome, unit_vector
 
 
 class TestHull:
@@ -402,6 +402,35 @@ class TestHullMerging:
                 except DegenerateInput as exc:
                     message = str(exc)
                 assert message == _unique_isin_edge_error(len(body), variant)
+
+
+def test_vecdot_rounds_as_the_stacked_dot():
+    """np.vecdot(a, b), the row-dot kernel of `_row_norms` and of the facet
+    orientation tests, makes one BLAS dot call per row, as the stacked
+    (1, d) @ (d, 1) products that it replaced do: the same bits, signed
+    zeros, infinities and NaN included, at any scale and in any layout."""
+    rng = np.random.default_rng(35)
+    for dim in (2, 3):
+        for scale in (2.0**-500, 1.0, 2.0**500, None):
+            rows = []
+            for _ in range(2):
+                x = rng.normal(size=(300, dim))
+                x *= 2.0 ** rng.integers(-500, 501, size=x.shape) if scale is None else scale
+                pick = rng.random(x.shape)
+                x[pick < 0.05] = 0.0
+                x[(0.05 <= pick) & (pick < 0.1)] = -0.0
+                x[(0.1 <= pick) & (pick < 0.11)] = np.inf
+                x[(0.11 <= pick) & (pick < 0.12)] = -np.inf
+                x[(0.12 <= pick) & (pick < 0.13)] = np.nan
+                rows.append(x)
+            a, b = rows
+            with np.errstate(all="ignore"):
+                for x in (a, np.asfortranarray(a), np.hstack((a, a))[:, :dim]):
+                    stacked = (x[:, None, :] @ b[:, :, None])[:, 0, 0]
+                    assert np.vecdot(x, b).tobytes() == stacked.tobytes(), f"numpy {np.__version__}, rows"
+                    for v in b[:5]:
+                        stacked = (x[:, None, :] @ v)[:, 0]
+                        assert np.vecdot(x, v).tobytes() == stacked.tobytes(), f"numpy {np.__version__}, vector"
 
 
 class TestCross:
@@ -777,27 +806,10 @@ def test_affine_rank_matches_the_svd(dim):
                 assert bodies._affine_rank(scaled, bodies._span(scaled)) == _svd_rank(scaled)
 
 
-def _calls_in(fn, *args):
-    """Python-level function calls (``call`` and ``c_call`` profile events)
-    that fn(*args) makes."""
-    count = 0
-
-    def profile(frame, event, arg):
-        nonlocal count
-        if event in ("call", "c_call"):
-            count += 1
-
-    sys.setprofile(profile)
-    try:
-        fn(*args)
-    finally:
-        sys.setprofile(None)
-    return count
-
-
-#: 10% above the 398 calls counted with numpy 2.4 and scipy 1.17 (481 before
-#: the small-hull path was cut)
-HULL_CALLS = 437
+#: 10% above the 289 calls counted with numpy 2.4 and scipy 1.17 (310 before
+#: the row dots became `np.vecdot`, 398 before the medium-hull work and 481
+#: before the small-hull path was cut)
+HULL_CALLS = 317
 
 
 def test_small_hull_call_count():
@@ -809,7 +821,7 @@ def test_small_hull_call_count():
     pts = np.vstack((v, v + [0.4, -0.3, 0.2]))
     assert len(pts) == 18
     hull(pts)  # first-call set-up in numpy and scipy is not per-call work
-    assert _calls_in(hull, pts) <= HULL_CALLS
+    assert calls_in(hull, pts) <= HULL_CALLS
 
 
 def _medium_hull_inputs(bodies_of=((7, 9), (3, 12))):
@@ -857,7 +869,7 @@ def test_medium_hull_call_count():
     (large,) = candidates
     assert len(large) == 380
     hull(small), hull(large)  # first-call set-up is not per-call work
-    assert _calls_in(hull, large) <= 1.5 * _calls_in(hull, small)
+    assert calls_in(hull, large) <= 1.5 * calls_in(hull, small)
 
 
 class TestMediumHulls:
@@ -887,8 +899,9 @@ class TestMediumHulls:
             _assert_groups_match(pts)
 
     def test_sorted_coordinates_show_no_pair(self, medium_inputs):
-        # every set without a close pair is shown to have none; a difference
-        # body's input has a zero row per vertex, and cKDTree drops them
+        # every set without a close pair is shown to have none, and so every
+        # medium input is settled without cKDTree: a difference body's input
+        # holds one zero row, v_0 - v_0, not one per vertex
         shown = 0
         for pts in medium_inputs:
             tol = EPS * bodies._span(pts)
@@ -896,7 +909,7 @@ class TestMediumHulls:
             assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
             assert bodies._far_apart(pts, tol) == (len(want) == len(pts))
             shown += len(want) == len(pts)
-        assert shown == 10
+        assert shown == 12
 
 
 def _row_by_row_diameter(v):
@@ -1004,6 +1017,20 @@ class TestPolytope3Validation:
         body = random_polytope3(np.random.default_rng(0), 9)
         with pytest.raises(DegenerateInput, match="^facet 0 is degenerate$"):
             body.scale(1e-100)
+
+    def test_overflowing_normals_are_named_without_warnings(self, cube):
+        # the Newell sums' squares overflow from about 1e77 (and the terms
+        # from about 1e154); these bodies were built with volume NaN, after
+        # RuntimeWarnings only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            big = cube.scale(1e76)
+            assert big.facet_normals.tobytes() == cube.facet_normals.tobytes()
+            assert (big.facet_offsets == 1e76).all() and (big.facet_areas == 4e152).all()
+            assert big.volume == 8.000000000000001e228
+            for scale in (1e77, 1e150, 1e155, 1e300):
+                with pytest.raises(DegenerateInput, match="^coordinates too large: facet normals overflow$"):
+                    cube.scale(scale)
 
     def test_empty_or_short_loops(self, cube):
         # the loop table takes an empty loop; the size check names it
@@ -1230,6 +1257,30 @@ class TestMinkowski:
                 assert np.array_equal(getattr(diff, field), getattr(ref, field)), field
             assert diff.facet_loops == ref.facet_loops
             assert (diff.volume, diff.diameter) == (ref.volume, ref.diameter)
+
+    def test_difference_body_3d_matches_the_hull_of_all_differences(self, cube, monkeypatch):
+        # of the V zero rows v_i - v_i, hull() is handed only v_0 - v_0;
+        # keep-first dedup dropped every other one against it
+        rng = np.random.default_rng(10)
+        cases = [("cube", cube), ("prism", hull(_prism(7)))]
+        cases += [(f"random_{n}", random_polytope3(rng, n)) for n in (4, 6, 9, 12, 16)]
+        real = bodies._far_apart
+        shown = {}
+        for name, body in cases:
+            v = body.vertices
+            want = hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3))
+            proofs = []
+            monkeypatch.setattr(bodies, "_far_apart", lambda pts, tol: proofs.append(real(pts, tol)) or proofs[-1])
+            got = difference_body(body)
+            monkeypatch.undo()
+            for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (name, field)
+            assert got.facet_loops == want.facet_loops, name
+            assert np.float64(got.volume).tobytes() == np.float64(want.volume).tobytes(), name
+            shown[name] = proofs == [True]
+        # the parallelogram faces of the cube and the prism make some
+        # differences coincide, so their inputs still go on to cKDTree
+        assert shown == {name: name.startswith("random") for name, _ in cases}
 
     def test_dimension_mismatch(self, square, cube):
         with pytest.raises(DimensionMismatch):

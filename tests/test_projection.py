@@ -20,7 +20,9 @@ from hullkit import (
     tcvp_check,
     translative_volume_constant,
 )
-from hullkit.projection import _zonotope, _zonotope_points
+from hullkit import projection
+from hullkit.bodies import _cross
+from hullkit.projection import _KEYED_GENERATORS, _zonotope, _zonotope_points
 from hullkit.sampling import (
     direction_set,
     random_polygon,
@@ -28,6 +30,8 @@ from hullkit.sampling import (
     regular_polygon,
     reuleaux_polygon,
 )
+
+from conftest import calls_in
 
 
 def _iterated_zonotope(generators):
@@ -57,6 +61,71 @@ def _iterated_zonotope(generators):
     for g in rest:
         zono = hull(np.vstack((zono.vertices + g, zono.vertices - g)))
     return zono
+
+
+def _stacked_norms(a):
+    return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
+
+
+def _reference_zonotope_points(generators):
+    """Reference for ``_zonotope_points``, as it first computed the
+    candidates: every generator through the merge loop, the sign rows in
+    ``np.lexsort`` order (`_reference_zonotope_signs`), and each point
+    summed one generator at a time."""
+    gens = np.asarray(generators, dtype=float)
+    norms = _stacked_norms(gens)
+    kept = norms > 1e-14 * np.max(norms, initial=0.0)
+    gens, norms = gens[kept], norms[kept]
+    merged = np.empty_like(gens)
+    m = 0
+    for g, norm in zip(gens, norms.tolist()):
+        parallel = np.nonzero(_stacked_norms(_cross(g, merged[:m])) <= 1e-12 * norm * _stacked_norms(merged[:m]))[0]
+        if len(parallel):
+            h = merged[parallel[0]]
+            h += (1.0 if g @ h > 0 else -1.0) * g
+        else:
+            merged[m] = g
+            m += 1
+    merged = list(merged[:m])
+    seed = [merged[0]]
+    for g in merged[1:]:
+        if len(seed) == 1:
+            independent = np.linalg.norm(_cross(seed[0], g)) > 1e-12 * np.linalg.norm(seed[0]) * np.linalg.norm(g)
+        else:
+            n = _cross(seed[0], seed[1])
+            independent = abs(n @ g) > 1e-12 * np.linalg.norm(n) * np.linalg.norm(g)
+        if independent:
+            seed.append(g)
+        if len(seed) == 3:
+            break
+    rest = [g for g in merged if not any(g is s for s in seed)]
+    gens = np.array(seed + rest)
+    signs = _reference_zonotope_signs(gens)
+    pts = signs[:, 0, None] * gens[0]
+    for c in range(1, len(gens)):
+        pts = pts + signs[:, c, None] * gens[c]
+    return pts
+
+
+def _reference_zonotope_signs(gens):
+    """Reference for ``_zonotope_signs``: every candidate row of every pair,
+    negated too, put in order by ``np.lexsort`` and compared row by row."""
+    k = len(gens)
+    tie_tol = 1e-12 * np.linalg.norm(gens, axis=1)
+    i, j = np.triu_indices(k, 1)
+    n = _cross(gens[i], gens[j])
+    n /= np.linalg.norm(n, axis=1)[:, None]
+    ti = _cross(gens[j], n)
+    tj = _cross(n, gens[i])
+    ab = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    w = ab[:, 0, None, None] * ti + ab[:, 1, None, None] * tj
+    heights = n @ gens.T
+    s = np.where(np.abs(heights) > tie_tol, np.sign(heights), np.sign(w @ gens.T))
+    signs = s.reshape(-1, k).astype(np.int8)
+    signs = signs[np.all(signs != 0, axis=1)]
+    signs = np.concatenate((signs, -signs))
+    signs = signs[np.lexsort(np.vstack((signs[:, 2::-1].T, -signs[:, 3:].T)))]
+    return signs[np.r_[True, np.any(signs[1:] != signs[:-1], axis=1)]]
 
 
 def _facet_generators(body):
@@ -186,6 +255,50 @@ class TestZonotope:
         for gens in (_facet_generators(cube), _facet_generators(body)):
             want = _zonotope_points(gens) * 2.0**k
             assert _zonotope_points(gens * 2.0**k).tobytes() == want.tobytes()
+
+    def test_candidates_match_the_reference(self, monkeypatch):
+        # random sets of 3 to 60 generators, on both sides of the keyed
+        # sort's limit, skip the merge loop; the bodies with parallel facets
+        # and the sets with parallel rows take it; each at scales 2^k too
+        rng = np.random.default_rng(37)
+        sets = [(name, gens, None) for name, gens in _zonotope_cases()]
+        sets += [(f"random_{k}", rng.normal(size=(k, 3)) * 2.0 ** rng.integers(-4, 5, size=(k, 1)), False)
+                 for k in range(3, 61)]
+        cube = hull([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+        symmetric = random_polytope3(rng, 7).vertices
+        parallel = [cube, _prism(4), _prism(8), hull(np.vstack((np.eye(3), -np.eye(3)))),
+                    hull(np.vstack((symmetric, -symmetric)))]
+        doubled = rng.normal(size=(9, 3))
+        sets += [(f"parallel_{n}", _facet_generators(body), True) for n, body in enumerate(parallel)]
+        sets.append(("doubled", np.vstack((doubled, -3.0 * doubled[[4, 1]], 0.5 * doubled[[7]])), True))
+        # parallel by 1e-12 |g| |h|, though not by 1e-12 |h|^2
+        sets.append(("near_parallel", np.vstack((np.eye(3), [[1e3, 1e-10, 0.0]])), True))
+        real = projection._merge_parallel
+        merges = []
+        monkeypatch.setattr(projection, "_merge_parallel", lambda *a: merges.append(1) or real(*a))
+        sizes = set()
+        for name, gens, merging in sets:
+            for k in (0, -40, 30):
+                del merges[:]
+                scaled = gens * 2.0**k
+                got = _zonotope_points(scaled)
+                assert got.tobytes() == _reference_zonotope_points(scaled).tobytes(), (name, k)
+                assert got.flags.c_contiguous
+                if merging is not None:
+                    assert bool(merges) == merging, name
+            sizes.add(len(gens) > _KEYED_GENERATORS)
+        assert sizes == {False, True}
+
+    def test_candidate_call_count(self):
+        """A cost guard: `_zonotope_points` on 20 generators makes at most
+        1.25 times the Python-level calls it makes on 8, so that work per
+        generator cannot come back unseen (165 against 181 with numpy 2.4;
+        701 against 413 when every generator went through the merge loop
+        and each point was summed one generator at a time)."""
+        rng = np.random.default_rng(36)
+        few, many = rng.normal(size=(8, 3)), rng.normal(size=(20, 3))
+        _zonotope_points(few), _zonotope_points(many)  # first-call set-up
+        assert calls_in(_zonotope_points, many) <= 1.25 * calls_in(_zonotope_points, few)
 
     def test_triple_point_vertices(self):
         zono = _zonotope(TRIPLE_POINT_GENERATORS)
