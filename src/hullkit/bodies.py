@@ -16,7 +16,6 @@ from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import (
     DegenerateInput,
@@ -57,6 +56,26 @@ def _span(pts):
     return float((pts.max(0) - pts.min(0)).max()) if len(pts) else 0.0
 
 
+def ConvexHull(points):
+    """qhull's hull of points, ``scipy.spatial.ConvexHull(points)``.
+
+    Raises DegenerateInput, naming the first line of qhull's report, where
+    qhull fails.  `_hull3` calls this through the module global, so that a
+    tracer may rebind it.
+
+    scipy.spatial is imported here and in `_dedup_points`, on first use: its
+    import is most of the cost of importing hullkit, and 2D work pays for it
+    only where close points need a cKDTree."""
+    import scipy.spatial
+
+    try:
+        return scipy.spatial.ConvexHull(points)
+    except scipy.spatial.QhullError as exc:
+        # qhull's first line names the failure; the rest is its option dump
+        first_line = str(exc).strip().partition("\n")[0]
+        raise DegenerateInput(f"hull construction failed: {first_line}") from exc
+
+
 #: Up to this many points, `_far_apart` compares every two of them; above,
 #: it sorts their coordinates.
 _FEW_POINTS = 32
@@ -71,8 +90,10 @@ def _dedup_points(pts, tol):
     """
     if len(pts) < 2 or tol <= 0 or _far_apart(pts, tol):
         return pts
+    import scipy.spatial
+
     try:
-        pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
+        pairs = scipy.spatial.cKDTree(pts).query_pairs(tol, output_type="ndarray")
     except ValueError as exc:
         raise DegenerateInput("coordinates too large: squared distances overflow") from exc
     if len(pairs) == 0:
@@ -175,6 +196,13 @@ def _cross(a, b):
     if max(a.size, b.size) <= _TAKE_SIZE:
         return a.take(_NEXT, -1) * b.take(_PREV, -1) - a.take(_PREV, -1) * b.take(_NEXT, -1)
     return a[..., _NEXT] * b[..., _PREV] - a[..., _PREV] * b[..., _NEXT]
+
+
+def _pairs(k):
+    """The index pairs i < j of k rows, as ``np.triu_indices(k, 1)`` lists
+    them (by i, then j), with fewer numpy calls."""
+    at = np.arange(k)
+    return (at[:, None] < at).nonzero()
 
 
 def _plane_basis(normals):
@@ -282,14 +310,22 @@ class Polygon(_BodyBase):
             raise DegenerateInput("a polygon needs at least 3 vertices")
         nxt = _successors(m)
         x, y = v[:, 0], v[:, 1]
-        area2 = (x * y[nxt] - x[nxt] * y).sum()
-        if area2 < 0:
-            v = v[::-1].copy()
-            area2 = -area2
-        span = _span(v)
-        edges = v[nxt] - v
-        ex, ey = edges[:, 0], edges[:, 1]
-        cross = ex * ey[nxt] - ey * ex[nxt]
+        # from coordinates of about 5e153 on, the shoelace sum, the edge
+        # cross products or the edge lengths overflow, which is named here,
+        # before any warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            area2 = (x * y[nxt] - x[nxt] * y).sum()
+            if area2 < 0:
+                v = v[::-1].copy()
+                area2 = -area2
+            span = _span(v)
+            edges = v[nxt] - v
+            ex, ey = edges[:, 0], edges[:, 1]
+            cross = ex * ey[nxt] - ey * ex[nxt]
+            # np.linalg.norm(edges, axis=1), written out
+            lengths = np.sqrt(ex * ex + ey * ey)
+        if not (area2 < np.inf and np.isfinite(cross).all() and lengths.max() < np.inf):
+            raise DegenerateInput("coordinates too large: area or edge products overflow")
         # validate at half the hull filter's tolerance so rings that passed
         # the strictness filter cannot straddle the threshold in re-check
         if span <= 0 or (cross <= 0.5 * EPS * span * span).any():
@@ -297,8 +333,6 @@ class Polygon(_BodyBase):
 
         self.vertices = v
         self.vertices.flags.writeable = False
-        # np.linalg.norm(edges, axis=1), written out
-        lengths = np.sqrt(ex * ex + ey * ey)
         # outward unit normal of the CCW edge [v_i, v_{i+1}]
         normals = np.empty((m, 2))
         np.divide(ey, lengths, out=normals[:, 0])
@@ -695,12 +729,7 @@ def _hull3(pts, span):
     ``span`` is the points' largest coordinate extent, `_span(pts)`.
     """
     for _ in range(16):
-        try:
-            qh = ConvexHull(pts)
-        except QhullError as exc:
-            # qhull's first line names the failure; the rest is its option dump
-            first_line = str(exc).strip().partition("\n")[0]
-            raise DegenerateInput(f"hull construction failed: {first_line}") from exc
+        qh = ConvexHull(pts)
         flat, crosses = _flat_sliver_vertices(pts, qh, EPS * span)
         if len(flat) == 0:
             break

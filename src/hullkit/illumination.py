@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, _cross, _dedup_points, _row_norms, _successors, hull
+from .bodies import EPS, Body, _cross, _dedup_points, _pairs, _row_norms, _successors, hull
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -248,7 +248,7 @@ def _facet_lines(body):
         v = body.vertices
         return v, v[_successors(len(v))] - v
     normals, offsets = body.facet_normals, body.facet_offsets
-    i, j = np.triu_indices(len(normals), 1)
+    i, j = _pairs(len(normals))
     d = _cross(normals[i], normals[j])
     nrm = _row_norms(d)
     meet = nrm > EPS

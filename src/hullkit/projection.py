@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon, _cross, _row_norms, brightness_many, difference_body, hull, polar
+from .bodies import Polygon, _cross, _pairs, _row_norms, brightness_many, difference_body, hull, polar
 from .errors import DegenerateInput, TooFewDirections
 from .illumination import HomothetyReport, homothety_fit
 from .sampling import ball_body, direction_set
@@ -144,13 +144,6 @@ def _zonotope_points(generators):
     terms = np.empty((len(gens), 3, len(signs)))
     np.multiply(signs.T[:, None, :], gens[:, :, None], out=terms)
     return np.add.reduce(terms, axis=0).T.copy()
-
-
-def _pairs(k):
-    """The index pairs i < j of k rows, as ``np.triu_indices(k, 1)`` lists
-    them (by i, then j), with fewer numpy calls."""
-    at = np.arange(k)
-    return (at[:, None] < at).nonzero()
 
 
 def _merge_parallel(gens, norms):

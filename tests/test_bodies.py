@@ -461,6 +461,12 @@ class TestCross:
         self._same(a, b)
 
 
+def test_pairs_lists_the_upper_triangle():
+    for k in range(41):
+        got, want = bodies._pairs(k), np.triu_indices(k, 1)
+        assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+
+
 def _near_edge_points():
     """The cube plus one point near 0.65 a + 0.35 b of each edge [a, b],
     pushed in or out along each face normal at that edge by 0.01 to 2
@@ -808,7 +814,9 @@ def test_affine_rank_matches_the_svd(dim):
 
 #: 10% above the 289 calls counted with numpy 2.4 and scipy 1.17 (310 before
 #: the row dots became `np.vecdot`, 398 before the medium-hull work and 481
-#: before the small-hull path was cut)
+#: before the small-hull path was cut).  Since scipy.spatial is imported on
+#: first use the count is 290: one more call, `bodies.ConvexHull`, whose
+#: ``import scipy.spatial`` makes none (``from scipy.spatial import`` made 295)
 HULL_CALLS = 317
 
 
@@ -1707,6 +1715,21 @@ class TestPlanarKernels:
     def test_polygon_matches_the_rolled_arithmetic(self):
         for v in _planar_vertex_lists():
             assert outcome(_polygon_fields, v) == outcome(_rolled_polygon_fields, v)
+
+    def test_polygon_overflow_is_named_without_warnings(self):
+        # from about 5e153 on the shoelace sum, the edge cross products or
+        # the edge lengths overflow: such polygons were built with volume inf,
+        # or (from 1e160) named not strictly convex, after RuntimeWarnings
+        square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        heptagon = regular_polygon(7).vertices
+        message = "^coordinates too large: area or edge products overflow$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for v, largest in ((square, 1e153), (heptagon, 5e153)):
+                assert outcome(_polygon_fields, largest * v) == outcome(_rolled_polygon_fields, largest * v)
+                for scale in (1e154, 1e155, 1e160, 1e300):
+                    with pytest.raises(DegenerateInput, match=message):
+                        Polygon(scale * v)
 
     def test_polygon_offsets_keep_numpys_signed_zeros(self):
         # the edge from (0, 1) to (0, 0) has normal (-1, -0.0); its offset,
