@@ -12,6 +12,7 @@ the test suite are checked relatively against it.
 from __future__ import annotations
 
 import logging
+import operator
 from functools import cached_property, lru_cache
 from itertools import chain
 
@@ -53,7 +54,8 @@ def _as_points(points, dim=None):
 
 
 def _span(pts):
-    return float((pts.max(0) - pts.min(0)).max()) if len(pts) else 0.0
+    # an extent that overflows is inf, in Python floats as in numpy, but with no warning
+    return max(map(operator.sub, pts.max(0).tolist(), pts.min(0).tolist())) if len(pts) else 0.0
 
 
 def ConvexHull(points):
@@ -76,9 +78,9 @@ def ConvexHull(points):
         raise DegenerateInput(f"hull construction failed: {first_line}") from exc
 
 
-#: Up to this many points, `_far_apart` compares every two of them; above,
-#: it sorts their coordinates.
-_FEW_POINTS = 32
+#: `_far_apart`'s unit direction per dimension, (1, sqrt 2) or (1, sqrt 2,
+#: sqrt 3) normalised: lattice points and mirror images project apart.
+_SWEEP = {2: np.sqrt([1.0, 2.0]) / np.sqrt(3.0), 3: np.sqrt([1.0, 2.0, 3.0]) / np.sqrt(6.0)}
 
 
 def _dedup_points(pts, tol):
@@ -106,28 +108,21 @@ def _dedup_points(pts, tol):
 
 
 def _far_apart(pts, tol):
-    """Whether every two points are shown to lie more than 2 tol apart, so
-    that `cKDTree.query_pairs(tol)` finds no pair.  Up to `_FEW_POINTS`
-    points the test is that every pairwise squared distance exceeds 4 tol²;
-    above, that on some axis every gap between consecutive sorted
-    coordinates exceeds 2 tol, so that every two points differ by more than
-    2 tol on that axis.  Either margin is far wider than the rounding of
-    these sums and differences or of cKDTree's.  The test is taken only
-    where 4 tol² is a normal double and every |coordinate| is below 1e149,
-    which keeps every squared distance, cKDTree's bounding-box diagonal too,
-    far from overflow.  So every set whose squared distances underflow or
-    overflow goes on to cKDTree, and to its messages."""
-    if not (_TINY <= tol * tol and np.abs(pts).max() < 1e149):
+    """Whether `cKDTree.query_pairs(tol)` is shown to find no pair: every gap
+    between consecutive sorted projections on `_SWEEP` exceeds max(tol,
+    2^-509) (1 + 1e-12) + 1e-14 max|coordinate|.  A pair lies within tol
+    (1 + 1e-15) along any unit direction, or within 2^-510 where tol²
+    underflows, and the projections round within 6e-16 max|coordinate|, so
+    its gaps never exceed the bound.  Only coordinates below 2^510, where
+    cKDTree's squared bounding-box diagonal cannot overflow, are taken; every
+    other set goes on to cKDTree, and to its messages."""
+    big = float(np.abs(pts).max())
+    if not big < 2.0**510:
         return False
-    if len(pts) > _FEW_POINTS:
-        ordered = np.sort(pts, axis=0)
-        return bool((ordered[1:] - ordered[:-1]).min(0).max() > 2 * tol)
-    d = pts[:, None] - pts
-    # summed in any order, each is within a few ulps of the true sum
-    sq = (d * d) @ np.ones(pts.shape[1])
-    # a point's distance to itself is no pair
-    sq.flat[:: len(pts) + 1] = np.inf
-    return bool(sq.min() > 4 * tol * tol)
+    keys = pts @ _SWEEP[pts.shape[1]]
+    keys.sort()
+    bound = max(tol, 2.0**-509) * (1.0 + 1e-12) + 1e-14 * big
+    return bool((keys[1:] - keys[:-1]).min() > bound)
 
 
 def _affine_rank(pts, span):
@@ -576,6 +571,9 @@ def _loop_heights(pts, normals, owner, starts, sizes):
 # at most this many floats in the temporaries of one row block of
 # `_diameter` and `point_body_distances`: 8 MB
 _BLOCK = 1 << 20
+
+#: Up to this many rows, `_diameter` pairs every two.
+_FEW_POINTS = 32
 
 
 def _diameter(v):

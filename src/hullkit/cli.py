@@ -106,7 +106,7 @@ def main(argv=None):
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (GeometryError, OSError) as exc:
+    except (GeometryError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -39,7 +39,7 @@ from hullkit import (
 )
 from hullkit import acceptance, bodies, illumination, projection
 from hullkit.illumination import _ray_level_solves
-from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
+from hullkit.sampling import direction_set, fibonacci_sphere, random_polygon, random_polytope3, regular_polygon
 
 from conftest import calls_in, outcome, unit_vector
 
@@ -89,6 +89,20 @@ class TestHull:
         for body in (square, cube):
             with pytest.raises(DegenerateInput):
                 hull(scale * body.vertices)
+
+    def test_extent_overflow_is_named_without_warnings(self):
+        # the coordinate extent 2e308 overflows; it is taken as inf, with no
+        # "overflow encountered in subtract" before the message
+        tri = [[1e308, 0], [-1e308, 0], [0, 1e308]]
+        tet = [[1e308, 0, 0], [-1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert bodies._span(np.array(tri)) == np.inf
+            for pts in (tri, tet):
+                with pytest.raises(DegenerateInput, match="^coordinates too large: squared distances overflow$"):
+                    hull(pts)
+            with pytest.raises(DegenerateInput, match="^coordinates too large: facet normals overflow$"):
+                Polytope3(tet, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)])
 
     @pytest.mark.parametrize("k", [-276, -400, -528])
     def test_sliver_removal_that_leaves_too_few_points(self, k):
@@ -733,7 +747,7 @@ def test_coplanar_groups_match_propagation_near_edges_and_faces(pts):
 
 
 def _kdtree_dedup(pts, tol):
-    """Reference for `bodies._dedup_points` without its broadcast test:
+    """Reference for `bodies._dedup_points` without its sweep proof:
     keep-first over the pairs of `cKDTree.query_pairs`."""
     pairs = cKDTree(pts).query_pairs(tol, output_type="ndarray")
     drop = np.zeros(len(pts), dtype=bool)
@@ -744,7 +758,7 @@ def _kdtree_dedup(pts, tol):
 
 
 class TestDedupPoints:
-    """The broadcast test of `_dedup_points` only shows that cKDTree finds no
+    """The sweep proof of `_dedup_points` only shows that cKDTree finds no
     pair; wherever it does not, cKDTree decides."""
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
@@ -767,13 +781,96 @@ class TestDedupPoints:
 
     def test_random_sets_and_exact_duplicates(self):
         rng = np.random.default_rng(4)
-        for n in (2, 3, 8, 18, bodies._FEW_POINTS, bodies._FEW_POINTS + 1):
-            pts = rng.normal(size=(n, 3))
+        for dim, n in itertools.product((2, 3), (2, 3, 8, 18, 32, 33, 400)):
+            pts = rng.normal(size=(n, dim))
             tol = EPS * bodies._span(pts)
             assert bodies._far_apart(pts, tol)
             for dup in (pts, np.vstack((pts, pts[:1])), np.vstack((pts[-1:], pts))):
                 assert bodies._dedup_points(dup, tol).tobytes() == _kdtree_dedup(dup, tol).tobytes()
         assert not bodies._far_apart(np.vstack((CUBE, CUBE[:1])), 2 * EPS)
+
+    @staticmethod
+    def _assert_sound(pts, tol):
+        """`_far_apart` is True only where cKDTree finds no pair and does not
+        raise, and `_dedup_points` keeps what keep-first over cKDTree's
+        pairs keeps, or names cKDTree's refusal.  Returns the proof."""
+        try:
+            want = _kdtree_dedup(pts, tol)
+        except ValueError:
+            want = None
+        shown = bodies._far_apart(pts, tol)
+        if want is None:
+            assert not shown
+            with pytest.raises(DegenerateInput, match="^coordinates too large: squared distances overflow$"):
+                bodies._dedup_points(pts, tol)
+        else:
+            assert not shown or len(want) == len(pts)
+            assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
+        return shown
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pairs_planted_along_the_sweep(self, dim):
+        # the sweep's own direction is the hardest for the proof: there a
+        # pair's projections lie as far apart as its points.  Pairs at tol
+        # (1 + k 2^-52) on points at scales 2^e, from the subnormal to the
+        # top of the proof's range
+        rng = np.random.default_rng(dim)
+        sweep = bodies._SWEEP[dim]
+        steps = 1.0 + np.arange(-8, 9) * 2.0**-52
+        shape = 0.5 * (regular_polygon(6).vertices if dim == 2 else CUBE)
+        for e in [*range(-1074, 510, 13), 509]:
+            base = np.ldexp(shape + rng.uniform(-0.01, 0.01, shape.shape), e)
+            for j in (8, 30, 50):
+                tol = np.ldexp(1.0, max(e - j, -1074))
+                # without the planted pair, the proof settles the points
+                # wherever their gaps can exceed 2^-509
+                assert self._assert_sound(base, tol) or e < -490
+                for step in steps:
+                    p = base[2] + tol * step * sweep
+                    self._assert_sound(np.vstack((base, p)), tol)
+                    self._assert_sound(np.vstack((p, base)), tol)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_pairs_where_the_squared_tolerance_underflows(self, dim):
+        # differences of 2^-545 to 2^-505 at tol from 2^-545 to 2^-505: below
+        # about 2^-537 a squared difference rounds to 0, so cKDTree pairs
+        # points that lie farther apart than tol
+        rng = np.random.default_rng(10 + dim)
+        sweep = bodies._SWEEP[dim]
+        base = np.ldexp(rng.uniform(-1.0, 1.0, (6, dim)), -500)
+        found = 0
+        for t in range(505, 546, 4):
+            tol = 2.0**-t
+            assert self._assert_sound(base, tol)
+            for d in range(505, 546, 2):
+                for k in (-8, 0, 8):
+                    p = base[2] + 2.0**-d * (1.0 + k * 2.0**-52) * sweep
+                    pts = np.vstack((base, p))
+                    self._assert_sound(pts, tol)
+                    found += len(_kdtree_dedup(pts, tol)) < len(pts)
+        assert found > 0
+
+    def test_symmetric_sets_are_settled(self):
+        # regular polygons, lattices and Fibonacci spheres repeat their
+        # coordinates, but not their projections on the sweep
+        sets = [regular_polygon(m).vertices for m in (*range(3, 13), 64, 256)]
+        sets += [np.array(list(itertools.product(range(k), repeat=dim)), dtype=float) for k, dim in ((7, 2), (5, 3))]
+        sets.append(fibonacci_sphere(1024))
+        for pts in sets:
+            assert bodies._far_apart(pts, EPS * bodies._span(pts)), len(pts)
+
+    def test_one_path_at_every_size(self):
+        # no size-keyed branch: the proof makes as many Python-level calls
+        # on 4 points as on 4 096
+        rng = np.random.default_rng(5)
+        for dim in (2, 3):
+            counts = set()
+            for n in (4, 33, 400, 4096):
+                pts = rng.normal(size=(n, dim))
+                tol = EPS * bodies._span(pts)
+                assert bodies._far_apart(pts, tol)
+                counts.add(calls_in(bodies._far_apart, pts, tol))
+            assert len(counts) == 1, counts
 
     def test_range_messages_are_unchanged(self, cube):
         with pytest.raises(DegenerateInput, match="^coordinates too large: squared distances overflow$"):
@@ -783,7 +880,7 @@ class TestDedupPoints:
             with pytest.raises(DegenerateInput, match="^coordinates too small: squared distances underflow$"):
                 hull(scale * simplex_plus)
         # where squared distances near overflow, cKDTree raises although each
-        # one is finite, and the broadcast test leaves it to cKDTree
+        # one is finite, and the sweep proof leaves it to cKDTree
         pts = 0.9e154 * np.vstack((np.eye(3), [[0.0, 0.0, 0.0]]))
         assert not bodies._far_apart(pts, EPS * bodies._span(pts))
         with pytest.raises(DegenerateInput, match="^coordinates too large"):
@@ -815,8 +912,9 @@ def test_affine_rank_matches_the_svd(dim):
 #: 10% above the 289 calls counted with numpy 2.4 and scipy 1.17 (310 before
 #: the row dots became `np.vecdot`, 398 before the medium-hull work and 481
 #: before the small-hull path was cut).  Since scipy.spatial is imported on
-#: first use the count is 290: one more call, `bodies.ConvexHull`, whose
-#: ``import scipy.spatial`` makes none (``from scipy.spatial import`` made 295)
+#: first use the count was 290: one more call, `bodies.ConvexHull`, whose
+#: ``import scipy.spatial`` makes none (``from scipy.spatial import`` made 295).
+#: Since `_far_apart` is one sweep over projections it is 287
 HULL_CALLS = 317
 
 

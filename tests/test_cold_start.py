@@ -17,7 +17,7 @@ import pytest
 
 import hullkit
 from hullkit import DegenerateInput, hull, serialize_body
-from hullkit.bodies import EPS, _FEW_POINTS, _far_apart, _span
+from hullkit.bodies import EPS, _far_apart, _span
 from hullkit.sampling import regular_polygon
 
 SRC = str(Path(hullkit.__file__).parents[1])
@@ -111,14 +111,35 @@ print(json.dumps([before, "scipy.spatial" in sys.modules, result]))
 """
 
 
+_SYMMETRIC_WORK = _SCIPY_LOADED + """
+import itertools, json
+from hullkit import hull, illumination_body, tcvp_check
+from hullkit.sampling import regular_polygon
+
+body = regular_polygon(64)
+hull(body.vertices)
+illumination_body(body, 0.5 * body.volume)
+tcvp_check(body)
+hull(list(itertools.product(range(7), repeat=2)))
+print(json.dumps(scipy_loaded()))
+"""
+
+
+def test_symmetric_polygons_and_lattices_load_no_scipy():
+    # they repeat their coordinates, but the sweep proof still shows that
+    # no two of their points are close, so no cKDTree is built
+    assert last_line(run_fresh("-c", _SYMMETRIC_WORK)) == []
+
+
 def test_first_close_point_query_dedups_as_in_process():
-    # more than _FEW_POINTS points with a close pair: no axis separates
-    # them, so only cKDTree can tell which points coincide
+    # the sweep proof settles the 40 points, but not with a point planted
+    # within tol of one of them: only cKDTree can tell which points coincide
     rng = np.random.default_rng(16)
     ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, 40))
     pts = np.column_stack((np.cos(ang), np.sin(ang)))
+    assert _far_apart(pts, EPS * _span(pts))
     pts = np.vstack((pts, pts[5] + 0.1 * EPS * _span(pts)))
-    assert len(pts) > _FEW_POINTS and not _far_apart(pts, EPS * _span(pts))
+    assert not _far_apart(pts, EPS * _span(pts))
     body = hull(pts)
     assert len(body) == 40
     before, loaded, result = last_line(run_fresh("-c", _HULL_OF_STDIN, stdin=json.dumps(pts.tolist())))

@@ -34,6 +34,7 @@ from hullkit import (
     tcvp_check,
     translative_volume_constant,
 )
+from hullkit import projection
 from hullkit.acceptance import illumination_defect_rows
 from hullkit.cli import main
 from hullkit.extensions import admissible_extension_pairs
@@ -302,6 +303,29 @@ class TestCli:
         else:
             assert (code, out) == (1, "")
             assert err == "error: coordinates too large: squared distances overflow\n"
+
+    def test_extent_overflow_is_one_line_error(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": [[1e308, 0], [-1e308, 0], [0, 1e308]]}))
+        src = str(Path(hullkit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        proc = subprocess.run([sys.executable, "-m", "hullkit", "tcvp", str(path)], capture_output=True, text=True,
+                              env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: coordinates too large: squared distances overflow\n"
+
+    def test_memory_error_is_one_line_error(self, tmp_path, monkeypatch):
+        # what numpy raises when a direction set of 10^11 rows cannot be
+        # allocated; no array is allocated here
+        def refuse(dim, n):
+            raise MemoryError(f"Unable to allocate an array of {n} directions")
+
+        monkeypatch.setattr(projection, "direction_set", refuse)
+        path = tmp_path / "square.json"
+        path.write_text(serialize_body(hull([[1, 1], [-1, 1], [-1, -1], [1, -1]])))
+        code, out, err = run_cli(["tcvp", str(path), "--dirs", "100000000000"])
+        assert (code, out) == (1, "")
+        assert err == "error: Unable to allocate an array of 100000000000 directions\n"
 
     def test_body_emptied_by_sliver_removal_is_one_line_error(self, tmp_path):
         path = tmp_path / "tiny.json"
