@@ -53,6 +53,15 @@ def _as_points(points, dim=None):
     return pts
 
 
+def _as_vectors(x, dim):
+    """x as a float array with dim entries along its last axis: a point, a
+    direction, or an array of them."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (dim,):
+        raise DimensionMismatch(f"expected {dim} coordinates along the last axis, got shape {x.shape}")
+    return x
+
+
 def _span(pts):
     # an extent that overflows is inf, in Python floats as in numpy, but with no warning
     return max(map(operator.sub, pts.max(0).tolist(), pts.min(0).tolist())) if len(pts) else 0.0
@@ -160,6 +169,7 @@ def _affine_rank(pts, span):
 
 def rot90(u):
     """Rotate a 2D vector by +pi/2."""
+    u = _as_vectors(u, 2)
     return np.array([-u[1], u[0]], dtype=float)
 
 
@@ -265,16 +275,16 @@ class _BodyBase:
         return _diameter(self.vertices)
 
     def support(self, u):
-        return float(np.max(self.vertices @ np.asarray(u, dtype=float)))
+        return float(np.max(self.vertices @ _as_vectors(u, self.dim)))
 
     def support_many(self, dirs):
-        return _row_max(np.asarray(dirs, dtype=float) @ self.vertices.T)
+        return _row_max(_as_vectors(dirs, self.dim) @ self.vertices.T)
 
     def gauge(self, u):
-        return float(self.gauge_many(np.asarray(u, dtype=float)[None, :])[0])
+        return float(self.gauge_many(np.asarray(u, dtype=float)[None])[0])
 
     def gauge_many(self, dirs):
-        dirs = np.asarray(dirs, dtype=float)
+        dirs = _as_vectors(dirs, self.dim)
         if np.min(self.facet_offsets) <= EPS * self.diameter:
             raise OriginNotInterior("gauge requires the origin strictly inside the body")
         return 1.0 / _row_max((dirs @ self.facet_normals.T) / self.facet_offsets)
@@ -282,7 +292,7 @@ class _BodyBase:
     def contains(self, x, tol=None):
         if tol is None:
             tol = EPS * self.diameter
-        x = np.asarray(x, dtype=float)
+        x = _as_vectors(x, self.dim)
         return bool(np.max(x @ self.facet_normals.T - self.facet_offsets) <= tol)
 
 
@@ -345,7 +355,7 @@ class Polygon(_BodyBase):
         return f"Polygon({len(self)} vertices, area={self._volume:.6g})"
 
     def translate(self, t):
-        return Polygon(self.vertices + np.asarray(t, dtype=float))
+        return Polygon(self.vertices + _as_vectors(t, 2))
 
     def scale(self, s):
         if s == 0:
@@ -447,8 +457,13 @@ class Polytope3(_BodyBase):
 
         # rounding is monotone, so max_i fl(a_ij - b_j) is fl(max_i a_ij - b_j)
         # (NaN included): the column maxima decide, bit for bit, what the
-        # whole (V, F) array of slacks would
-        if ((v @ normals.T).max(0) - offsets).max() > 10 * tol:
+        # whole (V, F) array of slacks would.  They are taken over row blocks
+        # of at most `_BLOCK` products, one block wherever V * F is that small
+        rows = max(1, _BLOCK // n_loops)
+        tops = (v[:rows] @ normals.T).max(0)
+        for lo in range(rows, len(v), rows):
+            np.maximum(tops, (v[lo:lo + rows] @ normals.T).max(0), out=tops)
+        if (tops - offsets).max() > 10 * tol:
             raise DegenerateInput("a vertex lies outside a facet halfspace")
 
         # consistent orientation: every edge appears in exactly two loops,
@@ -487,7 +502,7 @@ class Polytope3(_BodyBase):
         return f"Polytope3({len(self)} vertices, {len(self.facet_loops)} facets, volume={self._volume:.6g})"
 
     def translate(self, t):
-        return Polytope3(self.vertices + np.asarray(t, dtype=float), self._loops)
+        return Polytope3(self.vertices + _as_vectors(t, 3), self._loops)
 
     def scale(self, s):
         s = float(s)
@@ -648,18 +663,17 @@ def hull(points):
     return _hull3(kept, span if len(kept) == len(pts) else _span(kept))
 
 
-def _hull2_indices(pts, tol=None):
+def _hull2_indices(pts):
     """Monotone chain; returns CCW indices of the strictly extreme points.
 
     The turns are computed on Python floats, which are IEEE doubles like the
     numpy scalars they replace: the same operations in the same order give
     the same bits, without numpy's per-scalar overhead.  A turn counts as
-    flat unless it exceeds tol (so a NaN turn is not flat)."""
+    flat unless it exceeds tol = EPS * span**2 (so a NaN turn is not flat)."""
     order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    if tol is None:
-        # EPS * _span(pts) ** 2: max and min are exact, so this is its value
-        tol = EPS * max(max(xs) - min(xs), max(ys) - min(ys)) ** 2
+    # EPS * _span(pts) ** 2: max and min are exact, so this is its value
+    tol = EPS * max(max(xs) - min(xs), max(ys) - min(ys)) ** 2
 
     def build(seq):
         chain = []
@@ -1084,7 +1098,7 @@ def brightness(body, u):
     2D: length of the projection onto the line perpendicular to u.
     3D: Cauchy's formula, half the sum of |<u, n_F>| * area(F) over facets.
     """
-    u = _check_unit(u)
+    u = _check_unit(_as_vectors(u, body.dim))
     if body.dim == 2:
         w = rot90(u)
         return body.support(w) + body.support(-w)
@@ -1093,7 +1107,7 @@ def brightness(body, u):
 
 def brightness_many(body, dirs):
     """Vectorized brightness over an array of unit directions."""
-    dirs = np.asarray(dirs, dtype=float)
+    dirs = _as_vectors(dirs, body.dim)
     if body.dim == 2:
         w = np.column_stack((-dirs[:, 1], dirs[:, 0]))
         return body.support_many(w) + body.support_many(-w)
@@ -1105,7 +1119,7 @@ def shadow_area(body, u):
 
     Kept separate from :func:`brightness` as an independent cross-check.
     """
-    u = _check_unit(u)
+    u = _check_unit(_as_vectors(u, body.dim))
     if body.dim == 2:
         proj = body.vertices @ rot90(u)
         return float(np.max(proj) - np.min(proj))
@@ -1123,7 +1137,7 @@ def affine_image(body, mat, shift=None):
         raise DimensionMismatch("affine matrix has the wrong shape")
     if abs(np.linalg.det(mat)) < 1e-12:
         raise SingularMatrix("affine map must be invertible")
-    shift = np.zeros(body.dim) if shift is None else np.asarray(shift, dtype=float)
+    shift = np.zeros(body.dim) if shift is None else _as_vectors(shift, body.dim)
     mapped = body.vertices @ mat.T + shift
     if body.dim == 2:
         return Polygon(mapped)

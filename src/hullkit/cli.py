@@ -3,6 +3,8 @@
 Subcommands: eval, illum, projbody, tcvp, extend, search, selftest.  Check
 rows go to stdout as CSV (name,value,tolerance,pass); --json writes the full
 run report.  Exit codes: 0 success, 1 usage or input error, 2 check failure.
+Every file is written before the first line of stdout, and exit 1 leaves
+stdout empty and no file created or changed.
 
 All output is deterministic given the same inputs, flags and --seed; no
 timestamps or unordered containers are involved.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -20,15 +23,7 @@ from . import acceptance
 from .bodies import brightness_many, difference_body, polar
 from .errors import GeometryError, MissingIntersection
 from .extensions import admissible_extension_pairs, extension_homothety_check, kl_extension
-from .fileio import (
-    CheckRow,
-    checks_to_csv,
-    fmt,
-    load_body,
-    save_body,
-    write_off,
-    write_svg,
-)
+from .fileio import CheckRow, checks_to_csv, fmt, load_body, off_text, serialize_body, svg_text
 from .hullfun import convex_hull_function, homothetic_hull_function, point_hull_values, point_hull_volume
 from .illumination import HOMOTHETY_TOL, homothety_fit, illumination_body
 from .projection import TCVP_TOL, projection_body, tcvp_check, translative_volume_constant
@@ -138,26 +133,49 @@ def _load(args):
     return body
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+def _json_text(payload):
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _report(args, rows, artifacts=(), extra=None):
-    """Print the check rows as CSV and a `wrote` line per artifact; given
-    extra fields, also write them in the run report to --json."""
-    sys.stdout.write(checks_to_csv(rows))
-    for path in artifacts:
-        print(f"wrote {path}", file=sys.stderr)
+def _write_files(files):
+    """Write each (path, text) pair with ``open(path, "w")``, once every
+    target has been opened to append, which creates a missing file and
+    changes no other.  A target that cannot be opened (in a missing
+    directory, or a directory) so raises before any file has changed, and
+    the files created until then are removed."""
+    created = []
+    try:
+        for path, _ in files:
+            new = not os.path.exists(path)
+            open(path, "a").close()
+            if new:
+                created.append(path)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    for path, text in files:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
+def _report(args, rows, files=(), extra=None):
+    """The one output path of every command that writes files.  Given extra
+    fields, the run report (with them) is added to the files to --json;
+    then every file is written, and only then are the check rows printed
+    as CSV, with a `wrote` line per file."""
+    files = list(files)
     if extra is not None and args.json_path:
-        _write_json(args.json_path, {
+        files.append((args.json_path, _json_text({
             "command": args.argv,
             "checks": [[r.name, r.value, r.tolerance, r.passed] for r in rows],
-            "artifacts": list(artifacts),
+            "artifacts": [path for path, _ in files],
             **extra,
-        })
-        print(f"wrote {args.json_path}", file=sys.stderr)
+        })))
+    _write_files(files)
+    sys.stdout.write(checks_to_csv(rows))
+    for path, _ in files:
+        print(f"wrote {path}", file=sys.stderr)
 
 
 def _cmd_eval(args):
@@ -188,17 +206,15 @@ def _cmd_illum(args):
         CheckRow("illum_homothety_defect", fit.defect, HOMOTHETY_TOL, fit.is_homothet),
         CheckRow("illum_volume", level_set.body.volume, None, None),
     ]
-    artifacts = []
+    files = []
     if args.json_path:
-        save_body(level_set.body, args.json_path, name=f"illumination_delta_{fmt(args.delta)}")
-        artifacts.append(args.json_path)
+        name = f"illumination_delta_{fmt(args.delta)}"
+        files.append((args.json_path, serialize_body(level_set.body, name=name)))
     if args.svg:
-        write_svg(args.svg, filled=[body.vertices], curves=[level_set.body.vertices])
-        artifacts.append(args.svg)
+        files.append((args.svg, svg_text(filled=[body.vertices], curves=[level_set.body.vertices])))
     if args.off:
-        write_off(level_set.body, args.off)
-        artifacts.append(args.off)
-    _report(args, rows, artifacts)
+        files.append((args.off, off_text(level_set.body)))
+    _report(args, rows, files)
     return 0
 
 
@@ -210,21 +226,15 @@ def _cmd_projbody(args):
         "polar_projection": polar(projection),
         "difference": difference_body(body),
     }
-    artifacts = []
+    files = []
     if args.json_path:
-        for suffix, out in named.items():
-            path = f"{args.json_path}.{suffix}.json"
-            save_body(out, path, name=suffix)
-            artifacts.append(path)
+        files += [(f"{args.json_path}.{k}.json", serialize_body(out, name=k)) for k, out in named.items()]
     if args.off:
-        for suffix, out in named.items():
-            path = f"{args.off}.{suffix}.off"
-            write_off(out, path)
-            artifacts.append(path)
+        files += [(f"{args.off}.{k}.off", off_text(out)) for k, out in named.items()]
     dirs = direction_set(body.dim, 200)
     rel = np.abs(named["projection"].support_many(dirs) - brightness_many(body, dirs))
     rel = float(np.max(rel / brightness_many(body, dirs)))
-    _report(args, [CheckRow("projection_support_vs_brightness", rel, 1e-9, rel <= 1e-9)], artifacts)
+    _report(args, [CheckRow("projection_support_vs_brightness", rel, 1e-9, rel <= 1e-9)], files)
     return 0
 
 
@@ -261,24 +271,17 @@ def _cmd_extend(args):
         CheckRow("extension_level_residual", level_residual, 1e-9, level_residual <= 1e-9),
         CheckRow("extension_ratio", report.ratio, None, None),
     ]
-    artifacts = []
+    files = []
     if args.json_path:
-        _write_json(args.json_path, {
+        files.append((args.json_path, _json_text({
             "kind": "extension_curve",
             "k": args.k,
             "l": args.l,
             "vertices": [[float(c) for c in v] for v in curve.vertices],
-        })
-        artifacts.append(args.json_path)
+        })))
     if args.svg:
-        write_svg(
-            args.svg,
-            filled=[body.vertices],
-            curves=[curve.vertices],
-            marked=[curve.vertices],
-        )
-        artifacts.append(args.svg)
-    _report(args, rows, artifacts)
+        files.append((args.svg, svg_text(filled=[body.vertices], curves=[curve.vertices], marked=[curve.vertices])))
+    _report(args, rows, files)
     return 0
 
 

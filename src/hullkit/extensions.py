@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon, _diameter, _successors
+from .bodies import Polygon, _as_vectors, _diameter, _successors
 from .errors import ConditionViolated, MissingIntersection, SingularMatrix
 from .hullfun import point_hull_values
 from .illumination import homothety_from_pairs
@@ -191,5 +191,5 @@ def affinely_regular_polygon(m, mat, shift=None):
         raise SingularMatrix("affine matrix must be 2x2")
     if abs(np.linalg.det(mat)) < 1e-12:
         raise SingularMatrix("affine map must be invertible")
-    shift = np.zeros(2) if shift is None else np.asarray(shift, dtype=float)
+    shift = np.zeros(2) if shift is None else _as_vectors(shift, 2)
     return Polygon(base.vertices @ mat.T + shift)

@@ -141,11 +141,6 @@ def off_text(body):
     return "\n".join(lines) + "\n"
 
 
-def write_off(body, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(off_text(body))
-
-
 # ---------------------------------------------------------------------------
 # SVG export (2D)
 
@@ -194,8 +189,3 @@ def svg_text(filled=(), curves=(), marked=()):
             parts.append(f'<circle cx="{fmt(p[0])}" cy="{fmt(-p[1])}" r="{fmt(0.01 * span)}" fill="#2c3e50"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def write_svg(path, filled=(), curves=(), marked=()):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(svg_text(filled=filled, curves=curves, marked=marked))

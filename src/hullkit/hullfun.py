@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, hull
+from .bodies import EPS, _as_vectors, hull
 from .errors import LambdaOutOfRange, OriginNotInterior
 
 
@@ -31,7 +31,7 @@ class HullFunctionValue:
 
 def convex_hull_function(body, t):
     """Volume of the convex hull of the body and its translate by t."""
-    t = np.asarray(t, dtype=float)
+    t = _as_vectors(t, body.dim)
     v = body.vertices
     return hull(np.vstack((v, v + t))).volume
 
@@ -48,7 +48,7 @@ def homothetic_hull_function(body, lam, t):
         raise LambdaOutOfRange("lam must satisfy 0 <= lam < 1")
     if lam > 0.0 and np.min(body.facet_offsets) <= EPS * body.diameter:
         raise OriginNotInterior("homothetic hull function needs the origin inside the body")
-    t = np.asarray(t, dtype=float)
+    t = _as_vectors(t, body.dim)
     return hull(np.vstack((body.vertices, lam * body.vertices + t))).volume
 
 
@@ -60,7 +60,7 @@ def point_hull_values(body, points):
     stack of point sets (shape (..., k, dim)) gives each set the values a
     call on that (k, dim) set alone would give, bit for bit.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.atleast_2d(_as_vectors(points, body.dim))
     slack = points @ body.facet_normals.T - body.facet_offsets
     np.maximum(slack, 0.0, out=slack)
     return body.volume + (slack @ body.facet_areas) / body.dim
@@ -72,7 +72,7 @@ def point_hull_volume(body, t):
     A point exactly on a facet plane contributes zero either way; the active
     set uses strict inequality with EPS slack.
     """
-    t = np.asarray(t, dtype=float)
+    t = _as_vectors(t, body.dim)
     slack = t @ body.facet_normals.T - body.facet_offsets
     value = body.volume + float(np.maximum(slack, 0.0) @ body.facet_areas) / body.dim
     active = tuple(int(i) for i in np.nonzero(slack > EPS * body.diameter)[0])

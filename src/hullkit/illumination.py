@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, _cross, _dedup_points, _pairs, _row_norms, _successors, hull
+from .bodies import EPS, Body, _as_vectors, _cross, _dedup_points, _pairs, _row_norms, _successors, hull
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -191,7 +191,7 @@ def ray_level_solve(body, u, level):
     Requires level > volume(body) and the origin inside the queried sublevel
     set (guaranteed when the origin is in the body).
     """
-    return float(_ray_level_solves(body, np.asarray(u, dtype=float)[None], level)[0])
+    return float(_ray_level_solves(body, _as_vectors(u, body.dim)[None], level)[0])
 
 
 def _ray_level_solves(body, dirs, level):

@@ -17,13 +17,17 @@ from hullkit import (
     OriginNotInterior,
     Polygon,
     Polytope3,
+    affine_image,
     affinely_regular_polygon,
     brightness,
     brightness_many,
     central_symmetral,
+    convex_hull_function,
+    delta_values,
     difference_body,
     gauge,
     hausdorff_distance,
+    homothetic_hull_function,
     hull,
     illumination_body,
     illumination_body_3d,
@@ -32,8 +36,11 @@ from hullkit import (
     point_body_distance,
     point_body_distances,
     point_hull_values,
+    point_hull_volume,
     polar,
     projection_body,
+    ray_level_solve,
+    rot90,
     shadow_area,
     support,
 )
@@ -236,7 +243,7 @@ def _loop_hull3(pts):
             basis1 = np.cross(n, [0.0, 1.0, 0.0])
         basis1 /= np.linalg.norm(basis1)
         local = np.column_stack((pts[vids] @ basis1, pts[vids] @ np.cross(n, basis1)))
-        ring = bodies._hull2_indices(local, tol=EPS * span * max(bodies._span(local), EPS * span))
+        ring = _scalar_hull2_indices(local, tol=EPS * span * max(bodies._span(local), EPS * span))
         loop = [int(vids[i]) for i in ring]
         loops.append(loop[::-1] if n @ pts.mean(axis=0) > offsets[seed] else loop)
     return pts, loops
@@ -914,7 +921,8 @@ def test_affine_rank_matches_the_svd(dim):
 #: before the small-hull path was cut).  Since scipy.spatial is imported on
 #: first use the count was 290: one more call, `bodies.ConvexHull`, whose
 #: ``import scipy.spatial`` makes none (``from scipy.spatial import`` made 295).
-#: Since `_far_apart` is one sweep over projections it is 287
+#: Since `_far_apart` is one sweep over projections it is 287, and 289 since
+#: `Polytope3` takes its containment maxima over row blocks (`max`, `range`)
 HULL_CALLS = 317
 
 
@@ -1157,6 +1165,45 @@ class TestPolytope3Validation:
         flipped = Polytope3(cube.vertices, [loop[::-1] for loop in cube.facet_loops])
         assert flipped.facet_loops == cube.facet_loops
         assert np.array_equal(flipped.facet_normals, cube.facet_normals)
+
+
+class TestContainmentBlocks:
+    """Polytope3 checks containment over row blocks of vertices, so its
+    memory does not grow as V * F."""
+
+    @pytest.mark.parametrize("case", ["sphere_hull", "projection_body"])
+    def test_memory_is_bounded(self, case):
+        # a whole (V, F) product is 1.07 GB for the 8 192-point sphere, and
+        # 260 MB for the projection body of a 76-facet sphere polytope
+        if case == "sphere_hull":
+            build, arg = hull, fibonacci_sphere(8192)
+        else:
+            build, arg = projection_body, random_polytope3(np.random.default_rng(1), 40)
+            assert len(arg.facet_loops) == 76
+        hull(fibonacci_sphere(32))  # so no first import lands in the peak
+        tracemalloc.start()
+        try:
+            build(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64e6
+
+    def test_blocks_decide_as_one_product(self, monkeypatch):
+        body = random_polytope3(np.random.default_rng(5), 30)
+        shifted = [tuple(i + 1 for i in loop) for loop in body.facet_loops]
+        outside = np.array([[0.0, 0.0, 1.5]])
+        # one vertex per block, then blocks of 4 with a short last one
+        for block in (7, 4 * len(body.facet_loops)):
+            monkeypatch.setattr(bodies, "_BLOCK", block)
+            again = Polytope3(body.vertices, body.facet_loops)
+            for name in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+                assert getattr(again, name).tobytes() == getattr(body, name).tobytes()
+            # the outside vertex in the first block, and in the last
+            for v, loops in ((np.vstack((outside, body.vertices)), shifted),
+                             (np.vstack((body.vertices, outside)), body.facet_loops)):
+                with pytest.raises(DegenerateInput, match="^a vertex lies outside a facet halfspace$"):
+                    Polytope3(v, loops)
 
 
 class TestPolytopeInvariants:
@@ -1456,6 +1503,42 @@ class TestBrightness:
     def test_non_unit_direction(self, cube):
         with pytest.raises(NonUnitDirection):
             brightness(cube, [1.0, 1.0, 1.0])
+
+
+_SQUARE = hull([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+_CUBE = hull([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+# each a point or direction of the wrong length: some of these calls gave a
+# silently wrong answer (brightness(square, (0, 1, 0)) was 2.0, and
+# translate([5]) shifted both coordinates), the others numpy's ValueError
+# or an IndexError
+_WRONG_LENGTH = {
+    "support": lambda: support(_SQUARE, (1, 0, 0)),
+    "support_many": lambda: _CUBE.support_many([(1, 0)]),
+    "gauge": lambda: gauge(_CUBE, (1, 0)),
+    "gauge_many": lambda: _SQUARE.gauge_many([(1, 0, 0)]),
+    "contains": lambda: _SQUARE.contains((0, 0, 0)),
+    "brightness": lambda: brightness(_SQUARE, (0, 1, 0)),
+    "brightness_many": lambda: brightness_many(_SQUARE, [(0, 1, 0)]),
+    "shadow_area_2d": lambda: shadow_area(_SQUARE, (0, 1, 0)),
+    "shadow_area_3d": lambda: shadow_area(_CUBE, (1, 0)),
+    "rot90": lambda: rot90((0, 1, 0)),
+    "translate_2d": lambda: _SQUARE.translate([5]),
+    "translate_3d": lambda: _CUBE.translate([5, 1]),
+    "affine_image": lambda: affine_image(_SQUARE, np.eye(2), shift=[5]),
+    "affinely_regular_polygon": lambda: affinely_regular_polygon(5, np.eye(2), shift=[5]),
+    "convex_hull_function": lambda: convex_hull_function(_SQUARE, (1,)),
+    "homothetic_hull_function": lambda: homothetic_hull_function(_CUBE, 0.5, (1, 0)),
+    "point_hull_volume": lambda: point_hull_volume(_CUBE, (1, 0)),
+    "point_hull_values": lambda: point_hull_values(_SQUARE, [(1, 0, 0)]),
+    "ray_level_solve": lambda: ray_level_solve(_SQUARE, (1, 0, 0), 5.0),
+    "delta_values": lambda: delta_values(_CUBE, [(1, 0)]),
+}
+
+
+@pytest.mark.parametrize("name", _WRONG_LENGTH)
+def test_points_and_directions_of_the_wrong_length(name):
+    with pytest.raises(DimensionMismatch, match="^expected [23] coordinates along the last axis, got shape"):
+        _WRONG_LENGTH[name]()
 
 
 def _segment_distances(x, starts, ends):
@@ -1780,32 +1863,36 @@ def _planar_point_sets():
 
 
 class TestPlanarKernels:
-    def test_chain_matches_the_numpy_scalar_chain(self):
+    def test_chain_matches_the_numpy_scalar_chain(self, monkeypatch):
+        for pts in _planar_point_sets():
+            assert bodies._hull2_indices(pts).tobytes() == _scalar_hull2_indices(pts).tobytes()
+        # the chain's tolerance is EPS * span**2: other tolerances come from
+        # other values of EPS, passed on to the reference as its tol
         rng = np.random.default_rng(33)
-        cases = [(pts, None) for pts in _planar_point_sets()]
-        cases += [(pts, tol) for pts in _planar_point_sets()[::3] for tol in (0.0, 1e-3, 0.1, np.float64(0.05))]
-        # turns at exactly +-tol, and one ulp either side of it
+        cases = [(pts, eps) for pts in _planar_point_sets()[::3] for eps in (0.0, 1e-3, 0.1, np.float64(0.05))]
+        # turns at exactly +-tol, and one ulp either side of it, on points
+        # of span 1, where the tolerance is EPS itself
         for _ in range(40):
-            pts = rng.normal(size=(12, 2))
+            pts = rng.uniform(0.0, 1.0, size=(12, 2))
+            pts[-2:] = [[0.0, 0.5], [1.0, 0.5]]
             o, a, b = pts[0], pts[1], pts[2]
             turn = float((a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0]))
-            for tol in (turn, -turn, np.nextafter(abs(turn), np.inf), np.nextafter(abs(turn), -np.inf)):
-                cases.append((pts, tol))
-        for pts, tol in cases:
-            assert bodies._hull2_indices(pts, tol).tobytes() == _scalar_hull2_indices(pts, tol).tobytes()
+            for eps in (turn, -turn, np.nextafter(abs(turn), np.inf), np.nextafter(abs(turn), -np.inf)):
+                cases.append((pts, eps))
+        for pts, eps in cases:
+            monkeypatch.setattr(bodies, "EPS", eps)
+            tol = eps * bodies._span(pts) ** 2
+            assert bodies._hull2_indices(pts).tobytes() == _scalar_hull2_indices(pts, tol).tobytes()
 
-    def test_explicit_tolerance_callers_match(self):
-        # the facet-loop reference passes its own tol; shadow_area projects
-        # a 3-polytope and takes the default
+    def test_shadow_area_matches_the_scalar_chain(self):
+        # shadow_area takes the chain of a 3-polytope's projected vertices
         rng = np.random.default_rng(34)
         for _ in range(8):
             body = random_polytope3(rng, int(rng.integers(6, 14)))
             u = unit_vector(rng, 3)
             b1, b2 = (b[0] for b in bodies._plane_basis(u[None, :]))
             flat = np.column_stack((body.vertices @ b1, body.vertices @ b2))
-            span = bodies._span(flat)
-            for tol in (None, EPS * span * span, EPS * span * max(span, EPS * span)):
-                assert bodies._hull2_indices(flat, tol).tobytes() == _scalar_hull2_indices(flat, tol).tobytes()
+            assert bodies._hull2_indices(flat).tobytes() == _scalar_hull2_indices(flat).tobytes()
             ring = flat[_scalar_hull2_indices(flat)]
             area2 = np.sum(ring[:, 0] * np.roll(ring[:, 1], -1) - np.roll(ring[:, 0], -1) * ring[:, 1])
             assert shadow_area(body, u) == 0.5 * abs(float(area2))

@@ -584,6 +584,71 @@ class TestCliOutputContract:
         assert result == (1, "", f"usage error: {message}\n", {})
 
 
+def _tree(root):
+    """Every path under root, with its bytes (None for a directory) and mode."""
+    return {
+        str(p.relative_to(root)): (p.read_bytes() if p.is_file() else None, p.stat().st_mode)
+        for p in sorted(root.rglob("*"))
+    }
+
+
+class TestTargetsThatCannotBeWritten:
+    """Each command that writes files, with one writable target and one in a
+    missing directory or that is a directory: exit 1, empty stdout, one line
+    of stderr, and no file created or changed.  Under out/, 'sub',
+    'd.projection.json' and 'p.projection.off' are directories, and
+    'b.json', 'p.projection.json' and 'e.json' exist already."""
+
+    @pytest.mark.parametrize(
+        "name,args",
+        [
+            ("square", ["illum", "--delta", "0.7", "--json", "@b.json", "--svg", "@missing/b.svg"]),
+            ("cube", ["illum", "--delta", "0.7", "--json", "@new.json", "--off", "@sub"]),
+            ("tetrahedron", ["projbody", "--json", "@p", "--off", "@missing/p"]),
+            ("tetrahedron", ["projbody", "--json", "@p", "--off", "@p"]),
+            ("heptagon", ["projbody", "--json", "@d"]),
+            ("heptagon", ["extend", "--k", "1", "--l", "1", "--json", "@e.json", "--svg", "@sub"]),
+            ("heptagon", ["extend", "--k", "1", "--l", "1", "--svg", "@new.svg", "--json", "@missing/e.json"]),
+            ("square", ["tcvp", "--dirs", "100", "--json", "@missing/r.json"]),
+            ("cube", ["tcvp", "--dirs", "100", "--json", "@sub"]),
+            (None, ["search", "--n", "2", "--seed", "5", "--json", "@missing/s.json"]),
+            (None, ["search", "--n", "2", "--seed", "5", "--dim", "2", "--json", "@sub"]),
+        ],
+    )
+    def test_nothing_is_written_or_printed(self, tmp_path, name, args):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        for directory in ("sub", "d.projection.json", "p.projection.off"):
+            (out_dir / directory).mkdir()
+        for existing in ("b.json", "p.projection.json", "e.json"):
+            (out_dir / existing).write_text("kept\n")
+        before = _tree(out_dir)
+        argv = [a.replace("@", f"{out_dir}/") for a in args]
+        if name is not None:
+            src = tmp_path / "body.json"
+            src.write_text(serialize_body(CONTRACT_BODIES[name]))
+            argv.insert(1, str(src))
+        code, out, err = run_cli(argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno") and err.count("\n") == 1 and err.endswith("\n")
+        assert _tree(out_dir) == before
+
+    def test_written_files_keep_the_permission_bits_of_open_w(self, tmp_path):
+        path = tmp_path / "square.json"
+        path.write_text(serialize_body(CONTRACT_BODIES["square"]))
+        old = tmp_path / "b.json"
+        old.write_text("kept\n")
+        old.chmod(0o640)
+        reference = tmp_path / "reference"
+        open(reference, "w").close()
+        svg = tmp_path / "b.svg"
+        code, _, _ = run_cli(["illum", str(path), "--delta", "1", "--json", str(old), "--svg", str(svg)])
+        assert code == 0
+        assert old.stat().st_mode == 0o100640
+        assert svg.stat().st_mode == reference.stat().st_mode
+        assert old.read_text() != "kept\n"
+
+
 _COORD = st.one_of(
     st.floats(-4.0, 4.0),
     st.integers(-3, 3),
@@ -639,7 +704,7 @@ _VALUE = st.sampled_from(["0.5", "2", "0", "1e-9", "-1", "1e300", "nan", "inf", 
 @st.composite
 def _argv(draw):
     """argv after the body path for eval, illum, tcvp, extend or projbody;
-    '@' stands for an output directory."""
+    '@' stands for an output directory, in which 'missing' does not exist."""
     command = draw(st.sampled_from(["eval", "illum", "tcvp", "extend", "projbody"]))
     args = ["--strict"] if draw(st.integers(0, 3)) == 0 else []
     if command == "eval":
@@ -657,7 +722,10 @@ def _argv(draw):
     flags = {"eval": ["--json"], "illum": ["--json", "--svg", "--off"], "tcvp": ["--json"],
              "extend": ["--json", "--svg"], "projbody": ["--json", "--off"]}[command]
     for flag in draw(st.lists(st.sampled_from(flags), unique=True)):
-        args += [flag, f"@{flag[2:]}"]
+        # a writable target, one in a missing directory, or the output
+        # directory itself (for projbody, the prefix of writable names)
+        name = flag[2:]
+        args += [flag, draw(st.sampled_from([f"@{name}", f"@{name}", f"@missing/{name}", "@"]))]
     return [command, *args]
 
 
@@ -675,7 +743,8 @@ def test_cli_contract_holds_for_valid_bodies_at_any_scale(data, args):
 
 def _assert_cli_contract(data, args):
     """Exit 0, 1 or 2; no traceback and no warning; on exit 1, empty
-    stdout, one line of stderr and no file written."""
+    stdout, one line of stderr and no file written; and exit 1 wherever a
+    target lies in a missing directory."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "body.json"
         src.write_bytes(data)
@@ -688,6 +757,8 @@ def _assert_cli_contract(data, args):
         written = list(out_dir.iterdir())
     assert code in (0, 1, 2)
     assert "Traceback" not in err
+    if any(a.startswith("@missing/") for a in args):
+        assert code == 1
     if code == 1:
         assert out == ""
         assert err.count("\n") == 1 and err.endswith("\n")
