@@ -672,8 +672,12 @@ def _hull2_indices(pts):
     flat unless it exceeds tol = EPS * span**2 (so a NaN turn is not flat)."""
     order = np.lexsort((pts[:, 1], pts[:, 0])).tolist()
     xs, ys = pts[:, 0].tolist(), pts[:, 1].tolist()
-    # EPS * _span(pts) ** 2: max and min are exact, so this is its value
-    tol = EPS * max(max(xs) - min(xs), max(ys) - min(ys)) ** 2
+    # EPS * _span(pts) ** 2: max and min are exact, so this is its value;
+    # where numpy's square would overflow to inf, Python's raises
+    try:
+        tol = EPS * max(max(xs) - min(xs), max(ys) - min(ys)) ** 2
+    except OverflowError as exc:
+        raise DegenerateInput("coordinates too large: squared distances overflow") from exc
 
     def build(seq):
         chain = []
@@ -994,17 +998,22 @@ def gauge(body, u):
     return body.gauge(np.asarray(u, dtype=float))
 
 
+def _polar_points(body):
+    """The points n/b of the body's facet planes (n, b), whose hull is the
+    polar body; requires the origin strictly interior."""
+    if np.min(body.facet_offsets) <= EPS * body.diameter:
+        raise OriginNotInterior("polar requires the origin strictly inside the body")
+    return body.facet_normals / body.facet_offsets[:, None]
+
+
 def polar(body):
     """Polar dual: each facet plane (n, b) maps to the vertex n/b.
 
     Requires the origin strictly interior.  Applying polar twice reproduces
     the original body up to tolerance.
     """
-    tol = EPS * body.diameter
-    if np.min(body.facet_offsets) <= tol:
-        raise OriginNotInterior("polar requires the origin strictly inside the body")
     try:
-        return hull(body.facet_normals / body.facet_offsets[:, None])
+        return hull(_polar_points(body))
     except DegenerateInput as exc:
         # the vertices n/b are the polar body's, not the input's: a tiny
         # input gives a polar body too large to build

@@ -291,8 +291,11 @@ def homothety_fit(p, q):
     if p.dim != q.dim:
         raise DimensionMismatch("homothety_fit needs bodies of equal dimension")
     dirs = direction_set(p.dim, _FIT_DIRS[p.dim])
-    hp = p.support_many(dirs)
-    hq = q.support_many(dirs)
+    return _fit_supports(p.support_many(dirs), q.support_many(dirs), dirs, q.diameter)
+
+
+def _fit_supports(hp, hq, dirs, q_diameter):
+    """`homothety_fit` on the support values hp of p and hq of q over dirs."""
     design = np.column_stack((hp, dirs))
     coef, *_ = np.linalg.lstsq(design, hq, rcond=None)
     mu, c = float(coef[0]), coef[1:]
@@ -301,7 +304,7 @@ def homothety_fit(p, q):
         mu = 1e-12
         c, *_ = np.linalg.lstsq(dirs, hq - mu * hp, rcond=None)
     residual = hq - mu * hp - dirs @ c
-    defect = float(np.max(np.abs(residual))) / q.diameter
+    defect = float(np.max(np.abs(residual))) / q_diameter
     return _report(mu, c, defect)
 
 

@@ -4,7 +4,11 @@ The translative constant volume property (TCVP) says the hull volume of any
 touching pair of translates is the same; equivalently the excess
 Delta(u) = gauge_{K-K}(u) * brightness(K, u) is constant in u, and
 equivalently the polar projection body is a positive multiple of K - K.
-``tcvp_check`` measures both formulations and reports their agreement.
+``tcvp_check`` measures both formulations and reports their agreement.  The
+polar projection body is the hull of the points n_F/b_F of the facet planes
+<n_F, x> = b_F of ΠK, so the fit reads its support function
+h_{Π°K}(u) = max_F <u, n_F>/b_F, and its diameter, off ΠK's planes without
+building it; ``polar_projection_body`` builds it.
 
 Only positive homothety of the polar projection body is tested; rotational
 similarity is out of scope.  Likewise, no affine (Radon-curve) normalization
@@ -17,9 +21,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon, _cross, _pairs, _row_norms, brightness_many, difference_body, hull, polar
+from .bodies import (
+    Polygon,
+    _cross,
+    _diameter,
+    _pairs,
+    _polar_points,
+    _row_max,
+    _row_norms,
+    brightness_many,
+    difference_body,
+    hull,
+    polar,
+)
 from .errors import DegenerateInput, TooFewDirections
-from .illumination import HomothetyReport, homothety_fit
+from .illumination import _FIT_DIRS, HomothetyReport, _fit_supports, homothety_fit
 from .sampling import ball_body, direction_set
 
 #: Relative spread below which Delta(u) counts as constant.
@@ -52,11 +68,15 @@ def projection_body(body):
     pairs of symmetric bodies).
     """
     if body.dim == 2:
-        d = difference_body(body)
-        rotated = np.column_stack((-d.vertices[:, 1], d.vertices[:, 0]))
-        return Polygon(rotated)
+        return _rotated(difference_body(body))
     gens = 0.5 * body.facet_areas[:, None] * body.facet_normals
     return _zonotope(gens)
+
+
+def _rotated(polygon):
+    """The polygon rotated by pi/2."""
+    v = polygon.vertices
+    return Polygon(np.column_stack((-v[:, 1], v[:, 0])))
 
 
 def _zonotope(generators):
@@ -227,7 +247,15 @@ def delta_values(body, dirs):
 
 def tcvp_check(body, n_dirs=360):
     """Measure Delta(u) over a deterministic direction set and fit the
-    polar projection body against the difference body."""
+    polar projection body against the difference body.
+
+    The fit is `homothety_fit(difference_body(body),
+    polar_projection_body(body))`, bit for bit: `hull()` passes coordinates
+    through unchanged, so the polar body's vertices are the points n_F/b_F,
+    each one extreme, at most in another order, and neither a row maximum
+    nor a largest pairwise distance depends on the order.  Where qhull
+    refuses those points (QH6154, for 3D bodies scaled by about 2^-130) the
+    fit still exists."""
     if n_dirs < 16:
         raise TooFewDirections("n_dirs must be at least 16")
     dirs = direction_set(body.dim, n_dirs)
@@ -243,7 +271,16 @@ def tcvp_check(body, n_dirs=360):
         raise DegenerateInput("Delta(u) overflows: coordinates too large for a TCVP check")
     dmin, dmax = float(np.min(deltas)), float(np.max(deltas))
     spread = (dmax - dmin) / dmean
-    fit = homothety_fit(diff, polar_projection_body(body))
+    # the support and diameter of the polar projection body, read off its
+    # vertices n_F/b_F as `support_many` and `diameter` read them; squared
+    # distances that overflow are named as `polar` names them
+    duals = _polar_points(_rotated(diff) if body.dim == 2 else projection_body(body))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diameter = _diameter(duals)
+    if not diameter < np.inf:
+        raise DegenerateInput("polar body: coordinates too large: squared distances overflow")
+    fit_dirs = direction_set(body.dim, _FIT_DIRS[body.dim])
+    fit = _fit_supports(diff.support_many(fit_dirs), _row_max(fit_dirs @ duals.T), fit_dirs, diameter)
     return TcvpReport(
         delta_min=dmin,
         delta_max=dmax,

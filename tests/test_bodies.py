@@ -1373,6 +1373,14 @@ class TestPolar:
         with pytest.raises(DegenerateInput, match="^polar body: coordinates too large"):
             polar(regular_polygon(7).scale(1e-160))
 
+    def test_squared_extent_overflow_is_named(self):
+        # the monotone chain squares the extent on Python floats, where an
+        # overflow raises instead of giving inf
+        square = Polygon(2.0**510 * np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]]))
+        for build in (difference_body, lambda b: hull(b.vertices * 2.0)):
+            with pytest.raises(DegenerateInput, match="^coordinates too large: squared distances overflow$"):
+                build(square)
+
 
 class TestMinkowski:
     def test_square_plus_square(self, square):

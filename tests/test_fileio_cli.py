@@ -367,6 +367,19 @@ class TestCli:
             assert (code, out) == (1, "")
             assert err == "error: polar body: coordinates too large: squared distances overflow\n"
 
+    @pytest.mark.parametrize(("name", "k"), [("square", 510.0), ("heptagon", 510.125), ("heptagon", 510.5)])
+    def test_overflowing_difference_body_is_one_line_error(self, tmp_path, name, k):
+        # Polygon accepts these bodies, but the difference body's squared
+        # extent overflows (it used to end in an OverflowError traceback)
+        verts = (np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+                 if name == "square" else regular_polygon(7).vertices)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": (2.0**k * verts).tolist()}))
+        for command in ("tcvp", "projbody"):
+            code, out, err = run_cli([command, str(path)])
+            assert (code, out) == (1, "")
+            assert err == "error: coordinates too large: squared distances overflow\n"
+
     def test_tcvp_with_overflowing_delta_is_one_line_error(self, tmp_path):
         # square scaled by 1e153: Delta(u) is finite, its mean is not
         path = tmp_path / "big.json"

@@ -1,4 +1,6 @@
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,14 +16,17 @@ from hullkit import (
     difference_body,
     gauge,
     hausdorff_distance,
+    homothety_fit,
     hull,
     polar_projection_body,
     projection_body,
     tcvp_check,
     translative_volume_constant,
 )
+from hullkit import bodies as bodies_module
 from hullkit import projection
 from hullkit.bodies import _cross
+from hullkit.fileio import parse_body
 from hullkit.projection import _KEYED_GENERATORS, _zonotope, _zonotope_points
 from hullkit.sampling import (
     direction_set,
@@ -32,6 +37,8 @@ from hullkit.sampling import (
 )
 
 from conftest import calls_in
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _iterated_zonotope(generators):
@@ -417,6 +424,71 @@ class TestTcvp:
             gaps.append((bound - lam) / bound)
         assert gaps[0] <= 1e-3  # the disk approximation is the equality case
         assert all(g > 1e-2 for g in gaps[1:])
+
+
+def _tcvp3d_bodies(seed):
+    """The benchmark's tcvp3d bodies of a seed (perfbench/inputs.py)."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import inputs
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return [parse_body(text) for text in inputs.make_inputs("tcvp3d", seed).bodies]
+
+
+class TestPolarProjectionFit:
+    """`tcvp_check` reads the polar projection body's support and diameter
+    off the projection body's dual points n_F/b_F instead of building the
+    polar body; the fit is the one against the built polar body, bit for
+    bit."""
+
+    def test_fit_matches_the_built_polar_body(self, cube):
+        rng = np.random.default_rng(19)
+        bodies = [cube, *(regular_polygon(m) for m in range(3, 13))]
+        bodies += [random_polygon(rng, int(rng.integers(3, 13))) for _ in range(10)]
+        bodies += [random_polytope3(rng, int(rng.integers(4, 13))) for _ in range(10)]
+        bodies += _tcvp3d_bodies(1)
+        for body in bodies:
+            fit = tcvp_check(body).polar_projection_homothety
+            ref = homothety_fit(difference_body(body), polar_projection_body(body))
+            assert fit.is_homothet == ref.is_homothet
+            for field in ("ratio", "defect", "translation", "center"):
+                assert np.asarray(getattr(fit, field)).tobytes() == np.asarray(getattr(ref, field)).tobytes(), field
+
+    def test_hull_calls(self, cube, monkeypatch):
+        # 3D: the difference body and the zonotope; 2D: none (the polygon
+        # difference body is an edge merge), and one difference body, which
+        # the 2D projection body rotates
+        original = bodies_module.hull
+        hulls, diffs = [], []
+
+        def counting_hull(points):
+            hulls.append(len(points))
+            return original(points)
+
+        def counting_difference_body(body):
+            diffs.append(body.dim)
+            return bodies_module.difference_body(body)
+
+        for module in (bodies_module, projection):
+            monkeypatch.setattr(module, "hull", counting_hull)
+        monkeypatch.setattr(projection, "difference_body", counting_difference_body)
+        tcvp_check(cube)
+        assert (len(hulls), diffs) == (2, [3])
+        hulls.clear()
+        diffs.clear()
+        tcvp_check(regular_polygon(7))
+        assert (len(hulls), diffs) == (0, [2])
+
+    def test_tiny_bodies_fit_where_the_polar_hull_failed(self, cube):
+        # the duals of the cube at 2^-130 are ~2^130, where qhull refused to
+        # build the polar body (QH6154); the fit needs no hull of them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = tcvp_check(cube.scale(2.0**-130)).polar_projection_homothety
+        assert not fit.is_homothet
+        with pytest.raises(DegenerateInput, match="QH6154"):
+            polar_projection_body(cube.scale(2.0**-130))
 
 
 class TestTranslativeVolumeConstant:

@@ -2,11 +2,14 @@
 of hullkit's modules, functions and classes.  A rename in hullkit would
 leave a per-layer metric silently at zero, so this checks that every target
 still exists and that one op of each workload records a span of it.
-Nothing under perfbench/ is changed."""
+No workload builds a polar body (`tcvp_check` reads the polar projection
+body's support off the projection body's facet planes), so `bodies.polar` is
+required of one `polar_projection_body` call instead.  Nothing under
+perfbench/ is changed."""
 
 from pathlib import Path
 
-from hullkit import fileio
+from hullkit import fileio, projection
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -31,4 +34,7 @@ def test_every_traced_layer_exists_and_records_spans(monkeypatch):
         # looked up on the module inside the op, as the tracer rebinds it there
         body = tracer.op(2 * index, lambda t: fileio.parse_body(t), text)
         tracer.op(2 * index + 1, workloads.WORKLOADS[workload][0], body, op.params)
-    assert expected - set(tracer.names) == set()
+    assert expected - {"bodies.polar"} - set(tracer.names) == set()
+    start = len(tracer.names)
+    tracer.op(2 * len(workloads.WORKLOADS), projection.polar_projection_body, body)
+    assert "bodies.polar" in tracer.names[start:]
