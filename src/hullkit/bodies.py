@@ -168,9 +168,9 @@ def _affine_rank(pts, span):
 
 
 def rot90(u):
-    """Rotate a 2D vector by +pi/2."""
+    """Rotate a 2D vector, or each of an array of them, by +pi/2."""
     u = _as_vectors(u, 2)
-    return np.array([-u[1], u[0]], dtype=float)
+    return np.stack((-u[..., 1], u[..., 0]), axis=-1)
 
 
 def _row_norms(a):
@@ -258,7 +258,8 @@ def _successors(m):
 class _BodyBase:
     """What `Polygon` and `Polytope3` share: queries answered from the
     vertices and the facet planes (outward unit normals and offsets) that
-    each constructor validates and caches."""
+    each constructor validates and caches, and the maps x + t, s x and -x,
+    whose image each class rebuilds from the mapped vertices (`_mapped`)."""
 
     def __len__(self):
         return len(self.vertices)
@@ -295,6 +296,18 @@ class _BodyBase:
         x = _as_vectors(x, self.dim)
         return bool(np.max(x @ self.facet_normals.T - self.facet_offsets) <= tol)
 
+    def translate(self, t):
+        return self._mapped(self.vertices + _as_vectors(t, self.dim), negated=False)
+
+    def scale(self, s):
+        s = float(s)
+        if s == 0:
+            raise DegenerateInput("scale factor must be nonzero")
+        return self._mapped(self.vertices * s, negated=s < 0)
+
+    def negate(self):
+        return self._mapped(-self.vertices, negated=True)
+
 
 class Polygon(_BodyBase):
     """Convex polygon given by its vertices in counterclockwise order.
@@ -328,16 +341,19 @@ class Polygon(_BodyBase):
             ex, ey = edges[:, 0], edges[:, 1]
             cross = ex * ey[nxt] - ey * ex[nxt]
             # np.linalg.norm(edges, axis=1), written out
-            lengths = np.sqrt(ex * ex + ey * ey)
+            squares = ex * ex + ey * ey
+            lengths = np.sqrt(squares)
         if not (area2 < np.inf and np.isfinite(cross).all() and lengths.max() < np.inf):
             raise DegenerateInput("coordinates too large: area or edge products overflow")
         # validate at half the hull filter's tolerance so rings that passed
         # the strictness filter cannot straddle the threshold in re-check
         if span <= 0 or (cross <= 0.5 * EPS * span * span).any():
             raise DegenerateInput("vertices are not in strictly convex position")
+        # a subnormal square has lost bits: the normals would be off unit length
+        if squares.min() < _TINY:
+            raise DegenerateInput("coordinates too small: squared edge lengths underflow")
 
         self.vertices = v
-        self.vertices.flags.writeable = False
         # outward unit normal of the CCW edge [v_i, v_{i+1}]
         normals = np.empty((m, 2))
         np.divide(ey, lengths, out=normals[:, 0])
@@ -348,22 +364,15 @@ class Polygon(_BodyBase):
         self.facet_offsets = normals[:, 0] * v[:, 0] + normals[:, 1] * v[:, 1] + 0.0
         self.facet_areas = lengths
         self._volume = 0.5 * float(area2)
-        for arr in (self.facet_normals, self.facet_offsets, self.facet_areas):
+        for arr in (self.vertices, self.facet_normals, self.facet_offsets, self.facet_areas):
             arr.flags.writeable = False
 
     def __repr__(self):
         return f"Polygon({len(self)} vertices, area={self._volume:.6g})"
 
-    def translate(self, t):
-        return Polygon(self.vertices + _as_vectors(t, 2))
-
-    def scale(self, s):
-        if s == 0:
-            raise DegenerateInput("scale factor must be nonzero")
-        return Polygon(self.vertices * float(s))
-
-    def negate(self):
-        return Polygon(-self.vertices)
+    def _mapped(self, v, negated):
+        """The polygon on v: x -> -x turns the plane by pi, keeping it CCW."""
+        return Polygon(v)
 
     @property
     def _loops(self):
@@ -422,12 +431,14 @@ class Polytope3(_BodyBase):
         # order from +0.0.  From coordinates of about 1e77 on, the squares
         # of the sums overflow (and from about 1e154 the terms do), which is
         # named here, before any warning; a normal whose squared norm
-        # underflows is 0/0 = NaN, and so are its heights, and such a facet
-        # is named degenerate below
+        # underflows to 0 is 0/0 = NaN, and so are its heights, and such a
+        # facet is named degenerate below
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             terms = _cross(pts, pts.take(nxt, 0)).ravel()
             raw = np.bincount(((3 * owner)[:, None] + _AXES).ravel(), terms, 3 * n_loops).reshape(-1, 3)
-            nrm = _row_norms(raw)
+            # `_row_norms`, with the squares kept
+            squares = np.vecdot(raw, raw)
+            nrm = np.sqrt(squares)
             if not (nrm < np.inf).all():
                 raise DegenerateInput("coordinates too large: facet normals overflow")
             normals = raw / nrm[:, None]
@@ -445,6 +456,9 @@ class Polytope3(_BodyBase):
             if degenerate[f]:
                 raise DegenerateInput(f"facet {f} is degenerate")
             raise DegenerateInput(f"facet {f} is not planar within tolerance")
+        # as in `Polygon`, a subnormal square puts the normal off unit length
+        if squares.min() < _TINY:
+            raise DegenerateInput("coordinates too small: squared facet normals underflow")
         flip = np.vecdot(normals, v.sum(0) / len(v)) > offsets
         if flip.any():
             # multiplying by 1.0 or -1.0 is exact
@@ -501,22 +515,9 @@ class Polytope3(_BodyBase):
     def __repr__(self):
         return f"Polytope3({len(self)} vertices, {len(self.facet_loops)} facets, volume={self._volume:.6g})"
 
-    def translate(self, t):
-        return Polytope3(self.vertices + _as_vectors(t, 3), self._loops)
-
-    def scale(self, s):
-        s = float(s)
-        if s == 0:
-            raise DegenerateInput("scale factor must be nonzero")
-        if s > 0:
-            return Polytope3(self.vertices * s, self._loops)
-        return Polytope3(self.vertices * s, self._every_loop_reversed())
-
-    def negate(self):
-        return Polytope3(-self.vertices, self._every_loop_reversed())
-
-    def _every_loop_reversed(self):
-        return self._loops.reversed(np.ones(len(self._loops.sizes), dtype=bool))
+    def _mapped(self, v, negated):
+        """The polytope on v, its loops reversed where x -> -x turned them."""
+        return Polytope3(v, self._loops.reversed(np.full(len(self._loops.sizes), negated)))
 
 
 #: A convex body is either a Polygon or a Polytope3.
@@ -1118,7 +1119,7 @@ def brightness_many(body, dirs):
     """Vectorized brightness over an array of unit directions."""
     dirs = _as_vectors(dirs, body.dim)
     if body.dim == 2:
-        w = np.column_stack((-dirs[:, 1], dirs[:, 0]))
+        w = rot90(dirs)
         return body.support_many(w) + body.support_many(-w)
     return 0.5 * np.abs(dirs @ body.facet_normals.T) @ body.facet_areas
 

@@ -232,8 +232,8 @@ def _cmd_projbody(args):
     if args.off:
         files += [(f"{args.off}.{k}.off", off_text(out)) for k, out in named.items()]
     dirs = direction_set(body.dim, 200)
-    rel = np.abs(named["projection"].support_many(dirs) - brightness_many(body, dirs))
-    rel = float(np.max(rel / brightness_many(body, dirs)))
+    bright = brightness_many(body, dirs)
+    rel = float(np.max(np.abs(projection.support_many(dirs) - bright) / bright))
     _report(args, [CheckRow("projection_support_vs_brightness", rel, 1e-9, rel <= 1e-9)], files)
     return 0
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import Polygon, _as_vectors, _diameter, _successors
+from .bodies import _diameter, _successors, affine_image
 from .errors import ConditionViolated, MissingIntersection, SingularMatrix
 from .hullfun import point_hull_values
 from .illumination import homothety_from_pairs
@@ -185,11 +185,6 @@ def affinely_regular_polygon(m, mat, shift=None):
     """Affine image of the regular m-gon under x -> mat @ x + shift."""
     if m < 3:
         raise ConditionViolated("need m >= 3")
-    base = regular_polygon(m)
-    mat = np.asarray(mat, dtype=float)
-    if mat.shape != (2, 2):
+    if np.shape(mat) != (2, 2):
         raise SingularMatrix("affine matrix must be 2x2")
-    if abs(np.linalg.det(mat)) < 1e-12:
-        raise SingularMatrix("affine map must be invertible")
-    shift = np.zeros(2) if shift is None else _as_vectors(shift, 2)
-    return Polygon(base.vertices @ mat.T + shift)
+    return affine_image(regular_polygon(m), mat, shift)

@@ -73,10 +73,8 @@ def point_hull_volume(body, t):
     set uses strict inequality with EPS slack.
     """
     t = _as_vectors(t, body.dim)
-    slack = t @ body.facet_normals.T - body.facet_offsets
-    value = body.volume + float(np.maximum(slack, 0.0) @ body.facet_areas) / body.dim
-    active = tuple(int(i) for i in np.nonzero(slack > EPS * body.diameter)[0])
-    return HullFunctionValue(value=value, active_facets=active)
+    active = np.nonzero(t @ body.facet_normals.T - body.facet_offsets > EPS * body.diameter)[0]
+    return HullFunctionValue(value=float(point_hull_values(body, t)[0]), active_facets=tuple(map(int, active)))
 
 
 def lambda_reduce(body, lam, t):

@@ -201,8 +201,7 @@ def _ray_level_solves(body, dirs, level):
     if level <= body.volume:
         raise LevelBelowVolume("level must exceed the body volume")
     dirs = np.asarray(dirs, dtype=float)
-    origin = np.zeros(body.dim)
-    g0 = float(point_hull_values(body, origin[None, :])[0])
+    g0 = float(point_hull_values(body, np.zeros(body.dim))[0])
     if g0 >= level:
         raise GeometryError("ray base point lies outside the queried sublevel set")
     lines, s = _level_crossings(body, np.zeros_like(dirs), dirs, level)
@@ -225,11 +224,19 @@ def illumination_body(body, delta):
     solutions include every vertex of the result, and hulling them discards
     the rest (in 2D every sideline solution is a corner of the level curve).
     """
-    level = _level(body, delta)
+    if not (np.isfinite(delta) and delta > 0):
+        raise NonPositiveDelta("delta must be finite and positive")
+    level = body.volume + float(delta)
     x0, d = _facet_lines(body)
     lines, s = _level_crossings(body, x0, d, level)
-    pts = _merged(x0[lines] + s[:, None] * d[lines], EPS * body.diameter)
-    return LevelSet(body=hull(pts), level=level, delta=float(delta))
+    if len(lines) == 0:
+        raise GeometryError("no level-set candidates found")
+    pts = x0[lines] + s[:, None] * d[lines]
+    # merge candidates within tol: triple-plane coincidences give duplicate roots
+    merged = _dedup_points(pts, EPS * body.diameter)
+    if len(merged) < len(pts):
+        log.debug("merged %d coincident level-set candidates", len(pts) - len(merged))
+    return LevelSet(body=hull(merged), level=level, delta=float(delta))
 
 
 #: The same construction under the names of its two dimensions.
@@ -256,24 +263,6 @@ def _facet_lines(body):
     mat = np.stack((normals[i], normals[j], d), axis=1)
     rhs = np.column_stack((offsets[i], offsets[j], np.zeros(len(i))))
     return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0], d
-
-
-def _level(body, delta):
-    """The level vol(K) + delta of an illumination body, for finite delta > 0."""
-    if not (np.isfinite(delta) and delta > 0):
-        raise NonPositiveDelta("delta must be finite and positive")
-    return body.volume + float(delta)
-
-
-def _merged(pts, tol):
-    """Merge candidate points within tol (triple-plane coincidences produce
-    duplicate roots); log when a merge actually collapses anything."""
-    if len(pts) == 0:
-        raise GeometryError("no level-set candidates found")
-    out = _dedup_points(pts, tol)
-    if len(out) < len(pts):
-        log.debug("merged %d coincident level-set candidates", len(pts) - len(out))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from .bodies import (
     difference_body,
     hull,
     polar,
+    rot90,
 )
 from .errors import DegenerateInput, TooFewDirections
 from .illumination import _FIT_DIRS, HomothetyReport, _fit_supports, homothety_fit
@@ -68,15 +69,9 @@ def projection_body(body):
     pairs of symmetric bodies).
     """
     if body.dim == 2:
-        return _rotated(difference_body(body))
+        return Polygon(rot90(difference_body(body).vertices))
     gens = 0.5 * body.facet_areas[:, None] * body.facet_normals
     return _zonotope(gens)
-
-
-def _rotated(polygon):
-    """The polygon rotated by pi/2."""
-    v = polygon.vertices
-    return Polygon(np.column_stack((-v[:, 1], v[:, 0])))
 
 
 def _zonotope(generators):
@@ -241,8 +236,12 @@ def polar_projection_body(body):
 
 def delta_values(body, dirs):
     """Excess hull volume over touching translates, per direction."""
-    d = difference_body(body)
-    return d.gauge_many(dirs) * brightness_many(body, dirs)
+    return _excess(body, difference_body(body), dirs)
+
+
+def _excess(body, diff, dirs):
+    """Delta(u) = gauge_{K-K}(u) * brightness(K, u) over dirs; diff is K - K."""
+    return diff.gauge_many(dirs) * brightness_many(body, dirs)
 
 
 def tcvp_check(body, n_dirs=360):
@@ -263,9 +262,8 @@ def tcvp_check(body, n_dirs=360):
     # sum behind its mean (an inf or NaN Delta makes the mean one too); the
     # spread would then read 0 or NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        # delta_values, on a difference body built once for both checks
         diff = difference_body(body)
-        deltas = diff.gauge_many(dirs) * brightness_many(body, dirs)
+        deltas = _excess(body, diff, dirs)
         dmean = float(np.mean(deltas))
     if not np.isfinite(dmean):
         raise DegenerateInput("Delta(u) overflows: coordinates too large for a TCVP check")
@@ -274,7 +272,7 @@ def tcvp_check(body, n_dirs=360):
     # the support and diameter of the polar projection body, read off its
     # vertices n_F/b_F as `support_many` and `diameter` read them; squared
     # distances that overflow are named as `polar` names them
-    duals = _polar_points(_rotated(diff) if body.dim == 2 else projection_body(body))
+    duals = _polar_points(Polygon(rot90(diff.vertices)) if body.dim == 2 else projection_body(body))
     with np.errstate(over="ignore", invalid="ignore"):
         diameter = _diameter(duals)
     if not diameter < np.inf:

@@ -48,8 +48,7 @@ def direction_set(dim, n):
 
 def regular_polygon(m):
     """Regular m-gon inscribed in the unit circle, a vertex at (1, 0)."""
-    ang = 2.0 * np.pi * np.arange(m) / m
-    return Polygon(np.column_stack((np.cos(ang), np.sin(ang))))
+    return Polygon(circle_directions(m))
 
 
 def random_polygon(rng, n_vertices):
@@ -87,9 +86,8 @@ def reuleaux_polygon():
     of width 1: three circular arcs of radius 1, each centered at a vertex of
     an equilateral triangle with side 1; centroid at the origin."""
     h = 1.0 / np.sqrt(3.0)
-    corners = h * np.column_stack(
-        (np.cos(np.pi / 2 + 2 * np.pi * np.arange(3) / 3), np.sin(np.pi / 2 + 2 * np.pi * np.arange(3) / 3))
-    )
+    ang = np.pi / 2 + 2 * np.pi * np.arange(3) / 3
+    corners = h * np.column_stack((np.cos(ang), np.sin(ang)))
     pts = []
     for i in range(3):
         center = corners[i]

@@ -1,10 +1,20 @@
 """Acceptance gate: every criterion runs at its stated tolerance and prints
 one pass/fail line.  Run with plain `pytest`; the same checks back the
-`hullkit selftest` subcommand."""
+`hullkit selftest` subcommand.
+
+Each criterion's rows must also print exactly as recorded in
+``golden/criterion_NN.csv``: `selftest` prints values at the rounding
+level, so a change to any body's bits shows there.  A change that means to
+alter a value rewrites the file and says so."""
+
+from pathlib import Path
 
 import pytest
 
 from hullkit import acceptance
+from hullkit.fileio import checks_to_csv
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize(
@@ -20,3 +30,5 @@ def test_criterion(label, criterion, capsys):
     failing = [row for row in rows if row.passed is False]
     detail = "; ".join(f"{row.name}={row.value:.6g} (tol {row.tolerance})" for row in failing)
     assert passed, f"criterion {label} failed: {detail}"
+    golden = GOLDEN / f"criterion_{label.split()[0].rjust(2, '0')}.csv"
+    assert checks_to_csv(rows) == golden.read_text(encoding="utf-8")

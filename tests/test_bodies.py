@@ -136,15 +136,60 @@ class TestHull:
             with pytest.raises(DegenerateInput, match="^coordinates too small: squared distances underflow$"):
                 hull(scale * pts)
 
-    def test_tiny_coordinates_that_resolve_still_build(self):
-        # at 1e-160 the squared distances are subnormal but not 0: the
-        # heptagon builds, with its input coordinates passed through
+    def test_tiny_coordinates_that_resolve_name_the_edge_underflow(self):
+        # at 1e-160 the squared distances are subnormal but not 0, so the
+        # merge keeps every point; the squared edge lengths are subnormal
+        # too, and Polygon names them for hull() as for itself
         pts = 1e-160 * regular_polygon(7).vertices
+        assert len(bodies._dedup_points(pts, EPS * bodies._span(pts))) == 7
+        for build in (hull, lambda p: Polygon(p[bodies._hull2_indices(p)])):
+            with pytest.raises(DegenerateInput, match="^coordinates too small: squared edge lengths underflow$"):
+                build(pts)
+        # at 2^-507 they are normal doubles: the heptagon builds, with its
+        # input coordinates passed through
+        pts = 2.0**-507 * regular_polygon(7).vertices
         body = hull(pts)
         ref = Polygon(pts[bodies._hull2_indices(pts)])
         assert sorted(map(tuple, body.vertices.tolist())) == sorted(map(tuple, pts.tolist()))
         for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
             assert getattr(body, field).tobytes() == getattr(ref, field).tobytes(), field
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_scale_sweep_builds_unit_normals_or_names_the_underflow(self, dim):
+        # every squared edge length (2D) or squared Newell norm (3D) must be
+        # a normal double: below, the normals came out up to 0.38 off unit
+        # length, or a zero length was divided by.  From the top, each
+        # body builds at every scale down to its first failure, which names
+        # the underflow, and at none below; pytest turns warnings into errors
+        rng = np.random.default_rng(19 if dim == 2 else 3)
+        if dim == 2:
+            shapes = [random_polygon(rng, int(rng.integers(5, 13))) for _ in range(10)]
+            ks = range(-500, -545, -1)
+            message = "coordinates too small: squared edge lengths underflow"
+        else:
+            shapes = [random_polytope3(rng, int(rng.integers(6, 13))) for _ in range(10)]
+            ks = range(-245, -275, -1)
+            message = "coordinates too small: squared facet normals underflow"
+        # what the constructor, or hull()'s earlier stages, raise further down
+        later = (message, "coordinates too small: squared distances underflow", "a polygon needs at least 3",
+                 "vertices are not in strictly convex position", "facet ", "hull construction failed: fewer than 4")
+        for shape in shapes:
+            # hull() of the scaled vertices, and the class constructor on them
+            for build in (lambda s: hull(shape.vertices * s), shape.scale):
+                failed = None
+                for k in ks:
+                    try:
+                        body = build(2.0**k)
+                    except DegenerateInput as exc:
+                        if failed is None:
+                            assert str(exc) == message, k
+                            failed = k
+                        assert str(exc).startswith(later), (k, str(exc))
+                        continue
+                    assert failed is None, (k, failed)
+                    deviation = np.abs(np.linalg.norm(body.facet_normals, axis=1) - 1.0).max()
+                    assert deviation <= 1e-15, k
+                assert failed is not None and failed < ks[0]
 
     def test_tiny_flat_points_stay_lower_dimensional(self):
         with pytest.raises(DegenerateInput, match="^points are lower-dimensional$"):
@@ -1091,6 +1136,57 @@ class TestDiameter:
         assert peak < 32e6
 
 
+class TestBodyMaps:
+    """translate, scale and negate rebuild through each class's `_mapped`;
+    the bodies are those the constructors built from the same vertices,
+    bit for bit, with the loops of a 3D body reversed under x -> -x."""
+
+    @staticmethod
+    def _fields(body):
+        loops = getattr(body, "facet_loops", None)
+        arrays = (body.vertices, body.facet_normals, body.facet_offsets, body.facet_areas)
+        return [a.tobytes() for a in arrays], body.volume, loops
+
+    def test_maps_build_what_the_constructors_build(self, cube):
+        rng = np.random.default_rng(23)
+        for body in (random_polygon(rng, 7), random_polytope3(rng, 9), cube):
+            v, t, s = body.vertices, rng.normal(size=body.dim), rng.uniform(0.2, 3.0)
+            if body.dim == 2:
+                expected = [Polygon(v + t), Polygon(v * s), Polygon(v * -s), Polygon(-v)]
+            else:
+                turned = body._loops.reversed(np.ones(len(body._loops.sizes), dtype=bool))
+                expected = [Polytope3(v + t, body._loops), Polytope3(v * s, body._loops),
+                            Polytope3(v * -s, turned), Polytope3(-v, turned)]
+            got = [body.translate(t), body.scale(s), body.scale(-s), body.negate()]
+            assert [self._fields(b) for b in got] == [self._fields(b) for b in expected]
+        with pytest.raises(DegenerateInput, match="^scale factor must be nonzero$"):
+            cube.scale(0)
+
+    def test_affine_image_3d(self, cube):
+        rng = np.random.default_rng(24)
+        for body in (random_polytope3(rng, 9), random_polytope3(rng, 12), cube):
+            for sign in (1.0, -1.0):
+                mat = rng.normal(size=(3, 3))
+                if np.sign(np.linalg.det(mat)) != sign:
+                    mat[0] *= -1.0
+                det = np.linalg.det(mat)
+                image = affine_image(body, mat, rng.normal(size=3))
+                assert image.volume == pytest.approx(abs(det) * body.volume, rel=1e-12)
+                assert len(image) == len(body)
+                # outward: every facet's plane has the centroid strictly
+                # inside and every vertex on its inner side
+                centroid = image.vertices.mean(0)
+                assert (image.facet_normals @ centroid < image.facet_offsets).all()
+                slack = image.vertices @ image.facet_normals.T - image.facet_offsets
+                assert slack.max() <= 1e-12 * image.diameter
+
+    def test_regular_polygon_is_the_circle_directions_polygon(self):
+        for m in range(3, 600):
+            ang = 2.0 * np.pi * np.arange(m) / m
+            old = Polygon(np.column_stack((np.cos(ang), np.sin(ang))))
+            assert self._fields(regular_polygon(m)) == self._fields(old), m
+
+
 class TestPolytope3Validation:
     """One test per DegenerateInput branch of Polytope3.__init__."""
 
@@ -1335,6 +1431,10 @@ class TestSupportGauge:
             gauge(square.translate([5, 5]), np.array([1.0, 0.0]))
 
 
+#: A triangle 2e-150 wide and 3e-155 high, centred on the origin
+_FLAT_TRIANGLE = 1e-150 * np.array([[-1.0, -1e-5], [1.0, -1e-5], [0.0, 2e-5]])
+
+
 class TestPolar:
     def test_square_to_cross(self, square):
         cross = polar(square)
@@ -1369,9 +1469,10 @@ class TestPolar:
             polar(square.translate([3, 0]))
 
     def test_polar_body_out_of_range_is_named(self):
-        # the heptagon builds at 1e-160; its polar's vertices n/b are ~1e160
+        # the flat triangle builds, its edges' squares normal doubles; its
+        # polar's vertices n/b reach 1e155, whose squares overflow
         with pytest.raises(DegenerateInput, match="^polar body: coordinates too large"):
-            polar(regular_polygon(7).scale(1e-160))
+            polar(Polygon(_FLAT_TRIANGLE))
 
     def test_squared_extent_overflow_is_named(self):
         # the monotone chain squares the extent on Python floats, where an

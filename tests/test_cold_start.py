@@ -162,10 +162,12 @@ def test_first_3d_hull_names_a_qhull_failure():
 
 
 def test_first_cKDTree_overflow_is_named_by_the_cli(tmp_path):
-    # the heptagon at 1e-160 builds; its polar's vertices are ~1e160, whose
-    # squared distances cKDTree refuses
+    # the triangle 2e-150 wide and 3e-155 high builds; its projection
+    # body's polar has vertices of ~1e154, whose squared distances cKDTree
+    # refuses
     path = tmp_path / "small.json"
-    path.write_text(json.dumps({"dim": 2, "vertices": (1e-160 * regular_polygon(7).vertices).tolist()}))
+    flat = [[-1e-150, -1e-155], [1e-150, -1e-155], [0.0, 2e-155]]
+    path.write_text(json.dumps({"dim": 2, "vertices": flat}))
     proc = run_fresh("-m", "hullkit", "projbody", str(path))
     assert (proc.returncode, proc.stdout) == (1, "")
     assert proc.stderr == "error: polar body: coordinates too large: squared distances overflow\n"

@@ -270,39 +270,49 @@ class TestCli:
                 assert err.startswith("error:")
 
     def test_tiny_coordinates_are_input_errors(self, tmp_path):
-        # at 1e-200 every squared distance underflows to 0; at 1e-160 the
-        # heptagon still builds and illum and extend succeed
+        # at 1e-200 every squared distance underflows to 0; at 1e-160 they
+        # resolve, but the heptagon's squared edge lengths are subnormal, as
+        # are the squared Newell norms of the 5-point set at 1e-78; at 2^-507
+        # the heptagon builds and illum and extend succeed
         heptagon = regular_polygon(7).vertices
         simplex_plus = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]
         commands = (["illum", "--delta", "1e-320"], ["tcvp"], ["extend", "--k", "1", "--l", "1"], ["projbody"])
-        for verts in (1e-200 * heptagon, 1e-200 * np.array(simplex_plus, dtype=float)):
+        for verts, message in (
+            (1e-200 * heptagon, "squared distances underflow"),
+            (1e-200 * np.array(simplex_plus, dtype=float), "squared distances underflow"),
+            (1e-160 * heptagon, "squared edge lengths underflow"),
+            (1e-78 * np.array(simplex_plus, dtype=float), "squared facet normals underflow"),
+        ):
             path = tmp_path / "tiny.json"
             path.write_text(json.dumps({"dim": verts.shape[1], "vertices": verts.tolist()}))
             for command in commands:
                 code, out, err = run_cli([command[0], str(path), *command[1:]])
                 assert (code, out) == (1, "")
-                assert err == "error: coordinates too small: squared distances underflow\n"
+                assert err == f"error: coordinates too small: {message}\n"
         path = tmp_path / "small.json"
-        path.write_text(json.dumps({"dim": 2, "vertices": (1e-160 * heptagon).tolist()}))
+        path.write_text(json.dumps({"dim": 2, "vertices": (2.0**-507 * heptagon).tolist()}))
         for command in commands[0], commands[2]:
             code, out, err = run_cli([command[0], str(path), *command[1:]])
             assert (code, err) == (0, "")
 
     @pytest.mark.parametrize("k", [-510, -516, -520, -530])
     def test_tiny_heptagon_illum_warns_nowhere(self, tmp_path, k):
-        # from 2^-516 on, delta = 0.5 puts the level so far beyond the body
-        # that the outer crossings overflow; hull() then names the overflow
+        # at 2^-510 the heptagon builds, and delta = 4096 puts the level so
+        # far beyond it that the outer crossings' squares overflow; hull()
+        # then names the overflow.  From 2^-511 on its squared edge lengths
+        # are subnormal, which Polygon names on load
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"dim": 2, "vertices": (2.0**k * regular_polygon(7).vertices).tolist()}))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            code, out, err = run_cli(["illum", str(path), "--delta", "0.5"])
+            results = [run_cli(["illum", str(path), "--delta", delta]) for delta in ("0.5", "4096")]
         assert [str(w.message) for w in caught] == []
         if k == -510:
-            assert (code, err) == (0, "")
+            assert results[0][::2] == (0, "")
+            assert results[1] == (1, "", "error: coordinates too large: squared distances overflow\n")
         else:
-            assert (code, out) == (1, "")
-            assert err == "error: coordinates too large: squared distances overflow\n"
+            for result in results:
+                assert result == (1, "", "error: coordinates too small: squared edge lengths underflow\n")
 
     def test_extent_overflow_is_one_line_error(self, tmp_path):
         path = tmp_path / "big.json"
@@ -359,9 +369,11 @@ class TestCli:
             assert err.count("\n") == 1
 
     def test_polar_body_out_of_range_is_named(self, tmp_path):
-        # the heptagon at 1e-160 builds, and its polar's vertices n/b are ~1e160
+        # the triangle 2e-150 wide and 3e-155 high builds, and the vertices
+        # n/b of its projection body's polar are ~1e154
         path = tmp_path / "small.json"
-        path.write_text(json.dumps({"dim": 2, "vertices": (1e-160 * regular_polygon(7).vertices).tolist()}))
+        flat = [[-1e-150, -1e-155], [1e-150, -1e-155], [0.0, 2e-155]]
+        path.write_text(json.dumps({"dim": 2, "vertices": flat}))
         for command in ("tcvp", "projbody"):
             code, out, err = run_cli([command, str(path)])
             assert (code, out) == (1, "")

@@ -9,6 +9,7 @@ from hullkit import (
     homothetic_hull_function,
     hull,
     lambda_reduce,
+    point_hull_values,
     point_hull_volume,
 )
 from hullkit.sampling import random_polygon, random_polytope3
@@ -161,6 +162,19 @@ class TestPointHullVolume:
             t = rng.normal(size=body.dim) * rng.uniform(0.1, 3)
             oracle = hull(np.vstack((body.vertices, t[None, :]))).volume
             assert point_hull_volume(body, t).value == pytest.approx(oracle, rel=1e-9)
+
+    def test_value_is_the_batched_value(self):
+        # the value is point_hull_values' on the one point, bit for bit equal
+        # to the one-point closed form on a (dim,) vector that it replaced
+        rng = np.random.default_rng(18)
+        for _ in range(300):
+            body = random_polygon(rng, 7) if rng.random() < 0.5 else random_polytope3(rng, 9)
+            t = rng.normal(size=body.dim) * rng.uniform(0.1, 3)
+            slack = t @ body.facet_normals.T - body.facet_offsets
+            closed = body.volume + float(np.maximum(slack, 0.0) @ body.facet_areas) / body.dim
+            value = point_hull_volume(body, t).value
+            assert type(value) is float
+            assert value == float(point_hull_values(body, t)[0]) == closed
 
 
 class TestLambdaReduce:

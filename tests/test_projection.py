@@ -381,6 +381,16 @@ class TestTcvp:
             assert np.max(np.abs(oracle - fast) / oracle) <= 1e-9
             assert (oracle.max() - oracle.min()) / oracle.mean() < 1e-9
 
+    def test_report_reads_delta_values(self, cube):
+        # one Delta(u) for both: the report's statistics are those of
+        # delta_values, bit for bit
+        rng = np.random.default_rng(33)
+        for body in (random_polygon(rng, 7), random_polytope3(rng, 8), cube):
+            deltas = delta_values(body, direction_set(body.dim, 360))
+            report = tcvp_check(body, 360)
+            stats = (report.delta_min, report.delta_max, report.delta_mean)
+            assert stats == (float(deltas.min()), float(deltas.max()), float(np.mean(deltas)))
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(32)
         for body in (random_polygon(rng, 7), random_polytope3(rng, 8)):
@@ -481,14 +491,15 @@ class TestPolarProjectionFit:
         assert (len(hulls), diffs) == (0, [2])
 
     def test_tiny_bodies_fit_where_the_polar_hull_failed(self, cube):
-        # the duals of the cube at 2^-130 are ~2^130, where qhull refused to
-        # build the polar body (QH6154); the fit needs no hull of them
+        # the projection body of the cube at 2^-129 is a cube of half-side
+        # 2^-256, so its duals are ~2^256, where qhull refuses to build the
+        # polar body (QH6154); the fit needs no hull of them
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fit = tcvp_check(cube.scale(2.0**-130)).polar_projection_homothety
+            fit = tcvp_check(cube.scale(2.0**-129)).polar_projection_homothety
         assert not fit.is_homothet
         with pytest.raises(DegenerateInput, match="QH6154"):
-            polar_projection_body(cube.scale(2.0**-130))
+            polar_projection_body(cube.scale(2.0**-129))
 
 
 class TestTranslativeVolumeConstant:
