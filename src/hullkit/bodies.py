@@ -735,7 +735,7 @@ def _hull3(pts, span):
       facet's tolerance in every facet whose boundary it lies on; the turns
       are taken again until no vertex drops.  A vertex is thus kept or
       dropped in all its facets at once, and neighbouring loops share their
-      edges.  A loop is reversed where its seed normal points into the body.
+      edges.  qhull's normals point outward, and so the loops turn outward.
 
     Apart from the seed search of a component that fails the seed test, no
     step loops in Python over points, triangles or loop positions: the
@@ -766,13 +766,9 @@ def _hull3(pts, span):
     nv = len(pts)
     simplices, neighbors = qh.simplices, qh.neighbors
     normals = qh.equations[:, :3]
-    offsets = -qh.equations[:, 3]
     seeds, group = _coplanar_groups(neighbors, qh.equations, EPS * span)
     # row gathers by `take`, several times faster than indexing
-    seed_normals = normals.take(seeds, 0)
-    basis = np.concatenate(_plane_basis(seed_normals), 1).reshape(-1, 2, 3)
-    # outward orientation: the group normal must point away from the body
-    inward = np.vecdot(seed_normals, pts.sum(0) / nv) > offsets[seeds]
+    basis = np.concatenate(_plane_basis(normals.take(seeds, 0)), 1).reshape(-1, 2, 3)
 
     # boundary edges tail -> head, keyed and sorted by (group, tail): the
     # edge from corner k of a triangle to corner k + 1 lies opposite corner
@@ -851,8 +847,6 @@ def _hull3(pts, span):
     # `corner` marks the vertices left in `tails`: number them in order, in
     # the table whose positions already run along the loops
     loops.flat = (corner.cumsum() - 1)[tails]
-    if inward.any():
-        loops = loops.reversed(inward)
     return Polytope3(pts.compress(corner, 0), loops)
 
 
@@ -1103,24 +1097,15 @@ def _check_unit(u):
 
 
 def brightness(body, u):
-    """(n-1)-volume of the shadow of the body on the hyperplane normal to u.
-
-    2D: length of the projection onto the line perpendicular to u.
-    3D: Cauchy's formula, half the sum of |<u, n_F>| * area(F) over facets.
-    """
+    """(n-1)-volume of the shadow of the body on the hyperplane normal to u, by
+    Cauchy's formula: half the sum of |<u, n_F>| * area(F) over facets (edges in 2D)."""
     u = _check_unit(_as_vectors(u, body.dim))
-    if body.dim == 2:
-        w = rot90(u)
-        return body.support(w) + body.support(-w)
     return 0.5 * float(np.sum(np.abs(body.facet_normals @ u) * body.facet_areas))
 
 
 def brightness_many(body, dirs):
     """Vectorized brightness over an array of unit directions."""
     dirs = _as_vectors(dirs, body.dim)
-    if body.dim == 2:
-        w = rot90(dirs)
-        return body.support_many(w) + body.support_many(-w)
     return 0.5 * np.abs(dirs @ body.facet_normals.T) @ body.facet_areas
 
 
@@ -1145,13 +1130,11 @@ def affine_image(body, mat, shift=None):
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (body.dim, body.dim):
         raise DimensionMismatch("affine matrix has the wrong shape")
-    if abs(np.linalg.det(mat)) < 1e-12:
+    det = np.linalg.det(mat)
+    if abs(det) < 1e-12:
         raise SingularMatrix("affine map must be invertible")
     shift = np.zeros(body.dim) if shift is None else _as_vectors(shift, body.dim)
-    mapped = body.vertices @ mat.T + shift
-    if body.dim == 2:
-        return Polygon(mapped)
-    return hull(mapped)
+    return body._mapped(body.vertices @ mat.T + shift, negated=det < 0)
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,18 @@ def _zonotope(generators):
     A projection body's generators are of order coordinate², so the squared
     norms of their cross products are of order coordinate⁸ and overflow from
     coordinates of about 10^38.5 on.  Any overflow raises DegenerateInput
-    (no warning), before the candidates reach the hull.
+    (no warning), before the candidates reach the hull.  The hull's own
+    errors carry the same prefix, as `polar`'s name the polar body.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):
             pts = _zonotope_points(generators)
     except FloatingPointError as exc:
         raise DegenerateInput("projection body: generator cross products overflow: coordinates too large") from exc
-    return hull(pts)
+    try:
+        return hull(pts)
+    except DegenerateInput as exc:
+        raise DegenerateInput(f"projection body: {exc}") from exc
 
 
 def _zonotope_points(generators):
@@ -271,8 +275,9 @@ def tcvp_check(body, n_dirs=360):
     spread = (dmax - dmin) / dmean
     # the support and diameter of the polar projection body, read off its
     # vertices n_F/b_F as `support_many` and `diameter` read them; squared
-    # distances that overflow are named as `polar` names them
-    duals = _polar_points(Polygon(rot90(diff.vertices)) if body.dim == 2 else projection_body(body))
+    # distances that overflow are named as `polar` names them.  A planar ΠK
+    # is K - K turned, and so are its points n_F/b_F, bit for bit
+    duals = rot90(_polar_points(diff)) if body.dim == 2 else _polar_points(projection_body(body))
     with np.errstate(over="ignore", invalid="ignore"):
         diameter = _diameter(duals)
     if not diameter < np.inf:

@@ -5,7 +5,8 @@ one pass/fail line.  Run with plain `pytest`; the same checks back the
 Each criterion's rows must also print exactly as recorded in
 ``golden/criterion_NN.csv``: `selftest` prints values at the rounding
 level, so a change to any body's bits shows there.  A change that means to
-alter a value rewrites the file and says so."""
+alter a value rewrites the files with ``python tests/golden/regenerate.py``
+and says so."""
 
 from pathlib import Path
 

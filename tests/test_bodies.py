@@ -1041,7 +1041,14 @@ class TestMediumHulls:
     def test_fields_equal_the_public_constructors(self, medium_inputs):
         # hull() hands Polytope3 its loop table; the public constructor
         # builds one from the loops, and both give the same bits
-        for pts in medium_inputs:
+        # also 1e6 spans off the origin, where the loops turn outward by
+        # qhull's normals alone: lattice points, whose Newell sums are exact
+        # there (medium inputs that far off raise "not planar")
+        rng = np.random.default_rng(31)
+        lattice = [np.array(list(itertools.product((-1.0, 1.0), repeat=3)))]
+        lattice += [rng.integers(0, 9, size=(60, 3)).astype(float) for _ in range(3)]
+        far = [pts + 1e6 * bodies._span(pts) * np.array([1.0, -2.0, 3.0]) for pts in lattice]
+        for pts in medium_inputs + far:
             body = hull(pts)
             again = Polytope3(body.vertices, body.facet_loops)
             assert again.facet_loops == body.facet_loops
@@ -1163,15 +1170,30 @@ class TestBodyMaps:
             cube.scale(0)
 
     def test_affine_image_3d(self, cube):
+        # the image is `_mapped` on V @ A^T + shift: the face lattice is
+        # kept, each loop reversed where det A < 0, and it is the lattice
+        # hull() finds on the mapped vertices, even for a map of condition
+        # number 1e6 (singular values 1e3, 1 and 1e-3)
         rng = np.random.default_rng(24)
+        turns = [np.linalg.qr(rng.normal(size=(3, 3)))[0] for _ in range(2)]
+        stretched = turns[0] @ np.diag([1e3, 1.0, 1e-3]) @ turns[1]
+        assert np.linalg.cond(stretched) == pytest.approx(1e6, rel=1e-6)
         for body in (random_polytope3(rng, 9), random_polytope3(rng, 12), cube):
-            for sign in (1.0, -1.0):
-                mat = rng.normal(size=(3, 3))
-                if np.sign(np.linalg.det(mat)) != sign:
+            for sign in (1.0, -1.0, None):
+                mat = stretched.copy() if sign is None else rng.normal(size=(3, 3))
+                if np.sign(np.linalg.det(mat)) != (sign or 1.0):
                     mat[0] *= -1.0
                 det = np.linalg.det(mat)
-                image = affine_image(body, mat, rng.normal(size=3))
-                assert image.volume == pytest.approx(abs(det) * body.volume, rel=1e-12)
+                shift = rng.normal(size=3)
+                image = affine_image(body, mat, shift)
+                mapped = body.vertices @ mat.T + shift
+                assert image.vertices.tobytes() == mapped.tobytes()
+                assert image.facet_loops == tuple(loop if det > 0 else loop[::-1] for loop in body.facet_loops)
+                rebuilt = hull(mapped)
+                assert sorted(map(tuple, rebuilt.vertices.tolist())) == sorted(map(tuple, mapped.tolist()))
+                assert len(rebuilt.facet_loops) == len(image.facet_loops)
+                # rounding in det A and in the volume grows with the condition number
+                assert image.volume == pytest.approx(abs(det) * body.volume, rel=1e-12 if sign else 1e-6)
                 assert len(image) == len(body)
                 # outward: every facet's plane has the centroid strictly
                 # inside and every vertex on its inner side
@@ -1395,10 +1417,6 @@ class TestSupportGauge:
             assert got.tobytes() == np.max(dirs @ body.vertices.T, axis=1).tobytes()
             ratios = (dirs @ body.facet_normals.T) / body.facet_offsets
             assert body.gauge_many(dirs).tobytes() == (1.0 / np.max(ratios, axis=1)).tobytes()
-            if body.dim == 2:
-                w = np.column_stack((-dirs[:, 1], dirs[:, 0]))
-                want = np.max(w @ body.vertices.T, axis=1) + np.max(-w @ body.vertices.T, axis=1)
-                assert brightness_many(body, dirs).tobytes() == want.tobytes()
 
     @staticmethod
     def _tied_zero_rows(cols):
@@ -1584,6 +1602,8 @@ class TestBrightness:
         assert brightness(square, u) == pytest.approx(shadow_area(square, u), rel=1e-14)
 
     def test_cauchy_consistency_random(self):
+        # brightness is Cauchy's formula in both dimensions; shadow_area
+        # projects the vertices, so it is an independent oracle in each
         rng = np.random.default_rng(9)
         for _ in range(5):
             body = random_polytope3(rng, int(rng.integers(6, 13)))
@@ -1591,6 +1611,12 @@ class TestBrightness:
             formula = brightness_many(body, dirs)
             oracle = np.array([shadow_area(body, u) for u in dirs])
             assert np.max(np.abs(formula - oracle) / oracle) <= 1e-9
+        polygons = [random_polygon(rng, int(rng.integers(3, 13))) for _ in range(5)]
+        for body in polygons + [regular_polygon(3), regular_polygon(12), regular_polygon(512)]:
+            dirs = np.array([unit_vector(rng, 2) for _ in range(100)])
+            oracle = np.array([shadow_area(body, u) for u in dirs])
+            for formula in (brightness_many(body, dirs), np.array([brightness(body, u) for u in dirs])):
+                assert np.max(np.abs(formula - oracle) / oracle) <= 1e-12
 
     def test_shadow_area_basis_is_unchanged(self):
         # the in-plane basis written out inline: n x e_x, or n x e_y where

@@ -368,6 +368,20 @@ class TestCli:
             assert err.startswith("error: projection body: generator cross products overflow")
             assert err.count("\n") == 1
 
+    def test_projection_body_underflow_is_named(self, tmp_path):
+        # bodies that build, whose zonotopes' squared facet normals underflow
+        rng = np.random.default_rng(1)
+        cube = [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
+        tiny = [2.0**-126 * random_polytope3(rng, 8).vertices, 2.0**-126 * random_polytope3(rng, 9).vertices,
+                2.0**-130 * np.array(cube)]
+        path = tmp_path / "tiny.json"
+        for vertices in tiny:
+            path.write_text(json.dumps({"dim": 3, "vertices": vertices.tolist()}))
+            for command in ("tcvp", "projbody"):
+                code, out, err = run_cli([command, str(path)])
+                assert (code, out) == (1, "")
+                assert err == "error: projection body: coordinates too small: squared facet normals underflow\n"
+
     def test_polar_body_out_of_range_is_named(self, tmp_path):
         # the triangle 2e-150 wide and 3e-155 high builds, and the vertices
         # n/b of its projection body's polar are ~1e154

@@ -248,6 +248,19 @@ class TestZonotope:
         with pytest.raises(DegenerateInput, match="^projection body: generator cross products overflow"):
             projection_body(cube.scale(1e40))
 
+    def test_tiny_zonotope_errors_name_the_projection_body(self, cube):
+        # the bodies build, but the zonotope's Newell squares are of order
+        # coordinate^8 and underflow; the message names the projection body,
+        # as `polar` names the polar body
+        rng = np.random.default_rng(1)
+        tiny = [random_polytope3(rng, 8).scale(2.0**-126), random_polytope3(rng, 9).scale(2.0**-126),
+                cube.scale(2.0**-130)]
+        message = "^projection body: coordinates too small: squared facet normals underflow$"
+        for body in tiny:
+            for build in (projection_body, tcvp_check, polar_projection_body):
+                with pytest.raises(DegenerateInput, match=message):
+                    build(body)
+
     @pytest.mark.parametrize("scale", [5e-3, 1e-3, 1e-7])
     def test_small_bodies(self, cube, scale):
         # the generators are of order scale², so the seed's cross and triple
