@@ -297,7 +297,7 @@ def criterion_11():
     import io
     import json
     import tempfile
-    from contextlib import redirect_stdout
+    from contextlib import redirect_stderr, redirect_stdout
     from pathlib import Path
 
     from .cli import main
@@ -306,10 +306,10 @@ def criterion_11():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "report.json"
         for _ in range(2):
-            buf = io.StringIO()
-            with redirect_stdout(buf):
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
                 code = main(["search", "--n", "50", "--seed", "7", "--json", str(path)])
-            outputs.append((code, buf.getvalue(), path.read_bytes()))
+            outputs.append((code, out.getvalue(), err.getvalue(), path.read_bytes()))
     identical = outputs[0][1:] == outputs[1][1:] and outputs[0][0] == outputs[1][0] == 0
 
     polys, tops = _random_bodies(16, 5, 5)

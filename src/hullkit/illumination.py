@@ -21,6 +21,7 @@ the boundary oracle in the tests and in acceptance criterion 5.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -284,10 +285,18 @@ def homothety_fit(p, q):
 
 
 def _fit_supports(hp, hq, dirs, q_diameter):
-    """`homothety_fit` on the support values hp of p and hq of q over dirs."""
-    design = np.column_stack((hp, dirs))
+    """`homothety_fit` on the support values hp of p and hq of q over dirs.
+
+    lstsq drops columns whose singular values fall below its cutoff, which
+    is relative to the largest; so hp is divided by 2^e, e the exponent of
+    its largest value, to lie beside the unit direction columns, and the
+    ratio fitted to it is divided by 2^e again.  Both steps are exact, so
+    hp scaled by a power of two changes the ratio by that power and no
+    other bit of the fit."""
+    e = math.frexp(float(np.max(np.abs(hp))))[1]
+    design = np.column_stack((np.ldexp(hp, -e), dirs))
     coef, *_ = np.linalg.lstsq(design, hq, rcond=None)
-    mu, c = float(coef[0]), coef[1:]
+    mu, c = math.ldexp(float(coef[0]), -e), coef[1:]
     if mu <= 0:
         # best positive ratio degenerates to the boundary; refit the shift only
         mu = 1e-12

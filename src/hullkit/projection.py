@@ -7,8 +7,12 @@ equivalently the polar projection body is a positive multiple of K - K.
 ``tcvp_check`` measures both formulations and reports their agreement.  The
 polar projection body is the hull of the points n_F/b_F of the facet planes
 <n_F, x> = b_F of ΠK, so the fit reads its support function
-h_{Π°K}(u) = max_F <u, n_F>/b_F, and its diameter, off ΠK's planes without
-building it; ``polar_projection_body`` builds it.
+h_{Π°K}(u) = max_F <u, n_F>/b_F, and its diameter, off those points without
+building it; ``polar_projection_body`` builds it.  In 2D the planes are the
+built ΠK's.  In 3D ΠK is the zonotope of the generators
+g_F = area(F)/2 * n_F, and each facet plane belongs to a pair of generators:
+n_F/b_F = c / sum_k |<g_k, c>| with c = g_i x g_j, in closed form
+(`_zonotope_duals`), so no hull of ΠK is run.
 
 Only positive homothety of the polar projection body is tested; rotational
 similarity is out of scope.  Likewise, no affine (Radon-curve) normalization
@@ -17,12 +21,14 @@ is attempted in the plane: Delta-constancy is the criterion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bodies import (
     Polygon,
+    _BLOCK,
     _cross,
     _diameter,
     _pairs,
@@ -70,67 +76,58 @@ def projection_body(body):
     """
     if body.dim == 2:
         return Polygon(rot90(difference_body(body).vertices))
-    gens = 0.5 * body.facet_areas[:, None] * body.facet_normals
-    return _zonotope(gens)
+    return _zonotope(_facet_generators(body))
+
+
+def _facet_generators(body):
+    """The generators g_F = area(F)/2 * n_F of a 3-polytope's projection body."""
+    return 0.5 * body.facet_areas[:, None] * body.facet_normals
 
 
 def _zonotope(generators):
     """Hull of the Minkowski sum of the segments [-g, g]: one hull call on
-    the candidate vertices of `_zonotope_points`.
-
-    A projection body's generators are of order coordinate², so the squared
-    norms of their cross products are of order coordinate⁸ and overflow from
-    coordinates of about 10^38.5 on.  Any overflow raises DegenerateInput
-    (no warning), before the candidates reach the hull.  The hull's own
-    errors carry the same prefix, as `polar`'s name the polar body.
-    """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            pts = _zonotope_points(generators)
-    except FloatingPointError as exc:
-        raise DegenerateInput("projection body: generator cross products overflow: coordinates too large") from exc
+    the candidate vertices of `_zonotope_points`.  The hull's errors carry
+    the prefix "projection body:", as `polar`'s name the polar body."""
+    pts = _zonotope_points(generators)
     try:
         return hull(pts)
     except DegenerateInput as exc:
         raise DegenerateInput(f"projection body: {exc}") from exc
 
 
-def _zonotope_points(generators):
-    """Candidate vertices of the Minkowski sum of the segments [-g, g].
+def _generators(generators):
+    """(gens, e): the generators of a zonotope as `_zonotope_points` and
+    `_zonotope_duals` take them, divided by 2^e.
 
-    Every facet of a 3D zonotope is parallel to a pair of generators
-    (g_i, g_j), and its vertices are sum_k s_k g_k for sign vectors s.  With
-    n = unit(g_i x g_j) and in-plane tangents t_i = g_j x n, t_j = n x g_i
-    (so <g_i, t_i> > 0 and <g_j, t_j> > 0), the candidates of the pair are,
-    for each w = a t_i + b t_j with a, b = +-1:
+    Generators of at most 1e-14 of the longest norm are dropped, parallel
+    ones are merged (`_merge_parallel`), and three independent ones are put
+    first, as the seed of the iterated sums; fewer than three raise.  Every
+    test is made on the generators divided by 2^e, e the exponent of their
+    largest coordinate.  That division is exact and every threshold is
+    relative, so a body and its copies scaled by 2^k get the same
+    generators, bit for bit, with no product underflowing or overflowing.
 
-    * s_k = sign<g_k, n> where |<g_k, n>| > 1e-12 |g_k|, and otherwise, for
-      generators in the facet plane, the tie-break s_k = sign<g_k, w>;
-    * the same sign vector negated, for the opposite facet.
-
-    The tie-break finds the vertices of facets with three or more coplanar
-    generators, which plain corners +-c +- g_i +- g_j miss.  Sign vectors
-    with a zero left are edge or facet points, not vertices, and are dropped.
-
-    The generators are ordered as the seed parallelepiped (three independent
-    generators) followed by the rest, and each point is summed in that order,
-    one generator at a time, so its coordinates round exactly as the iterated
-    Minkowski sums hull(hull(...) +- g) would round them.
+    A projection body's generators are of order coordinate², so the squared
+    norms of their cross products are of order coordinate⁸ and overflow from
+    coordinates of about 10^38.5 on.  Such generators raise DegenerateInput
+    here, for the projection body and its polar alike.
     """
     gens = np.asarray(generators, dtype=float)
+    e = math.frexp(float(np.max(np.abs(gens), initial=0.0)))[1]
+    gens = np.ldexp(gens, -e)
     norms = _row_norms(gens)
-    # every threshold is relative to the generators' norms, so that a body
-    # and its scaled copies have the same generators, seed and candidates
     kept = norms > 1e-14 * np.max(norms, initial=0.0)
     gens, norms = gens[kept], norms[kept]
     # the merge loop changes nothing where no generator passes its parallel
     # test against an earlier one; one batch over the pairs shows that with
-    # the loop's own products, and leaves any inf or NaN (an overflow, on
-    # which the loop raises) to the loop
+    # the loop's own products
     i, j = _pairs(len(gens))
-    with np.errstate(over="ignore", invalid="ignore"):
-        crosses = _row_norms(_cross(gens.take(j, 0), gens.take(i, 0)))
-    if not ((crosses > (1e-12 * norms[j]) * norms[i]) & (crosses < np.inf)).all():
+    crosses = _row_norms(_cross(gens.take(j, 0), gens.take(i, 0)))
+    # the unscaled cross products are 2^2e times these, and their squared
+    # norms overflow from 2^512 on
+    if math.frexp(float(np.max(crosses, initial=0.0)))[1] + 2 * e > 512:
+        raise DegenerateInput("projection body: generator cross products overflow: coordinates too large")
+    if not (crosses > (1e-12 * norms[j]) * norms[i]).all():
         gens = _merge_parallel(gens, norms)
     if len(gens) < 3:
         raise DegenerateInput("zonotope generators do not span 3-space")
@@ -153,8 +150,34 @@ def _zonotope_points(generators):
         raise DegenerateInput("zonotope generators do not span 3-space")
     rest = np.ones(len(gens), dtype=bool)
     rest[seed] = False
-    gens = gens.take(np.concatenate((seed, rest.nonzero()[0])), 0)
+    return gens.take(np.concatenate((seed, rest.nonzero()[0])), 0), e
 
+
+def _zonotope_points(generators):
+    """Candidate vertices of the Minkowski sum of the segments [-g, g].
+
+    Every facet of a 3D zonotope is parallel to a pair of generators
+    (g_i, g_j), and its vertices are sum_k s_k g_k for sign vectors s.  With
+    n = unit(g_i x g_j) and in-plane tangents t_i = g_j x n, t_j = n x g_i
+    (so <g_i, t_i> > 0 and <g_j, t_j> > 0), the candidates of the pair are,
+    for each w = a t_i + b t_j with a, b = +-1:
+
+    * s_k = sign<g_k, n> where |<g_k, n>| > 1e-12 |g_k|, and otherwise, for
+      generators in the facet plane, the tie-break s_k = sign<g_k, w>;
+    * the same sign vector negated, for the opposite facet.
+
+    The tie-break finds the vertices of facets with three or more coplanar
+    generators, which plain corners +-c +- g_i +- g_j miss.  Sign vectors
+    with a zero left are edge or facet points, not vertices, and are dropped.
+
+    The generators are ordered as the seed parallelepiped (three independent
+    generators) followed by the rest (`_generators`), and each point is
+    summed in that order, one generator at a time, so its coordinates round
+    exactly as the iterated Minkowski sums hull(hull(...) +- g) would round
+    them.  The sums are taken on the generators divided by 2^e and
+    multiplied by 2^e at the end, which changes no bit.
+    """
+    gens, e = _generators(generators)
     # each point summed one generator at a time, in order: `np.add.reduce`
     # over the outer axis of a C-ordered (generators, 3, points) array adds
     # one generator's terms at a time, as pts = pts + s_c g_c does (numpy
@@ -162,7 +185,37 @@ def _zonotope_points(generators):
     signs = _zonotope_signs(gens)
     terms = np.empty((len(gens), 3, len(signs)))
     np.multiply(signs.T[:, None, :], gens[:, :, None], out=terms)
-    return np.add.reduce(terms, axis=0).T.copy()
+    pts = np.add.reduce(terms, axis=0).T.copy()
+    return np.ldexp(pts, e, out=pts)
+
+
+def _zonotope_duals(generators):
+    """The vertices of the polar of the zonotope of the generators, read off
+    its facet planes with no hull: +-c / sum_k |<g_k, c>| for c = g_i x g_j,
+    one pair of points per pair of generators.
+
+    Each facet of the zonotope is parallel to a pair of generators (see
+    `_zonotope_points`), so its normal is parallel to their cross product c,
+    and its plane <c, x> = h(c) has the zonotope's support
+    h(c) = sum_k |<g_k, c>| as offset; the polar vertex c/h(c) is the point
+    n_F/b_F of that plane.  A facet with three or more generators in its
+    plane gives one point per pair of them.  The points are homogeneous of
+    degree -1 in the generators, so they are taken on `_generators`' copies
+    divided by 2^e and multiplied by 2^-e, which changes no bit.  On those
+    copies, whose norms lie between about 1e-14 and 2, every pair left has
+    a sine above about 1e-12, so |c|² is far above the subnormal range.
+    """
+    gens, e = _generators(generators)
+    i, j = _pairs(len(gens))
+    c = _cross(gens.take(i, 0), gens.take(j, 0))
+    # the heights <g_k, c> in row blocks of at most `_BLOCK` products
+    supports = np.empty(len(c))
+    rows = max(1, _BLOCK // len(gens))
+    for lo in range(0, len(c), rows):
+        supports[lo:lo + rows] = np.abs(c[lo:lo + rows] @ gens.T).sum(1)
+    duals = c / supports[:, None]
+    np.ldexp(duals, -e, out=duals)
+    return np.concatenate((duals, -duals))
 
 
 def _merge_parallel(gens, norms):
@@ -252,13 +305,21 @@ def tcvp_check(body, n_dirs=360):
     """Measure Delta(u) over a deterministic direction set and fit the
     polar projection body against the difference body.
 
-    The fit is `homothety_fit(difference_body(body),
-    polar_projection_body(body))`, bit for bit: `hull()` passes coordinates
-    through unchanged, so the polar body's vertices are the points n_F/b_F,
-    each one extreme, at most in another order, and neither a row maximum
-    nor a largest pairwise distance depends on the order.  Where qhull
-    refuses those points (QH6154, for 3D bodies scaled by about 2^-130) the
-    fit still exists."""
+    The fit is `homothety_fit(difference_body(body), Π°K)` with the support
+    and diameter of Π°K read off its vertices n_F/b_F.  In 2D they are the
+    points of the built ΠK's planes, and the fit equals the one against
+    `polar_projection_body(body)` bit for bit: `hull()` passes coordinates
+    through unchanged, and neither a row maximum nor a largest pairwise
+    distance depends on the order of the points.  In 3D they are
+    `_zonotope_duals` of ΠK's generators, which builds neither ΠK nor its
+    polar.  Those points are not the built body's bits: they lie within
+    1e-14 of the dual diameter of the exact ones, where the hull's Newell
+    planes lie within 1.2e-11, so the fit agrees with the built body's to
+    the rounding level.  It needs no hull of ΠK or Π°K, so a body that
+    builds gets its fit where qhull would refuse ΠK or Π°K, or ΠK's squared
+    Newell normals would underflow (from about 2^-126); bodies whose
+    generators' cross products overflow (coordinates of about 10^38.5 and
+    up) raise as `projection_body` does."""
     if n_dirs < 16:
         raise TooFewDirections("n_dirs must be at least 16")
     dirs = direction_set(body.dim, n_dirs)
@@ -276,8 +337,9 @@ def tcvp_check(body, n_dirs=360):
     # the support and diameter of the polar projection body, read off its
     # vertices n_F/b_F as `support_many` and `diameter` read them; squared
     # distances that overflow are named as `polar` names them.  A planar ΠK
-    # is K - K turned, and so are its points n_F/b_F, bit for bit
-    duals = rot90(_polar_points(diff)) if body.dim == 2 else _polar_points(projection_body(body))
+    # is K - K turned, and so are its points n_F/b_F, bit for bit; a 3D ΠK
+    # is a zonotope, whose planes come from its generators
+    duals = rot90(_polar_points(diff)) if body.dim == 2 else _zonotope_duals(_facet_generators(body))
     with np.errstate(over="ignore", invalid="ignore"):
         diameter = _diameter(duals)
     if not diameter < np.inf:

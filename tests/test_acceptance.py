@@ -6,7 +6,8 @@ Each criterion's rows must also print exactly as recorded in
 ``golden/criterion_NN.csv``: `selftest` prints values at the rounding
 level, so a change to any body's bits shows there.  A change that means to
 alter a value rewrites the files with ``python tests/golden/regenerate.py``
-and says so."""
+and says so.  No criterion writes to stdout or stderr: `selftest` prints
+the rows alone."""
 
 from pathlib import Path
 
@@ -25,6 +26,8 @@ GOLDEN = Path(__file__).parent / "golden"
 )
 def test_criterion(label, criterion, capsys):
     rows = criterion()
+    # the criteria's own CLI runs print nothing past them
+    assert capsys.readouterr() == ("", "")
     passed = all(row.passed is not False for row in rows)
     with capsys.disabled():
         print(f"\nACCEPTANCE {label}: {'PASS' if passed else 'FAIL'}")

@@ -369,18 +369,28 @@ class TestCli:
             assert err.count("\n") == 1
 
     def test_projection_body_underflow_is_named(self, tmp_path):
-        # bodies that build, whose zonotopes' squared facet normals underflow
+        # bodies that build, whose zonotopes' squared facet normals underflow;
+        # `tcvp` builds no zonotope and reports the defect of the unit-scale
+        # body
         rng = np.random.default_rng(1)
         cube = [[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)]
-        tiny = [2.0**-126 * random_polytope3(rng, 8).vertices, 2.0**-126 * random_polytope3(rng, 9).vertices,
-                2.0**-130 * np.array(cube)]
-        path = tmp_path / "tiny.json"
-        for vertices in tiny:
+        cases = [(random_polytope3(rng, 8).vertices, -126), (random_polytope3(rng, 9).vertices, -126),
+                 (np.array(cube), -130)]
+        path = tmp_path / "body.json"
+
+        def defect_row(vertices):
             path.write_text(json.dumps({"dim": 3, "vertices": vertices.tolist()}))
-            for command in ("tcvp", "projbody"):
-                code, out, err = run_cli([command, str(path)])
-                assert (code, out) == (1, "")
-                assert err == "error: projection body: coordinates too small: squared facet normals underflow\n"
+            code, out, err = run_cli(["tcvp", str(path)])
+            assert (code, err) == (0, "")
+            return [line for line in out.splitlines() if line.startswith("polar_projection_homothety_defect,")]
+
+        for vertices, k in cases:
+            unit = defect_row(vertices)
+            assert len(unit) == 1
+            assert defect_row(2.0**k * vertices) == unit
+            code, out, err = run_cli(["projbody", str(path)])
+            assert (code, out) == (1, "")
+            assert err == "error: projection body: coordinates too small: squared facet normals underflow\n"
 
     def test_polar_body_out_of_range_is_named(self, tmp_path):
         # the triangle 2e-150 wide and 3e-155 high builds, and the vertices

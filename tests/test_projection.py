@@ -1,9 +1,12 @@
 import sys
+import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hullkit import (
     DegenerateInput,
@@ -25,9 +28,15 @@ from hullkit import (
 )
 from hullkit import bodies as bodies_module
 from hullkit import projection
-from hullkit.bodies import _cross
+from hullkit.bodies import EPS, _cross, _diameter, _polar_points
 from hullkit.fileio import parse_body
-from hullkit.projection import _KEYED_GENERATORS, _zonotope, _zonotope_points
+from hullkit.projection import (
+    _KEYED_GENERATORS,
+    _facet_generators,
+    _zonotope,
+    _zonotope_duals,
+    _zonotope_points,
+)
 from hullkit.sampling import (
     direction_set,
     random_polygon,
@@ -133,10 +142,6 @@ def _reference_zonotope_signs(gens):
     signs = np.concatenate((signs, -signs))
     signs = signs[np.lexsort(np.vstack((signs[:, 2::-1].T, -signs[:, 3:].T)))]
     return signs[np.r_[True, np.any(signs[1:] != signs[:-1], axis=1)]]
-
-
-def _facet_generators(body):
-    return 0.5 * body.facet_areas[:, None] * body.facet_normals
 
 
 def _prism(m):
@@ -245,21 +250,27 @@ class TestZonotope:
         # coordinate^8: finite at 1e38, overflowing at 1e40
         gens = _facet_generators(cube.scale(1e38))
         assert np.array_equal(_zonotope(gens).vertices, _iterated_zonotope(gens).vertices)
-        with pytest.raises(DegenerateInput, match="^projection body: generator cross products overflow"):
-            projection_body(cube.scale(1e40))
+        for build in (projection_body, tcvp_check):
+            with pytest.raises(DegenerateInput, match="^projection body: generator cross products overflow"):
+                build(cube.scale(1e40))
 
     def test_tiny_zonotope_errors_name_the_projection_body(self, cube):
         # the bodies build, but the zonotope's Newell squares are of order
         # coordinate^8 and underflow; the message names the projection body,
-        # as `polar` names the polar body
+        # as `polar` names the polar body.  `tcvp_check` builds no zonotope,
+        # and its fit is the unit-scale body's
         rng = np.random.default_rng(1)
-        tiny = [random_polytope3(rng, 8).scale(2.0**-126), random_polytope3(rng, 9).scale(2.0**-126),
-                cube.scale(2.0**-130)]
+        cases = [(random_polytope3(rng, 8), -126), (random_polytope3(rng, 9), -126), (cube, -130)]
         message = "^projection body: coordinates too small: squared facet normals underflow$"
-        for body in tiny:
-            for build in (projection_body, tcvp_check, polar_projection_body):
+        for body, k in cases:
+            tiny = body.scale(2.0**k)
+            for build in (projection_body, polar_projection_body):
                 with pytest.raises(DegenerateInput, match=message):
-                    build(body)
+                    build(tiny)
+            want = tcvp_check(body).polar_projection_homothety
+            fit = tcvp_check(tiny).polar_projection_homothety
+            assert fit.defect == pytest.approx(want.defect, rel=1e-12, abs=0)
+            assert fit.ratio == pytest.approx(want.ratio * 2.0 ** (-3 * k), rel=1e-12, abs=0)
 
     @pytest.mark.parametrize("scale", [5e-3, 1e-3, 1e-7])
     def test_small_bodies(self, cube, scale):
@@ -324,6 +335,103 @@ class TestZonotope:
         zono = _zonotope(TRIPLE_POINT_GENERATORS)
         assert len(zono) == 26
         assert zono.volume == pytest.approx(144.0, rel=1e-14, abs=0)
+
+
+def _exact_duals(generators):
+    """Oracle for `_zonotope_duals`, in integers: +-c / sum_k |<g_k, c>| for
+    c = g_i x g_j over every pair of the generators whose c is not zero,
+    each point the double nearest the exact quotient.  The generators are
+    multiplied by a power of two that makes them integers, and the quotient
+    is homogeneous of degree -1, so no step rounds but the last."""
+    ratios = [x.as_integer_ratio() for x in np.asarray(generators, dtype=float).ravel().tolist()]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    gens = [ints[r:r + 3] for r in range(0, len(ints), 3)]
+    out = []
+    for a, (x1, y1, z1) in enumerate(gens):
+        for x2, y2, z2 in gens[a + 1:]:
+            c = (y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2)
+            if c != (0, 0, 0):
+                h = sum(abs(x * c[0] + y * c[1] + z * c[2]) for x, y, z in gens)
+                point = [float(Fraction(v * den, h)) for v in c]
+                out += [point, [-v for v in point]]
+    return np.array(out)
+
+
+def _set_gap(a, b):
+    """Hausdorff distance of two finite point sets."""
+    return max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
+
+
+def _icosahedron():
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    return hull([p for s in (-1.0, 1.0) for t in (-phi, phi)
+                 for p in ([0.0, s, t], [s, t, 0.0], [t, 0.0, s])])
+
+
+def _oracle_bodies(cube, tetrahedron):
+    rng = np.random.default_rng(41)
+    bodies = [cube, hull(np.vstack((np.eye(3), -np.eye(3)))), tetrahedron, _prism(5), _icosahedron()]
+    bodies += [random_polytope3(rng, n) for n in range(5, 25)]
+    return bodies + _tcvp3d_bodies(1)
+
+
+class TestZonotopeDuals:
+    """`_zonotope_duals`, the vertices of the polar projection body that
+    `tcvp_check` fits, read off the generators with no hull."""
+
+    def test_match_the_exact_duals(self, cube, tetrahedron):
+        # measured: the duals lie within 9.8e-15 of the dual diameter of the
+        # exact ones, both ways, and the built projection body's points
+        # n_F/b_F within 1.2e-11
+        for n, body in enumerate(_oracle_bodies(cube, tetrahedron)):
+            gens = _facet_generators(body)
+            exact = _exact_duals(gens)
+            diameter = _diameter(exact)
+            assert _set_gap(_zonotope_duals(gens), exact) <= 1e-12 * diameter, n
+            assert _set_gap(_polar_points(projection_body(body)), exact) <= EPS * diameter, n
+
+    @pytest.mark.parametrize("n", range(11))
+    def test_scale_sweep(self, cube, n):
+        # 2^k K for k in [-140, 130]: each fit is the unit-scale body's,
+        # with the ratio scaled by 2^-3k, or a typed error; every k in
+        # [-128, 126] builds, as the built polar projection body did
+        rng = np.random.default_rng(42)
+        bodies = [cube] + [random_polytope3(rng, int(rng.integers(5, 13))) for _ in range(10)]
+        body = bodies[n]
+        want = tcvp_check(body).polar_projection_homothety
+        built = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-140, 131):
+                try:
+                    fit = tcvp_check(body.scale(2.0**k)).polar_projection_homothety
+                except DegenerateInput:
+                    continue
+                assert fit.defect == pytest.approx(want.defect, rel=1e-12, abs=0), k
+                assert fit.ratio == pytest.approx(want.ratio * 2.0 ** (-3 * k), rel=1e-12, abs=0), k
+                built.add(k)
+        assert set(range(-128, 127)) <= built
+
+    def test_memory_is_bounded(self):
+        # 300 generators: 44 850 pairs, whose (pairs, generators) heights
+        # would be 108 MB in one product; 18 MB were measured in row blocks
+        gens = np.random.default_rng(43).normal(size=(300, 3))
+        tracemalloc.start()
+        try:
+            _zonotope_duals(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+
+    @pytest.mark.parametrize("gens", [np.empty((0, 3)), np.eye(3)[:2], [[1, 0, 0], [0, 1, 0], [1, 1, 0], [2, 0, 0]],
+                                      [[1e-20, 0, 0], [0, 1e-20, 0], [0, 0, 1]]])
+    def test_degenerate_generators(self, gens):
+        # too few independent generators after dropping and merging: the
+        # duals never reach `_diameter`
+        with pytest.raises(DegenerateInput, match="^zonotope generators do not span 3-space$"):
+            _zonotope_duals(np.asarray(gens, dtype=float))
 
 
 class TestPolarProjectionBody:
@@ -461,9 +569,11 @@ def _tcvp3d_bodies(seed):
 
 class TestPolarProjectionFit:
     """`tcvp_check` reads the polar projection body's support and diameter
-    off the projection body's dual points n_F/b_F instead of building the
-    polar body; the fit is the one against the built polar body, bit for
-    bit."""
+    off its vertices instead of building it: in 2D the points n_F/b_F of the
+    projection body's facet planes, in 3D `_zonotope_duals`.  The planar
+    fit is the one against the built polar body, bit for bit; the 3D duals
+    are not the built body's bits (their planes are not the hull's Newell
+    planes), and the fit agrees to the rounding level."""
 
     def test_fit_matches_the_built_polar_body(self, cube):
         rng = np.random.default_rng(19)
@@ -475,13 +585,22 @@ class TestPolarProjectionFit:
             fit = tcvp_check(body).polar_projection_homothety
             ref = homothety_fit(difference_body(body), polar_projection_body(body))
             assert fit.is_homothet == ref.is_homothet
-            for field in ("ratio", "defect", "translation", "center"):
-                assert np.asarray(getattr(fit, field)).tobytes() == np.asarray(getattr(ref, field)).tobytes(), field
+            if body.dim == 2:
+                for field in ("ratio", "defect", "translation", "center"):
+                    assert np.asarray(getattr(fit, field)).tobytes() == np.asarray(getattr(ref, field)).tobytes()
+                continue
+            # measured maxima over the 3D bodies: ratio 4.4e-16 relative,
+            # defect 1.9e-16, translation 2.6e-17 of diam Π°K and center
+            # 3.3e-16 of diam K
+            assert fit.ratio == pytest.approx(ref.ratio, rel=1e-14, abs=0)
+            assert abs(fit.defect - ref.defect) <= 1e-14
+            assert np.max(np.abs(fit.translation - ref.translation)) <= 1e-14 * polar_projection_body(body).diameter
+            assert np.max(np.abs(fit.center - ref.center)) <= 1e-14 * body.diameter
 
     def test_hull_calls(self, cube, monkeypatch):
-        # 3D: the difference body and the zonotope; 2D: none (the polygon
-        # difference body is an edge merge), and one difference body, which
-        # the 2D projection body rotates
+        # 3D: the difference body alone; 2D: none (the polygon difference
+        # body is an edge merge), and one difference body, which the 2D
+        # projection body rotates
         original = bodies_module.hull
         hulls, diffs = [], []
 
@@ -497,7 +616,7 @@ class TestPolarProjectionFit:
             monkeypatch.setattr(module, "hull", counting_hull)
         monkeypatch.setattr(projection, "difference_body", counting_difference_body)
         tcvp_check(cube)
-        assert (len(hulls), diffs) == (2, [3])
+        assert (len(hulls), diffs) == (1, [3])
         hulls.clear()
         diffs.clear()
         tcvp_check(regular_polygon(7))

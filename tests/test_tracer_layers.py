@@ -3,8 +3,10 @@ of hullkit's modules, functions and classes.  A rename in hullkit would
 leave a per-layer metric silently at zero, so this checks that every target
 still exists and that one op of each workload records a span of it.
 No workload builds a polar body (`tcvp_check` reads the polar projection
-body's support off the projection body's facet planes), so `bodies.polar` is
-required of one `polar_projection_body` call instead.  Nothing under
+body's vertices off the projection body's generators, or in 2D off its facet
+planes), so `bodies.polar` is required of one `polar_projection_body` call
+instead; `projection.projection_body` is recorded by the tcvp3d op's own
+call, as `tcvp_check` makes none.  Nothing under
 perfbench/ is changed."""
 
 from pathlib import Path
