@@ -198,7 +198,7 @@ def criterion_7():
     return rows
 
 
-def illumination_defect_rows(n, seed, include_named=True):
+def illumination_defect_rows(n, seed):
     """Homothety defects of illumination bodies over seeded random 3-polytopes,
     at delta = 0.05, 0.5 and 2 times the volume.
 
@@ -206,13 +206,11 @@ def illumination_defect_rows(n, seed, include_named=True):
     emitted in instance order so reports are byte-reproducible.
     """
     rng = np.random.default_rng(seed)
-    bodies = []
-    if include_named:
-        bodies.append(("tetrahedron", hull([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])))
-        bodies.append(("cube", hull([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])))
-    for i in range(n):
-        nv = int(rng.integers(6, 13))
-        bodies.append((f"random_{i:03d}", random_polytope3(rng, nv)))
+    bodies = ((f"random_{i:03d}", random_polytope3(rng, int(rng.integers(6, 13)))) for i in range(n))
+    return _illumination_defects(bodies)
+
+
+def _illumination_defects(bodies):
     rows = []
     for name, body in bodies:
         for factor in (0.05, 0.5, 2.0):
@@ -224,7 +222,9 @@ def illumination_defect_rows(n, seed, include_named=True):
 
 def criterion_8():
     """No 3-polytope has a homothetic illumination body (empirical probe)."""
-    rows = illumination_defect_rows(200, seed=7)
+    named = [("tetrahedron", hull([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])),
+             ("cube", hull([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]))]
+    rows = _illumination_defects(named) + illumination_defect_rows(200, seed=7)
     worst = min(r.value for r in rows)
     return [_row("illum_3d_min_homothety_defect", worst, 1e-3, below=False)]
 

@@ -967,7 +967,9 @@ def _flat_sliver_vertices(pts, qh, height_tol):
     # (p0 - p2) x (p1 - p0) is (p1 - p0) x -(p0 - p2), bit for bit
     crosses = _cross(sides[:, 2], sides[:, 0])
     longest = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]), lengths[:, 2])
-    flat = (_row_norms(crosses) <= height_tol * longest).nonzero()[0]
+    # a norm that overflows is inf, so not flat; `Polytope3` then names it
+    with np.errstate(over="ignore"):
+        flat = (_row_norms(crosses) <= height_tol * longest).nonzero()[0]
     if len(flat):
         # vertex opposite the longest edge is the nearly-collinear one
         flat = np.unique(simplices[flat, (lengths[flat].argmax(1) + 2) % 3])
@@ -993,6 +995,25 @@ def gauge(body, u):
     return body.gauge(np.asarray(u, dtype=float))
 
 
+class _named:
+    """Context that re-raises a DegenerateInput raised inside it as
+    "name: message".  A body built from another body's data has its own
+    coordinate range, so its errors name it; each is built in one such
+    context, and a message carries one name."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, DegenerateInput):
+            raise DegenerateInput(f"{self.name}: {exc}") from exc
+
+
 def _polar_points(body):
     """The points n/b of the body's facet planes (n, b), whose hull is the
     polar body; requires the origin strictly interior."""
@@ -1007,22 +1028,19 @@ def polar(body):
     Requires the origin strictly interior.  Applying polar twice reproduces
     the original body up to tolerance.
     """
-    try:
+    with _named("polar body"):
         return hull(_polar_points(body))
-    except DegenerateInput as exc:
-        # the vertices n/b are the polar body's, not the input's: a tiny
-        # input gives a polar body too large to build
-        raise DegenerateInput(f"polar body: {exc}") from exc
 
 
 def minkowski_sum(a, b):
     """Minkowski sum of two convex bodies of equal dimension."""
     if a.dim != b.dim:
         raise DimensionMismatch("minkowski_sum needs bodies of equal dimension")
-    if a.dim == 2:
-        return Polygon(_minkowski_vertices_2d(a.vertices, b.vertices))
-    sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, 3)
-    return hull(sums)
+    with _named("Minkowski sum"):
+        if a.dim == 2:
+            return Polygon(_minkowski_vertices_2d(a.vertices, b.vertices))
+        sums = (a.vertices[:, None, :] + b.vertices[None, :, :]).reshape(-1, 3)
+        return hull(sums)
 
 
 def _minkowski_vertices_2d(va, vb):
@@ -1076,12 +1094,13 @@ def difference_body(body):
     row keeps.  Without the other zero rows, `_far_apart` can usually show
     that no two rows are close, and no cKDTree is built."""
     v = body.vertices
-    if body.dim == 2:
-        return Polygon(_minkowski_vertices_2d(v, -v))
-    n = len(v)
-    keep = np.ones(n * n, dtype=bool)
-    keep[n + 1::n + 1] = False
-    return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3).compress(keep, 0))
+    with _named("difference body"):
+        if body.dim == 2:
+            return Polygon(_minkowski_vertices_2d(v, -v))
+        n = len(v)
+        keep = np.ones(n * n, dtype=bool)
+        keep[n + 1::n + 1] = False
+        return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3).compress(keep, 0))
 
 
 def central_symmetral(body):

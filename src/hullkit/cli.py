@@ -289,7 +289,7 @@ def _cmd_search(args):
     if args.n < 1:
         raise _UsageError("--n must be at least 1")
     if args.dim == 3:
-        rows = acceptance.illumination_defect_rows(args.n, seed=args.seed, include_named=False)
+        rows = acceptance.illumination_defect_rows(args.n, seed=args.seed)
         worst = min(r.value for r in rows)
         rows.append(CheckRow("min_defect", worst, 1e-3, worst > 1e-3))
         _report(args, rows, extra={"seed": args.seed, "n": args.n, "dim": args.dim})

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, _as_vectors, _cross, _dedup_points, _pairs, _row_norms, _successors, hull
+from .bodies import EPS, Body, _as_vectors, _cross, _dedup_points, _named, _pairs, _row_norms, _successors, hull
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -232,12 +232,15 @@ def illumination_body(body, delta):
     lines, s = _level_crossings(body, x0, d, level)
     if len(lines) == 0:
         raise GeometryError("no level-set candidates found")
-    pts = x0[lines] + s[:, None] * d[lines]
-    # merge candidates within tol: triple-plane coincidences give duplicate roots
-    merged = _dedup_points(pts, EPS * body.diameter)
-    if len(merged) < len(pts):
-        log.debug("merged %d coincident level-set candidates", len(pts) - len(merged))
-    return LevelSet(body=hull(merged), level=level, delta=float(delta))
+    with _named("illumination body"):
+        # inf crossings times zero direction components are NaN; the merge names the overflow
+        with np.errstate(over="ignore", invalid="ignore"):
+            pts = x0[lines] + s[:, None] * d[lines]
+        # merge candidates within tol: triple-plane coincidences give duplicate roots
+        merged = _dedup_points(pts, EPS * body.diameter)
+        if len(merged) < len(pts):
+            log.debug("merged %d coincident level-set candidates", len(pts) - len(merged))
+        return LevelSet(body=hull(merged), level=level, delta=float(delta))
 
 
 #: The same construction under the names of its two dimensions.

@@ -31,6 +31,7 @@ from .bodies import (
     _BLOCK,
     _cross,
     _diameter,
+    _named,
     _pairs,
     _polar_points,
     _row_max,
@@ -76,7 +77,8 @@ def projection_body(body):
     """
     if body.dim == 2:
         return Polygon(rot90(difference_body(body).vertices))
-    return _zonotope(_facet_generators(body))
+    with _named("projection body"):
+        return _zonotope(_facet_generators(body))
 
 
 def _facet_generators(body):
@@ -86,13 +88,8 @@ def _facet_generators(body):
 
 def _zonotope(generators):
     """Hull of the Minkowski sum of the segments [-g, g]: one hull call on
-    the candidate vertices of `_zonotope_points`.  The hull's errors carry
-    the prefix "projection body:", as `polar`'s name the polar body."""
-    pts = _zonotope_points(generators)
-    try:
-        return hull(pts)
-    except DegenerateInput as exc:
-        raise DegenerateInput(f"projection body: {exc}") from exc
+    the candidate vertices of `_zonotope_points`."""
+    return hull(_zonotope_points(generators))
 
 
 def _generators(generators):
@@ -126,7 +123,7 @@ def _generators(generators):
     # the unscaled cross products are 2^2e times these, and their squared
     # norms overflow from 2^512 on
     if math.frexp(float(np.max(crosses, initial=0.0)))[1] + 2 * e > 512:
-        raise DegenerateInput("projection body: generator cross products overflow: coordinates too large")
+        raise DegenerateInput("generator cross products overflow: coordinates too large")
     if not (crosses > (1e-12 * norms[j]) * norms[i]).all():
         gens = _merge_parallel(gens, norms)
     if len(gens) < 3:
@@ -335,15 +332,15 @@ def tcvp_check(body, n_dirs=360):
     dmin, dmax = float(np.min(deltas)), float(np.max(deltas))
     spread = (dmax - dmin) / dmean
     # the support and diameter of the polar projection body, read off its
-    # vertices n_F/b_F as `support_many` and `diameter` read them; squared
-    # distances that overflow are named as `polar` names them.  A planar ΠK
-    # is K - K turned, and so are its points n_F/b_F, bit for bit; a 3D ΠK
-    # is a zonotope, whose planes come from its generators
-    duals = rot90(_polar_points(diff)) if body.dim == 2 else _zonotope_duals(_facet_generators(body))
-    with np.errstate(over="ignore", invalid="ignore"):
+    # vertices n_F/b_F as `support_many` and `diameter` read them.  A planar
+    # ΠK is K - K turned, and so are its points n_F/b_F, bit for bit; a 3D
+    # ΠK is a zonotope, whose planes come from its generators
+    with _named("projection body"):
+        duals = rot90(_polar_points(diff)) if body.dim == 2 else _zonotope_duals(_facet_generators(body))
+    with _named("polar body"), np.errstate(over="ignore", invalid="ignore"):
         diameter = _diameter(duals)
-    if not diameter < np.inf:
-        raise DegenerateInput("polar body: coordinates too large: squared distances overflow")
+        if not diameter < np.inf:
+            raise DegenerateInput("coordinates too large: squared distances overflow")
     fit_dirs = direction_set(body.dim, _FIT_DIRS[body.dim])
     fit = _fit_supports(diff.support_many(fit_dirs), _row_max(fit_dirs @ duals.T), fit_dirs, diameter)
     return TcvpReport(

@@ -298,9 +298,10 @@ class TestCli:
     @pytest.mark.parametrize("k", [-510, -516, -520, -530])
     def test_tiny_heptagon_illum_warns_nowhere(self, tmp_path, k):
         # at 2^-510 the heptagon builds, and delta = 4096 puts the level so
-        # far beyond it that the outer crossings' squares overflow; hull()
-        # then names the overflow.  From 2^-511 on its squared edge lengths
-        # are subnormal, which Polygon names on load
+        # far beyond it that the outer crossings' squares overflow; the
+        # level set's merge then names the overflow and the body.  From
+        # 2^-511 on its squared edge lengths are subnormal, which Polygon
+        # names on load
         path = tmp_path / "tiny.json"
         path.write_text(json.dumps({"dim": 2, "vertices": (2.0**k * regular_polygon(7).vertices).tolist()}))
         with warnings.catch_warnings(record=True) as caught:
@@ -309,7 +310,8 @@ class TestCli:
         assert [str(w.message) for w in caught] == []
         if k == -510:
             assert results[0][::2] == (0, "")
-            assert results[1] == (1, "", "error: coordinates too large: squared distances overflow\n")
+            message = "error: illumination body: coordinates too large: squared distances overflow\n"
+            assert results[1] == (1, "", message)
         else:
             for result in results:
                 assert result == (1, "", "error: coordinates too small: squared edge lengths underflow\n")
@@ -406,7 +408,7 @@ class TestCli:
     @pytest.mark.parametrize(("name", "k"), [("square", 510.0), ("heptagon", 510.125), ("heptagon", 510.5)])
     def test_overflowing_difference_body_is_one_line_error(self, tmp_path, name, k):
         # Polygon accepts these bodies, but the difference body's squared
-        # extent overflows (it used to end in an OverflowError traceback)
+        # extent overflows, and the message names the difference body
         verts = (np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
                  if name == "square" else regular_polygon(7).vertices)
         path = tmp_path / "huge.json"
@@ -414,7 +416,27 @@ class TestCli:
         for command in ("tcvp", "projbody"):
             code, out, err = run_cli([command, str(path)])
             assert (code, out) == (1, "")
-            assert err == "error: coordinates too large: squared distances overflow\n"
+            assert err == "error: difference body: coordinates too large: squared distances overflow\n"
+
+    def test_overflow_inside_a_construction_warns_nowhere(self, tmp_path):
+        # the level set of the square of half-side 1e-3 at delta = 1e306 has
+        # infinite crossings, and inf times a zero component of an
+        # axis-aligned sideline is NaN; the 64 pairwise differences of the
+        # cube at 2^254 reach 2^255, which qhull accepts, and the sliver
+        # test's squared norms overflow.  Each ends in one error line only
+        square = tmp_path / "square.json"
+        corners = [[1e-3, 1e-3], [-1e-3, 1e-3], [-1e-3, -1e-3], [1e-3, -1e-3]]
+        square.write_text(json.dumps({"dim": 2, "vertices": corners}))
+        cube = 2.0**254 * np.array([[x, y, z] for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)])
+        diffs = tmp_path / "diffs.json"
+        diffs.write_text(json.dumps({"dim": 3, "vertices": (cube[:, None] - cube[None]).reshape(-1, 3).tolist()}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            illum = run_cli(["illum", str(square), "--delta", "1e306"])
+            evaluated = run_cli(["eval", str(diffs), "--t", "0,0,0"])
+        assert [str(w.message) for w in caught] == []
+        assert illum == (1, "", "error: illumination body: coordinates too large: squared distances overflow\n")
+        assert evaluated == (1, "", "error: coordinates too large: facet normals overflow\n")
 
     def test_tcvp_with_overflowing_delta_is_one_line_error(self, tmp_path):
         # square scaled by 1e153: Delta(u) is finite, its mean is not
@@ -594,7 +616,7 @@ class TestCliOutputContract:
         path = tmp_path / "s.json"
         argv = ["search", "--n", "2", "--seed", "5", "--json", str(path)]
         code, out, err = run_cli(argv)
-        rows = illumination_defect_rows(2, seed=5, include_named=False)
+        rows = illumination_defect_rows(2, seed=5)
         worst = min(r.value for r in rows)
         rows.append(CheckRow("min_defect", worst, 1e-3, worst > 1e-3))
         assert (code, out, err) == (0, checks_to_csv(rows), f"wrote {path}\n")
