@@ -93,13 +93,18 @@ _SWEEP = {2: np.sqrt([1.0, 2.0]) / np.sqrt(3.0), 3: np.sqrt([1.0, 2.0, 3.0]) / n
 
 
 def _dedup_points(pts, tol):
-    """Drop points closer than tol to an earlier point (keep-first).
-
-    Raises DegenerateInput when the points are too far apart for cKDTree:
-    it works with squared distances, and refuses (ValueError) once the
-    squared diagonal of their bounding box overflows.
-    """
+    """Drop points within tol of an earlier kept point (keep-first).  Exact
+    repeats leave first, by one sort of the rows, and cKDTree sees only what
+    `_far_apart` cannot then settle.  Raises DegenerateInput where cKDTree
+    refuses the points: the squared diagonal of their bounding box overflows."""
     if len(pts) < 2 or tol <= 0 or _far_apart(pts, tol):
+        return pts
+    # equal rows sit side by side in index order; keep-first drops every
+    # later one with the first, and a dropped row drops no other
+    order = np.lexsort(pts.T)
+    rows = pts[order]
+    pts = np.delete(pts, order[1:][(rows[1:] == rows[:-1]).all(1)], 0)
+    if _far_apart(pts, tol):
         return pts
     import scipy.spatial
 
@@ -107,13 +112,14 @@ def _dedup_points(pts, tol):
         pairs = scipy.spatial.cKDTree(pts).query_pairs(tol, output_type="ndarray")
     except ValueError as exc:
         raise DegenerateInput("coordinates too large: squared distances overflow") from exc
-    if len(pairs) == 0:
-        return pts
-    drop = np.zeros(len(pts), dtype=bool)
-    for i, j in pairs[np.argsort(pairs[:, 1])]:
-        if not drop[i]:
-            drop[j] = True
-    return pts[~drop]
+    # j stays unless a kept i < j lies within tol: the points with earlier
+    # neighbours are settled in index order, each by one look at all of them
+    pairs = pairs[np.argsort(pairs[:, 1])]
+    js, starts = np.unique(pairs[:, 1], return_index=True)
+    keep = np.ones(len(pts), dtype=bool)
+    for j, i in zip(js.tolist(), np.split(pairs[:, 0], starts[1:])):
+        keep[j] = not keep[i].any()
+    return pts[keep]
 
 
 def _far_apart(pts, tol):
@@ -131,7 +137,7 @@ def _far_apart(pts, tol):
     keys = pts @ _SWEEP[pts.shape[1]]
     keys.sort()
     bound = max(tol, 2.0**-509) * (1.0 + 1e-12) + 1e-14 * big
-    return bool((keys[1:] - keys[:-1]).min() > bound)
+    return bool((keys[1:] - keys[:-1]).min(initial=np.inf) > bound)
 
 
 def _affine_rank(pts, span):
@@ -1085,22 +1091,12 @@ def difference_body(body):
     the negated vertices directly (in 2D, -v is already a valid CCW vertex
     list, as `negate` would build it); in 3D the hull is taken of the
     pairwise differences, which are the sums with the negated vertices bit
-    for bit (x + (-y) is x - y).
-
-    Of the zero rows v_i - v_i, only the first, v_0 - v_0, goes to `hull`:
-    its keep-first `_dedup_points` would drop every later one against it
-    (distance 0), and a dropped row drops no other.  So the kept rows are
-    the same, and so are the extent and the tolerance, which the first zero
-    row keeps.  Without the other zero rows, `_far_apart` can usually show
-    that no two rows are close, and no cKDTree is built."""
+    for bit (x + (-y) is x - y)."""
     v = body.vertices
     with _named("difference body"):
         if body.dim == 2:
             return Polygon(_minkowski_vertices_2d(v, -v))
-        n = len(v)
-        keep = np.ones(n * n, dtype=bool)
-        keep[n + 1::n + 1] = False
-        return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3).compress(keep, 0))
+        return hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3))
 
 
 def central_symmetral(body):

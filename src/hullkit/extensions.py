@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bodies import _diameter, _successors, affine_image
-from .errors import ConditionViolated, MissingIntersection, SingularMatrix
+from .errors import ConditionViolated, MissingIntersection
 from .hullfun import point_hull_values
 from .illumination import homothety_from_pairs
 from .sampling import regular_polygon
@@ -185,6 +185,4 @@ def affinely_regular_polygon(m, mat, shift=None):
     """Affine image of the regular m-gon under x -> mat @ x + shift."""
     if m < 3:
         raise ConditionViolated("need m >= 3")
-    if np.shape(mat) != (2, 2):
-        raise SingularMatrix("affine matrix must be 2x2")
     return affine_image(regular_polygon(m), mat, shift)

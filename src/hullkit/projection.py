@@ -128,21 +128,19 @@ def _generators(generators):
         gens = _merge_parallel(gens, norms)
     if len(gens) < 3:
         raise DegenerateInput("zonotope generators do not span 3-space")
-    # seed with a parallelepiped of three independent generators
-    # g is independent of the seed so far when its sine with seed[0], or
-    # with the plane of seed[0] and seed[1], is above 1e-12
+    # seed with a parallelepiped of three independent generators: the first
+    # whose sine with g_0 is above 1e-12, then the first after it whose sine
+    # with the plane of the two is
+    norms = _row_norms(gens)
     seed = [0]
-    for c in range(1, len(gens)):
-        g = gens[c]
-        if len(seed) == 1:
-            independent = np.linalg.norm(_cross(gens[0], g)) > 1e-12 * np.linalg.norm(gens[0]) * np.linalg.norm(g)
-        else:
-            n = _cross(gens[0], gens[seed[1]])
-            independent = abs(n @ g) > 1e-12 * np.linalg.norm(n) * np.linalg.norm(g)
-        if independent:
-            seed.append(c)
-            if len(seed) == 3:
-                break
+    tilted = np.flatnonzero(_row_norms(_cross(gens[0], gens[1:])) > 1e-12 * norms[0] * norms[1:])
+    if len(tilted):
+        seed.append(1 + int(tilted[0]))
+        n = _cross(gens[0], gens[seed[1]])
+        after = slice(seed[1] + 1, None)
+        off = np.flatnonzero(abs(np.vecdot(n, gens[after])) > 1e-12 * _row_norms(n) * norms[after])
+        if len(off):
+            seed.append(seed[1] + 1 + int(off[0]))
     if len(seed) < 3:
         raise DegenerateInput("zonotope generators do not span 3-space")
     rest = np.ones(len(gens), dtype=bool)

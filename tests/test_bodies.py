@@ -1,9 +1,11 @@
 import itertools
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+import scipy.spatial
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import ConvexHull, cKDTree
@@ -938,6 +940,82 @@ class TestDedupPoints:
         with pytest.raises(DegenerateInput, match="^coordinates too large"):
             bodies._dedup_points(pts, EPS * bodies._span(pts))
 
+    @staticmethod
+    def _repeat_sets(dim, tol):
+        """Point sets with exact repeats far apart in index order, a row of
+        the same sweep key between a row and its repeat, near repeats at
+        0.5-1.1 tol, +-0.0 rows and chains a ~ b ~ c ~ ..., in four orders."""
+        rng = np.random.default_rng(40 + dim)
+        base = rng.normal(size=(12, dim))
+        sweep = bodies._SWEEP[dim]
+        perp = np.array([-sweep[1], sweep[0]]) if dim == 2 else bodies._cross(sweep, np.eye(3)[0])
+        # a row whose projection on the sweep rounds to that of base[5]
+        same_key = next(q for q in base[5] + np.linspace(0.1, 1.0, 400)[:, None] * perp if q @ sweep == base[5] @ sweep)
+        u = unit_vector(rng, dim)
+        near = base[7] + np.array([0.5, 0.9, 1.0, 1.1])[:, None] * tol * u
+        signed_zeros = np.array([[0.0] * dim, [-0.0] + [0.0] * (dim - 1), [0.0] * (dim - 1) + [-0.0]])
+        chain = base[9] + 0.8 * np.arange(7.0)[:, None] * tol * u
+        pts = np.vstack((base[[3, 0]], base, same_key, base[5], near, signed_zeros, chain, base[3], chain[::-1],
+                         signed_zeros, base[[0, 11]]))
+        return [pts] + [pts[rng.permutation(len(pts))] for _ in range(3)]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_repeats_keep_first_as_cKDTree_does(self, dim, monkeypatch):
+        # exact repeats leave by a sort of the rows, and cKDTree sees only
+        # what is left: keep-first over its pairs keeps the same rows in the
+        # same order as keep-first over the pairs of all rows
+        real = scipy.spatial.cKDTree
+        tol = 1e-9
+        for pts in self._repeat_sets(dim, tol):
+            want = _kdtree_dedup(pts, tol)
+            assert len(want) < len(pts) - 10
+            trees = []
+            monkeypatch.setattr(scipy.spatial, "cKDTree", lambda rows: trees.append(rows) or real(rows))
+            assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
+            monkeypatch.undo()
+            # the near repeats and the chain are left to cKDTree
+            (rows,) = trees
+            assert len(np.unique(rows, axis=0)) == len(rows) < len(pts)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_infinite_rows_are_named_with_no_warning(self, dim):
+        # the overflowing candidates of an illumination body: +-inf, and NaN
+        # where inf meets a zero direction component; a sort does no
+        # arithmetic on them, so nothing warns before cKDTree's refusal
+        rng = np.random.default_rng(60 + dim)
+        base = rng.normal(size=(6, dim))
+        bad = np.array([[np.inf] + [0.0] * (dim - 1), [-np.inf] * dim, [np.nan] + [np.inf] * (dim - 1)])
+        for pts in (np.vstack((base, bad, base[:2], bad)), np.vstack((bad[:1], bad[:1])), np.vstack((bad, bad))):
+            with pytest.raises(ValueError):
+                _kdtree_dedup(pts, 1e-9)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DegenerateInput, match="^coordinates too large: squared distances overflow$"):
+                    bodies._dedup_points(pts, 1e-9)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_repeats_cost_linear_time(self, dim, monkeypatch):
+        # 20 000 copies of one point inside a triangle or a tetrahedron: the
+        # copies make n^2 / 2 pairs, which no cKDTree is asked for
+        shape = np.vstack((np.zeros(dim), np.eye(dim)))
+        pts = np.vstack((np.full((20000, dim), 0.1), shape))
+        monkeypatch.setattr(scipy.spatial, "cKDTree", None)
+        hull(pts)  # first-call set-up is not per-call work
+        tracemalloc.start()
+        try:
+            body = hull(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        assert body.vertices.tobytes() == hull(shape).vertices.tobytes()
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            hull(pts)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1
+
 
 def _svd_rank(pts):
     c = pts - pts.sum(0) / len(pts)
@@ -1066,18 +1144,23 @@ class TestMediumHulls:
         for pts in medium_inputs:
             _assert_groups_match(pts)
 
-    def test_sorted_coordinates_show_no_pair(self, medium_inputs):
-        # every set without a close pair is shown to have none, and so every
-        # medium input is settled without cKDTree: a difference body's input
-        # holds one zero row, v_0 - v_0, not one per vertex
-        shown = 0
+    def test_sorted_coordinates_show_no_pair(self, medium_inputs, monkeypatch):
+        # every set without a close pair is shown to have none, and every
+        # medium input is settled without cKDTree: the V zero rows v_i - v_i
+        # of a difference body's input are its only repeats, and exact ones,
+        # which leave before the proof is tried again
+        monkeypatch.setattr(scipy.spatial, "cKDTree", None)
+        shown = []
         for pts in medium_inputs:
             tol = EPS * bodies._span(pts)
             want = _kdtree_dedup(pts, tol)
             assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
             assert bodies._far_apart(pts, tol) == (len(want) == len(pts))
-            shown += len(want) == len(pts)
-        assert shown == 12
+            zeros = int((pts == 0.0).all(1).sum())
+            assert len(want) == len(pts) - max(zeros - 1, 0)
+            shown.append(zeros <= 1)
+        # the last input of each of the two bodies is its difference body's
+        assert shown == 2 * ([True] * 5 + [False])
 
 
 def _row_by_row_diameter(v):
@@ -1541,8 +1624,11 @@ class TestMinkowski:
             assert (diff.volume, diff.diameter) == (ref.volume, ref.diameter)
 
     def test_difference_body_3d_matches_the_hull_of_all_differences(self, cube, monkeypatch):
-        # of the V zero rows v_i - v_i, hull() is handed only v_0 - v_0;
-        # keep-first dedup dropped every other one against it
+        # hull() is handed all V^2 differences; the V zero rows v_i - v_i,
+        # and the differences the parallelogram faces of the cube and the
+        # prism make coincide, are exact repeats, which leave the merge
+        # before the sweep proof is tried again.  K - K keeps the bits of
+        # the construction that handed hull() only the zero row v_0 - v_0
         rng = np.random.default_rng(10)
         cases = [("cube", cube), ("prism", hull(_prism(7)))]
         cases += [(f"random_{n}", random_polytope3(rng, n)) for n in (4, 6, 9, 12, 16)]
@@ -1550,19 +1636,24 @@ class TestMinkowski:
         shown = {}
         for name, body in cases:
             v = body.vertices
-            want = hull((v[:, None, :] - v[None, :, :]).reshape(-1, 3))
+            diffs = (v[:, None, :] - v[None, :, :]).reshape(-1, 3)
+            keep = np.ones(len(diffs), dtype=bool)
+            keep[len(v) + 1::len(v) + 1] = False
+            wants = hull(diffs), hull(diffs.compress(keep, 0))
             proofs = []
             monkeypatch.setattr(bodies, "_far_apart", lambda pts, tol: proofs.append(real(pts, tol)) or proofs[-1])
+            monkeypatch.setattr(scipy.spatial, "cKDTree", None)
             got = difference_body(body)
             monkeypatch.undo()
-            for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (name, field)
-            assert got.facet_loops == want.facet_loops, name
-            assert np.float64(got.volume).tobytes() == np.float64(want.volume).tobytes(), name
-            shown[name] = proofs == [True]
-        # the parallelogram faces of the cube and the prism make some
-        # differences coincide, so their inputs still go on to cKDTree
-        assert shown == {name: name.startswith("random") for name, _ in cases}
+            for want in wants:
+                for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (name, field)
+                assert got.facet_loops == want.facet_loops, name
+                assert np.float64(got.volume).tobytes() == np.float64(want.volume).tobytes(), name
+            shown[name] = proofs
+        # the proof fails on the zero rows and holds without the repeats,
+        # so no cKDTree is built
+        assert shown == {name: [False, True] for name, _ in cases}
 
     def test_dimension_mismatch(self, square, cube):
         with pytest.raises(DimensionMismatch):

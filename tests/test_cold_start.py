@@ -96,6 +96,27 @@ def test_planar_work_loads_no_scipy(tmp_path):
     assert name == "3D hull" and "scipy.spatial" in loaded
 
 
+_PARSE_BODY = _SCIPY_LOADED + """
+import json
+from hullkit import parse_body
+
+with open(sys.argv[1]) as f:
+    body = parse_body(f.read())
+print(json.dumps([body.vertices.tolist(), scipy_loaded()]))
+"""
+
+
+def test_repeated_vertex_loads_no_scipy(tmp_path):
+    # the repeat defeats the sweep proof; it leaves by a sort of the rows,
+    # after which the proof holds and no cKDTree is built
+    verts = regular_polygon(9).vertices
+    rows = np.vstack((verts[:6], verts[2:3], verts[6:]))
+    assert not _far_apart(rows, EPS * _span(rows))
+    path = tmp_path / "repeat.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": rows.tolist()}))
+    assert last_line(run_fresh("-c", _PARSE_BODY, str(path))) == [hull(verts).vertices.tolist(), []]
+
+
 _HULL_OF_STDIN = _SCIPY_LOADED + """
 import json
 from hullkit import GeometryError, hull

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from hullkit import (
     ConditionViolated,
+    DimensionMismatch,
     MissingIntersection,
     Polygon,
     SingularMatrix,
@@ -240,6 +241,11 @@ class TestAffineRegularity:
     def test_singular_matrix(self):
         with pytest.raises(SingularMatrix):
             affinely_regular_polygon(5, np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+    @pytest.mark.parametrize("mat", [np.eye(3), np.eye(2, 3)])
+    def test_matrix_of_the_wrong_shape(self, mat):
+        with pytest.raises(DimensionMismatch, match="^affine matrix has the wrong shape$"):
+            affinely_regular_polygon(5, mat)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -315,6 +316,20 @@ class TestCli:
         else:
             for result in results:
                 assert result == (1, "", "error: coordinates too small: squared edge lengths underflow\n")
+
+    def test_eval_on_many_repeated_rows(self, tmp_path):
+        # 20 000 copies of one point inside a triangle: keep-first drops the
+        # copies after one sort of the rows, not over their n^2 / 2 pairs
+        path = tmp_path / "repeats.json"
+        rows = [[0.25, 0.25]] * 20000 + [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        path.write_text(json.dumps({"dim": 2, "vertices": rows}))
+        start = time.perf_counter()
+        code, out, err = run_cli(["eval", str(path), "--t", "0.5,0.5"])
+        assert time.perf_counter() - start < 5.0
+        assert (code, err) == (0, "")
+        triangle = tmp_path / "triangle.json"
+        triangle.write_text(json.dumps({"dim": 2, "vertices": rows[-3:]}))
+        assert out == run_cli(["eval", str(triangle), "--t", "0.5,0.5"])[1]
 
     def test_extent_overflow_is_one_line_error(self, tmp_path):
         path = tmp_path / "big.json"
@@ -730,9 +745,9 @@ _COORD = st.one_of(
 @st.composite
 def _body_file(draw):
     """Bytes of a body file: most often up to 12 points on the unit circle or
-    sphere (a valid body, though not always with the origin inside), else
-    JSON with extreme coordinates, a bad row length or a bad dimension, or
-    arbitrary bytes or text."""
+    sphere (a valid body, though not always with the origin inside), some
+    rows listed more than once, else JSON with extreme coordinates, a bad
+    row length or a bad dimension, or arbitrary bytes or text."""
     kind = draw(st.integers(0, 9))
     if kind == 0:
         return draw(st.binary(max_size=40))
@@ -740,7 +755,11 @@ def _body_file(draw):
         return draw(st.text(max_size=40)).encode()
     dim = draw(st.sampled_from([2, 3]))
     if kind > 3:
-        return json.dumps({"dim": dim, "vertices": _on_circle_or_sphere(draw, dim).tolist()}).encode()
+        verts = _on_circle_or_sphere(draw, dim)
+        repeats = draw(st.lists(st.integers(0, len(verts) - 1), max_size=4))
+        verts = np.vstack((verts, verts[repeats]))
+        verts = verts[draw(st.permutations(range(len(verts))))]
+        return json.dumps({"dim": dim, "vertices": verts.tolist()}).encode()
     row_len = dim if kind > 2 else draw(st.integers(1, 4))
     verts = draw(st.lists(st.lists(_COORD, min_size=row_len, max_size=row_len), max_size=12))
     obj = {"dim": dim if kind != 3 else draw(st.sampled_from([1, 4, "2", None])), "vertices": verts}
