@@ -12,8 +12,9 @@ the test suite are checked relatively against it.
 from __future__ import annotations
 
 import logging
+import math
 import operator
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 
 import numpy as np
@@ -455,13 +456,17 @@ class Polytope3(_BodyBase):
         facet_spans = np.maximum(np.maximum(extents[:, 0], extents[:, 1]), extents[:, 2])
         # degeneracy is relative to the facet's own extent: genuinely tiny
         # facets (near-concurrent crease lines) are legitimate
-        degenerate = (facet_spans <= 0) | (nrm <= EPS * facet_spans * facet_spans)
+        floor = EPS * facet_spans * facet_spans
+        degenerate = (facet_spans <= 0) | (nrm <= floor)
         bad = degenerate | (defects > 10 * tol)
         if bad.any():
             f = int(bad.argmax())
-            if degenerate[f]:
+            if not degenerate[f]:
+                raise DegenerateInput(f"facet {f} is not planar within tolerance")
+            # a norm at or below a floor whose square is subnormal has a
+            # subnormal square itself: that is the underflow named below
+            if not (facet_spans[f] > 0 and float(floor[f]) ** 2 < _TINY):
                 raise DegenerateInput(f"facet {f} is degenerate")
-            raise DegenerateInput(f"facet {f} is not planar within tolerance")
         # as in `Polygon`, a subnormal square puts the normal off unit length
         if squares.min() < _TINY:
             raise DegenerateInput("coordinates too small: squared facet normals underflow")
@@ -478,11 +483,8 @@ class Polytope3(_BodyBase):
         # rounding is monotone, so max_i fl(a_ij - b_j) is fl(max_i a_ij - b_j)
         # (NaN included): the column maxima decide, bit for bit, what the
         # whole (V, F) array of slacks would.  They are taken over row blocks
-        # of at most `_BLOCK` products, one block wherever V * F is that small
-        rows = max(1, _BLOCK // n_loops)
-        tops = (v[:rows] @ normals.T).max(0)
-        for lo in range(rows, len(v), rows):
-            np.maximum(tops, (v[lo:lo + rows] @ normals.T).max(0), out=tops)
+        # of vertices, one block wherever V * F is small
+        tops = reduce(np.maximum, ((v[blk] @ normals.T).max(0) for blk in _row_blocks(len(v), n_loops)))
         if (tops - offsets).max() > 10 * tol:
             raise DegenerateInput("a vertex lies outside a facet halfspace")
 
@@ -590,9 +592,19 @@ def _loop_heights(pts, normals, owner, starts, sizes):
     return heights, offsets
 
 
-# at most this many floats in the temporaries of one row block of
-# `_diameter` and `point_body_distances`: 8 MB
+#: The one memory budget: at most this many floats (8 MB) in the
+#: temporaries of one row block (`_row_blocks`).
 _BLOCK = 1 << 20
+
+
+def _row_blocks(n, row_size):
+    """The slices, in order, that cut n rows into blocks of at most
+    ``_BLOCK // row_size`` rows, and of one row at least, for temporaries
+    of row_size floats per row.  Every row-blocked temporary in hullkit
+    goes through here; no block changes a result."""
+    step = max(1, _BLOCK // row_size)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
 
 #: Up to this many rows, `_diameter` pairs every two.
 _FEW_POINTS = 32
@@ -622,11 +634,10 @@ def _diameter(v):
         if 1e-250 <= worst < np.inf and reach < np.inf:
             v = v.compress((r + reach) ** 2 * (1.0 + 1e-12) >= worst, 0)
     best = 0.0
-    # rows i are taken in blocks against the rows j >= the block's first,
-    # so the temporaries stay near 8 MB; (i, j) and (j, i) give the same bits
-    rows = max(1, _BLOCK // len(v))
-    for lo in range(0, len(v), rows):
-        best = max(best, float(_sq_distances(v[lo:lo + rows], v[lo:]).max()))
+    # rows i are taken in blocks against the rows j >= the block's first;
+    # (i, j) and (j, i) give the same bits
+    for blk in _row_blocks(len(v), len(v)):
+        best = max(best, float(_sq_distances(v[blk], v[blk.start:]).max()))
     return float(np.sqrt(best))
 
 
@@ -760,8 +771,6 @@ def _hull3(pts, span):
         keep = np.ones(len(pts), dtype=bool)
         keep[flat] = False
         pts = pts[keep]
-        # below about 1e-80 the sliver test's squared terms underflow, every
-        # triangle reads as flat, and too few points are left for qhull
         if len(pts) < 4:
             raise DegenerateInput(
                 "hull construction failed: fewer than 4 points left after dropping flat sliver vertices"
@@ -960,12 +969,15 @@ def _flat_sliver_vertices(pts, qh, height_tol):
     One batch over all simplices: a triangle is flat when twice its area is
     at most height_tol times its longest side, and then the vertex opposite
     that side is returned.  Areas are computed as ``np.linalg.norm`` of one
-    cross product would compute them.  Returns sorted point indices and
-    each triangle's cross product (p1 - p0) x (p2 - p0).
+    cross product would compute them, on the sides divided by 2^e, e the
+    exponent of height_tol: that is exact, so no verdict changes where
+    nothing under- or overflows, and no square does at any scale.  Returns
+    sorted point indices and each triangle's (p1 - p0) x (p2 - p0) / 4^e.
     """
     simplices = qh.simplices
     tri = pts.take(simplices, 0)
-    sides = tri.take(_NEXT, 1) - tri
+    e = math.frexp(height_tol)[1]
+    sides = np.ldexp(tri.take(_NEXT, 1) - tri, -e)
     # np.linalg.norm over an axis, without its wrapper: a sum over the last
     # axis adds from +0.0, and the squares are not -0.0
     sq = sides * sides
@@ -973,9 +985,7 @@ def _flat_sliver_vertices(pts, qh, height_tol):
     # (p0 - p2) x (p1 - p0) is (p1 - p0) x -(p0 - p2), bit for bit
     crosses = _cross(sides[:, 2], sides[:, 0])
     longest = np.maximum(np.maximum(lengths[:, 0], lengths[:, 1]), lengths[:, 2])
-    # a norm that overflows is inf, so not flat; `Polytope3` then names it
-    with np.errstate(over="ignore"):
-        flat = (_row_norms(crosses) <= height_tol * longest).nonzero()[0]
+    flat = (_row_norms(crosses) <= math.ldexp(height_tol, -e) * longest).nonzero()[0]
     if len(flat):
         # vertex opposite the longest edge is the nearly-collinear one
         flat = np.unique(simplices[flat, (lengths[flat].argmax(1) + 2) % 3])
@@ -1167,7 +1177,7 @@ def point_body_distances(X, body):
     pre-test is a stacked (1, d) @ (d, F) product and the slacks stacked
     (1, 3) @ (3, 1) products, which round as one point's products do, and
     the sums over a last axis round as one facet's.  Points go in row
-    blocks, so the temporaries stay near 8 MB.
+    blocks (`_row_blocks`).
     """
     X = np.ascontiguousarray(_as_points(X, dim=body.dim))
     normals, offsets = body.facet_normals, body.facet_offsets
@@ -1197,12 +1207,11 @@ def point_body_distances(X, body):
 
     out = np.zeros(len(X))
     # a block holds up to about four (rows, positions, dim) temporaries at once
-    rows = max(1, _BLOCK // (4 * len(flat) * body.dim))
-    for lo in range(0, len(X), rows):
-        x = X[lo:lo + rows]
+    for blk in _row_blocks(len(X), 4 * len(flat) * body.dim):
+        x = X[blk]
         # `not contains(x, tol=0.0)`, so a NaN slack counts as outside
         outside = ~(((x[:, None, :] @ normals.T)[:, 0] - offsets).max(1) <= 0.0)
-        out[lo:lo + rows][outside] = outside_distances(x[outside][:, None, :])
+        out[blk][outside] = outside_distances(x[outside][:, None, :])
     return out
 
 

@@ -26,7 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bodies import EPS, Body, _as_vectors, _cross, _dedup_points, _named, _pairs, _row_norms, _successors, hull
+from .bodies import (
+    EPS,
+    Body,
+    _as_vectors,
+    _cross,
+    _dedup_points,
+    _named,
+    _pairs,
+    _row_blocks,
+    _row_max,
+    _row_norms,
+    _successors,
+    hull,
+)
 from .errors import (
     DimensionMismatch,
     GeometryError,
@@ -81,15 +94,15 @@ def _level_crossings(body, x0, d, level):
     Returns ``(lines, s)``: each crossing's line index and parameter, listed
     line by line, the left crossing before the right one.  A line meets the
     level in two points, in one where it is tangent to the level set, or not
-    at all.  Lines are solved in blocks of about 2**18 / F**2 (F facets), so
-    the (lines, breakpoints, facets) slack of `point_hull_values` stays near
-    2 MB however many facets the body has.
+    at all.  Lines are solved in row blocks (`_row_blocks`) counted at
+    4 F² doubles a line (F facets), so that a block's (lines, breakpoints,
+    facets) slack in `point_hull_values` is a quarter of the budget however
+    many facets the body has.
     """
-    step = max(1, 2**18 // len(body.facet_offsets) ** 2)
     lines, s = [], []
-    for lo in range(0, len(x0), step):
-        blk_lines, blk_s = _block_crossings(body, x0[lo : lo + step], d[lo : lo + step], level)
-        lines.append(blk_lines + lo)
+    for blk in _row_blocks(len(x0), 4 * len(body.facet_offsets) ** 2):
+        blk_lines, blk_s = _block_crossings(body, x0[blk], d[blk], level)
+        lines.append(blk_lines + blk.start)
         s.append(blk_s)
     return np.concatenate(lines), np.concatenate(s)
 
@@ -283,12 +296,13 @@ def homothety_fit(p, q):
     """
     if p.dim != q.dim:
         raise DimensionMismatch("homothety_fit needs bodies of equal dimension")
-    dirs = direction_set(p.dim, _FIT_DIRS[p.dim])
-    return _fit_supports(p.support_many(dirs), q.support_many(dirs), dirs, q.diameter)
+    return _fit(p.vertices, q.vertices, q.diameter)
 
 
-def _fit_supports(hp, hq, dirs, q_diameter):
-    """`homothety_fit` on the support values hp of p and hq of q over dirs.
+def _fit(p_points, q_points, q_diameter):
+    """`homothety_fit` of the hull of q_points, of diameter q_diameter,
+    against the hull of p_points.  Supports are read off the points as
+    `support_many` reads them off a body's vertices.
 
     lstsq drops columns whose singular values fall below its cutoff, which
     is relative to the largest; so hp is divided by 2^e, e the exponent of
@@ -296,6 +310,8 @@ def _fit_supports(hp, hq, dirs, q_diameter):
     ratio fitted to it is divided by 2^e again.  Both steps are exact, so
     hp scaled by a power of two changes the ratio by that power and no
     other bit of the fit."""
+    dirs = direction_set(p_points.shape[1], _FIT_DIRS[p_points.shape[1]])
+    hp, hq = _row_max(dirs @ p_points.T), _row_max(dirs @ q_points.T)
     e = math.frexp(float(np.max(np.abs(hp))))[1]
     design = np.column_stack((np.ldexp(hp, -e), dirs))
     coef, *_ = np.linalg.lstsq(design, hq, rcond=None)

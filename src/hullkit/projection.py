@@ -28,13 +28,12 @@ import numpy as np
 
 from .bodies import (
     Polygon,
-    _BLOCK,
     _cross,
     _diameter,
     _named,
     _pairs,
     _polar_points,
-    _row_max,
+    _row_blocks,
     _row_norms,
     brightness_many,
     difference_body,
@@ -43,7 +42,7 @@ from .bodies import (
     rot90,
 )
 from .errors import DegenerateInput, TooFewDirections
-from .illumination import _FIT_DIRS, HomothetyReport, _fit_supports, homothety_fit
+from .illumination import HomothetyReport, _fit, homothety_fit
 from .sampling import ball_body, direction_set
 
 #: Relative spread below which Delta(u) counts as constant.
@@ -176,11 +175,13 @@ def _zonotope_points(generators):
     # each point summed one generator at a time, in order: `np.add.reduce`
     # over the outer axis of a C-ordered (generators, 3, points) array adds
     # one generator's terms at a time, as pts = pts + s_c g_c does (numpy
-    # sums pairwise only along the fast axis)
+    # sums pairwise only along the fast axis); each point on its own, so
+    # the sums go in blocks of points
     signs = _zonotope_signs(gens)
-    terms = np.empty((len(gens), 3, len(signs)))
-    np.multiply(signs.T[:, None, :], gens[:, :, None], out=terms)
-    pts = np.add.reduce(terms, axis=0).T.copy()
+    pts = np.empty((len(signs), 3))
+    for blk in _row_blocks(len(signs), 3 * len(gens)):
+        terms = np.multiply(signs[blk].T[:, None, :], gens[:, :, None], order="C")
+        pts[blk] = np.add.reduce(terms, axis=0).T
     return np.ldexp(pts, e, out=pts)
 
 
@@ -203,11 +204,10 @@ def _zonotope_duals(generators):
     gens, e = _generators(generators)
     i, j = _pairs(len(gens))
     c = _cross(gens.take(i, 0), gens.take(j, 0))
-    # the heights <g_k, c> in row blocks of at most `_BLOCK` products
+    # the heights <g_k, c> in row blocks of pairs
     supports = np.empty(len(c))
-    rows = max(1, _BLOCK // len(gens))
-    for lo in range(0, len(c), rows):
-        supports[lo:lo + rows] = np.abs(c[lo:lo + rows] @ gens.T).sum(1)
+    for blk in _row_blocks(len(c), len(gens)):
+        supports[blk] = np.abs(c[blk] @ gens.T).sum(1)
     duals = c / supports[:, None]
     np.ldexp(duals, -e, out=duals)
     return np.concatenate((duals, -duals))
@@ -256,16 +256,13 @@ def _zonotope_signs(gens):
     ti = _cross(gens[j], n)
     tj = _cross(n, gens[i])
     ab = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
-    rows = []
-    # blocks of pairs keep each (4, pairs, k) temporary at about 8 MB
-    step = max(1, 2**18 // k)
-    for lo in range(0, len(n), step):
-        blk = slice(lo, lo + step)
+    signs = np.empty((4 * len(n), k), dtype=np.int8)
+    # in blocks of pairs, each with a (4, pairs, k) temporary
+    for blk in _row_blocks(len(n), 4 * k):
         w = ab[:, 0, None, None] * ti[blk] + ab[:, 1, None, None] * tj[blk]
         heights = n[blk] @ gens.T
         s = np.where(np.abs(heights) > tie_tol, np.sign(heights), np.sign(w @ gens.T))
-        rows.append(s.reshape(-1, k).astype(np.int8))
-    signs = np.concatenate(rows)
+        signs[4 * blk.start:4 * blk.stop] = s.reshape(-1, k)
     if not signs.all():
         signs = signs[np.all(signs != 0, axis=1)]
     both = np.concatenate((signs, -signs))
@@ -329,24 +326,21 @@ def tcvp_check(body, n_dirs=360):
         raise DegenerateInput("Delta(u) overflows: coordinates too large for a TCVP check")
     dmin, dmax = float(np.min(deltas)), float(np.max(deltas))
     spread = (dmax - dmin) / dmean
-    # the support and diameter of the polar projection body, read off its
-    # vertices n_F/b_F as `support_many` and `diameter` read them.  A planar
-    # ΠK is K - K turned, and so are its points n_F/b_F, bit for bit; a 3D
-    # ΠK is a zonotope, whose planes come from its generators
+    # the vertices n_F/b_F of Π°K: a planar ΠK is K - K turned, and so are
+    # its points, bit for bit; a 3D ΠK is a zonotope, whose planes come from
+    # its generators
     with _named("projection body"):
         duals = rot90(_polar_points(diff)) if body.dim == 2 else _zonotope_duals(_facet_generators(body))
     with _named("polar body"), np.errstate(over="ignore", invalid="ignore"):
         diameter = _diameter(duals)
         if not diameter < np.inf:
             raise DegenerateInput("coordinates too large: squared distances overflow")
-    fit_dirs = direction_set(body.dim, _FIT_DIRS[body.dim])
-    fit = _fit_supports(diff.support_many(fit_dirs), _row_max(fit_dirs @ duals.T), fit_dirs, diameter)
     return TcvpReport(
         delta_min=dmin,
         delta_max=dmax,
         delta_mean=dmean,
         relative_spread=spread,
-        polar_projection_homothety=fit,
+        polar_projection_homothety=_fit(diff.vertices, duals, diameter),
         passes=bool(spread < TCVP_TOL),
     )
 

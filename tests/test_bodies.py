@@ -115,18 +115,30 @@ class TestHull:
 
     @pytest.mark.parametrize("k", [-276, -400, -528])
     def test_sliver_removal_that_leaves_too_few_points(self, k):
-        # the sliver test's squared terms underflow, so every triangle reads
-        # as flat and every point is dropped
+        # on the raw coordinates the sliver test's squared terms underflow,
+        # so every triangle would read as flat and every point be dropped;
+        # on the sides divided by 2^e none is, and the facet normals' squared
+        # norms underflow instead, which is named
         v = random_polytope3(np.random.default_rng(0), 9).vertices
-        with pytest.raises(DegenerateInput, match="^hull construction failed: fewer than 4 points left"):
+        with pytest.raises(DegenerateInput, match="^coordinates too small: squared facet normals underflow$"):
             hull(v * 2.0**k)
 
     def test_illumination_body_scaled_below_the_sliver_test(self):
         body = random_polytope3(np.random.default_rng(7), 9)
         v = illumination_body(body, 0.05 * body.volume).body.vertices
         assert len(v) == 144
-        with pytest.raises(DegenerateInput, match="^hull construction failed: fewer than 4 points left"):
+        with pytest.raises(DegenerateInput, match="^coordinates too small: squared facet normals underflow$"):
             hull(v * 1e-100)
+
+    @pytest.mark.parametrize("scale", [1e-85, 1e-120, 1e-160])
+    def test_sound_tetrahedra_too_small_for_their_normals(self, scale):
+        # raw qhull builds these; from about 1e-77 the squared norms of the
+        # facet normals underflow, and every facet's degeneracy threshold
+        # squared is subnormal too, so the underflow is what is named
+        pts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]) * scale
+        assert len(ConvexHull(pts).vertices) == 5
+        with pytest.raises(DegenerateInput, match="^coordinates too small: "):
+            hull(pts)
 
     @pytest.mark.parametrize("scale", [1e-162, 1e-165, 1e-200, 1e-300])
     def test_coordinates_whose_squared_distances_underflow(self, scale):
@@ -1047,7 +1059,8 @@ def test_affine_rank_matches_the_svd(dim):
 #: Since `_far_apart` is one sweep over projections it is 287, and 289 since
 #: `Polytope3` takes its containment maxima over row blocks (`max`, `range`).
 #: The `np.errstate` that quiets the sliver test's overflowing norms adds 6
-#: (285 to 291 with numpy 2.4 and scipy 1.17)
+#: (285 to 291 with numpy 2.4 and scipy 1.17).  The sliver test on sides
+#: divided by 2^e needs no `np.errstate`, and with `_row_blocks` it is 292.
 HULL_CALLS = 317
 
 
@@ -1327,13 +1340,18 @@ class TestPolytope3Validation:
         with pytest.raises(DegenerateInput, match="Euler relation"):
             Polytope3(v, cube.facet_loops)
 
-    def test_underflowing_normals_are_degenerate_without_warnings(self):
+    def test_underflowing_normals_are_named_without_warnings(self):
         # every Newell normal's squared norm underflows, so each normal is
         # 0/0; the heights and defects of those NaN normals warn nowhere
-        # (pytest turns warnings into errors) before the one typed error
+        # (pytest turns warnings into errors) before the one typed error.
+        # Each facet reads as degenerate against a threshold whose square is
+        # subnormal, so its verdict rests on the underflow, which is named
         body = random_polytope3(np.random.default_rng(0), 9)
-        with pytest.raises(DegenerateInput, match="^facet 0 is degenerate$"):
+        with pytest.raises(DegenerateInput, match="^coordinates too small: squared facet normals underflow$"):
             body.scale(1e-100)
+        # facets of zero extent stay degenerate
+        with pytest.raises(DegenerateInput, match="^facet 0 is degenerate$"):
+            Polytope3(np.zeros((4, 3)), [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)])
 
     def test_overflowing_normals_are_named_without_warnings(self, cube):
         # the Newell sums' squares overflow from about 1e77 (and the terms
@@ -1374,15 +1392,18 @@ class TestContainmentBlocks:
     """Polytope3 checks containment over row blocks of vertices, so its
     memory does not grow as V * F."""
 
-    @pytest.mark.parametrize("case", ["sphere_hull", "projection_body"])
+    @pytest.mark.parametrize("case", ["sphere_hull", "projection_body", "projection_body_150"])
     def test_memory_is_bounded(self, case):
         # a whole (V, F) product is 1.07 GB for the 8 192-point sphere, and
-        # 260 MB for the projection body of a 76-facet sphere polytope
+        # 260 MB for the projection body of a 76-facet sphere polytope; the
+        # whole (generators, 3, points) candidate sum of the 150-facet one
+        # is 80 MB
         if case == "sphere_hull":
             build, arg = hull, fibonacci_sphere(8192)
         else:
-            build, arg = projection_body, random_polytope3(np.random.default_rng(1), 40)
-            assert len(arg.facet_loops) == 76
+            n, facets = (40, 76) if case == "projection_body" else (77, 150)
+            build, arg = projection_body, random_polytope3(np.random.default_rng(1), n)
+            assert len(arg.facet_loops) == facets
         hull(fibonacci_sphere(32))  # so no first import lands in the peak
         tracemalloc.start()
         try:
@@ -1407,6 +1428,70 @@ class TestContainmentBlocks:
                              (np.vstack((body.vertices, outside)), body.facet_loops)):
                 with pytest.raises(DegenerateInput, match="^a vertex lies outside a facet halfspace$"):
                     Polytope3(v, loops)
+
+
+class TestRowBlocks:
+    """Every row-blocked temporary goes through `bodies._row_blocks`, whose
+    blocks change no result."""
+
+    @staticmethod
+    def _results():
+        rng = np.random.default_rng(45)
+        body, polygon = random_polytope3(rng, 12), random_polygon(rng, 9)
+        points = rng.normal(size=(300, 3))
+        outside = np.vstack((body.vertices, 2.0 * body.vertices[:1]))
+        dirs = direction_set(3, 50)
+        fields = TestBodyMaps._fields
+        out = [fields(hull(pts)) for pts in (points, fibonacci_sphere(500), points[:, :2])]
+        out.append(fields(Polytope3(body.vertices, body.facet_loops)))
+        with pytest.raises(DegenerateInput, match="^a vertex lies outside a facet halfspace$"):
+            Polytope3(outside, body.facet_loops)
+        out += [outcome(bodies._diameter, v) for v in (points, points[:20], points[:, :2])]
+        out += [outcome(point_body_distances, 2.0 * p, b) for p, b in ((points, body), (points[:, :2], polygon))]
+        for b in (body, polygon):
+            for f in (0.05, 2.0):
+                out.append(fields(illumination_body(b, f * b.volume).body))
+        out.append(outcome(_ray_level_solves, body, dirs, 1.5 * body.volume))
+        return out
+
+    @pytest.mark.parametrize("block", [16, 257, 4096])
+    def test_blocks_change_no_result(self, monkeypatch, block):
+        want = self._results()
+        # the zonotope's sums on given sign rows: its sign rows come from
+        # blocked BLAS products, whose rows can round otherwise in other blocks
+        gens = projection._generators(projection._facet_generators(random_polytope3(np.random.default_rng(46), 12)))[0]
+        signs = projection._zonotope_signs(gens)
+        monkeypatch.setattr(projection, "_zonotope_signs", lambda g: signs)
+        want.append(projection._zonotope_points(gens).tobytes())
+        monkeypatch.setattr(bodies, "_BLOCK", block)
+        assert len(bodies._row_blocks(len(signs), 3 * len(gens))) > 1
+        got = self._results()
+        got.append(projection._zonotope_points(gens).tobytes())
+        assert got == want
+
+    @pytest.mark.parametrize("site", ["_zonotope_duals", "_zonotope_signs"])
+    def test_zonotope_products_keep_their_blocks(self, monkeypatch, site):
+        # these blocks are BLAS products (c @ gens.T, w @ gens.T), whose rows
+        # round otherwise in blocks of another size: so each keeps its size
+        class Stop(Exception):
+            pass
+
+        seen = []
+
+        def first_blocks(n, row_size):
+            seen.append((n, bodies._row_blocks(n, row_size)))
+            raise Stop
+
+        monkeypatch.setattr(projection, "_row_blocks", first_blocks)
+        rng = np.random.default_rng(47)
+        for k in range(3, 401):
+            with pytest.raises(Stop):
+                getattr(projection, site)(rng.normal(size=(k, 3)))
+            ((n, blocks),) = seen
+            seen.clear()
+            step = max(1, bodies._BLOCK // k if site == "_zonotope_duals" else 2**18 // k)
+            assert n == k * (k - 1) // 2
+            assert blocks == [slice(lo, lo + step) for lo in range(0, n, step)], k
 
 
 class TestPolytopeInvariants:

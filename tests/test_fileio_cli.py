@@ -355,16 +355,17 @@ class TestCli:
         assert err == "error: Unable to allocate an array of 100000000000 directions\n"
 
     def test_body_emptied_by_sliver_removal_is_one_line_error(self, tmp_path):
-        path = tmp_path / "tiny.json"
-        verts = random_polytope3(np.random.default_rng(0), 9).vertices * 2.0**-276
-        path.write_text(json.dumps({"dim": 3, "vertices": verts.tolist()}))
+        # bodies whose sliver test once dropped every vertex: the test keeps
+        # them, and the facet normals' underflow is the one line
+        five = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]) * 1e-85
         commands = (["eval", "--t", "0,0,0"], ["illum", "--delta", "1e-250"], ["tcvp"],
                     ["extend", "--k", "1", "--l", "1"], ["projbody"])
-        for command in commands:
-            code, out, err = run_cli([command[0], str(path), *command[1:]])
-            assert (code, out) == (1, "")
-            assert err.startswith("error: hull construction failed: fewer than 4 points left after dropping")
-            assert err.count("\n") == 1
+        for verts in (random_polytope3(np.random.default_rng(0), 9).vertices * 2.0**-276, five):
+            path = tmp_path / "tiny.json"
+            path.write_text(json.dumps({"dim": 3, "vertices": verts.tolist()}))
+            for command in commands:
+                code, out, err = run_cli([command[0], str(path), *command[1:]])
+                assert (code, out, err) == (1, "", "error: coordinates too small: squared facet normals underflow\n")
 
     @pytest.mark.parametrize("scale", [5e-3, 1e-3, 1e-7])
     def test_small_cube_has_a_projection_body(self, tmp_path, scale):
