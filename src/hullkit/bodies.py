@@ -1155,8 +1155,11 @@ def affine_image(body, mat, shift=None):
     mat = np.asarray(mat, dtype=float)
     if mat.shape != (body.dim, body.dim):
         raise DimensionMismatch("affine matrix has the wrong shape")
-    det = np.linalg.det(mat)
-    if abs(det) < 1e-12:
+    # Hadamard: |det A| <= the product of A's row norms, so their ratio is
+    # scale-free; rows scaled by powers of two keep it and cannot overflow
+    unit = np.ldexp(mat, -np.frexp(np.max(np.abs(mat), axis=1))[1][:, None])
+    det = np.linalg.det(unit)
+    if abs(det) <= 1e-12 * np.prod(_row_norms(unit)):
         raise SingularMatrix("affine map must be invertible")
     shift = np.zeros(body.dim) if shift is None else _as_vectors(shift, body.dim)
     return body._mapped(body.vertices @ mat.T + shift, negated=det < 0)

@@ -11,7 +11,9 @@ set, in either dimension.
 
 One batched kernel (`_level_crossings`) solves all lines of a body at once,
 in whole-array steps, and returns exactly the numbers a solve of each line
-on its own would give.
+on its own would give.  It evaluates the function only at the breakpoints;
+the slope beyond the last one comes from the facet areas and normals, so a
+solve does not depend on the body's scale.
 
 ``ray_level_solve`` solves the same equation on one ray from the origin,
 and `_ray_level_solves` on many at once, in one kernel call; they double as
@@ -114,16 +116,19 @@ def _block_crossings(body, x0, d, level):
     so its minimum is attained at a plane-crossing breakpoint.  Each crossing
     lies on the piece from the breakpoint nearest the minimum at or above
     the level back to its neighbour, and linear interpolation solves it
-    exactly; beyond the outermost breakpoint a probe gives the slope.  Every
-    value is computed with the operations, in the order, that a solve of the
-    line on its own would use, so results do not depend on the batching:
+    exactly.  Beyond the outermost breakpoint g is one linear piece, whose
+    slope (1/n) sum_F area(F) max(+-<n_F, d>, 0) comes from the facets.
+    Coinciding breakpoints stay in their row: interpolating between equal
+    abscissae is exact, and ``argmin`` takes the first.  Every value is
+    computed with the operations, in the order, that a solve of the line on
+    its own would use, so results do not depend on the batching:
 
     * row products ``(F, dim) @ (dim, 1)`` round as ``N @ d`` does for one
-      line, and breakpoints are sorted per row with repeats dropped, as
-      ``np.unique`` leaves them;
+      line, the breakpoints are sorted per row, and ``np.vecdot`` takes one
+      dot per row for the outer slopes;
     * `point_hull_values` runs on ``(lines, k, dim)`` stacks of lines with k
-      breakpoints each (and ``(lines, 1, dim)`` for probes), which round as
-      the ``(k, dim)`` call of one line; one flat call does not.
+      breakpoints each, which round as the ``(k, dim)`` call of one line;
+      one flat call does not.
     """
     nl, nf = len(x0), len(body.facet_offsets)
     normals = body.facet_normals[None]
@@ -134,12 +139,7 @@ def _block_crossings(body, x0, d, level):
     breaks = np.divide(num, den, out=np.full((nl, nf), np.inf), where=crosses)
     breaks.sort(axis=1)
     col = np.arange(nf)
-    kept = col < crosses.sum(axis=1)[:, None]
-    kept[:, 1:] &= breaks[:, 1:] != breaks[:, :-1]
-    count = kept.sum(axis=1)
-    if (kept[:, 1:] > kept[:, :-1]).any():
-        # a repeat was dropped inside a row: move the kept breakpoints up front
-        breaks = np.take_along_axis(breaks, np.argsort(~kept, axis=1, kind="stable"), axis=1)
+    count = crosses.sum(axis=1)
 
     # lines without breakpoints keep +inf values: above the level, no crossing
     vals = np.full((nl, nf), np.inf)
@@ -180,16 +180,11 @@ def _block_crossings(body, x0, d, level):
     bi, vi, bj, vj = breaks[rows, i], vals[rows, i], breaks[rows, j], vals[rows, j]
     with np.errstate(divide="ignore", invalid="ignore"):
         s = bi + (level - vi) * (bj - bi) / (vj - vi)
-    # beyond the outermost breakpoint g is one linear piece; a probe one
-    # breakpoint span further out gives its slope
-    span = breaks[out, count[out] - 1] - breaks[out, 0]
-    span[span == 0] = 1.0
+    # beyond the outermost breakpoint g is one linear piece: the facets that
+    # face along the step are visible, each adding area(F) <n_F, step d> / n
     step = np.where(side == 0, -1.0, 1.0)
     s_end, g_end = bi[out, side], vi[out, side]
-    probe = s_end + step * span
-    far = r[out]
-    g_probe = point_hull_values(body, (x0[far] + probe[:, None] * d[far])[:, None, :])[:, 0]
-    slope = (g_probe - g_end) / (probe - s_end)
+    slope = step * np.vecdot(np.maximum(step[:, None] * den[r[out]], 0.0), body.facet_areas) / body.dim
     if (slope * step <= 0).any():
         raise GeometryError("level crossing not found; body may be unbounded along the line")
     # a level far beyond a tiny body overflows here; hull() then names it

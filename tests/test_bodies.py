@@ -19,6 +19,7 @@ from hullkit import (
     OriginNotInterior,
     Polygon,
     Polytope3,
+    SingularMatrix,
     affine_image,
     affinely_regular_polygon,
     brightness,
@@ -1299,6 +1300,22 @@ class TestBodyMaps:
                 assert (image.facet_normals @ centroid < image.facet_offsets).all()
                 slack = image.vertices @ image.facet_normals.T - image.facet_offsets
                 assert slack.max() <= 1e-12 * image.diameter
+
+    def test_affine_image_singularity_is_scale_free(self, square, cube):
+        # a small multiple of the identity is as invertible as the identity:
+        # it maps as scale() does
+        for body, factor in ((cube, 1e-5), (square, 1e-7)):
+            image = affine_image(body, factor * np.eye(body.dim))
+            assert image.vertices.tobytes() == body.scale(factor).vertices.tobytes()
+            assert image.volume == pytest.approx(factor**body.dim * body.volume, rel=1e-12)
+        # a singular map stays singular at any scale
+        for factor in (1.0, 1e-5):
+            with pytest.raises(SingularMatrix, match="^affine map must be invertible$"):
+                affine_image(square, factor * np.array([[1.0, 1.0], [1.0, 1.0]]))
+        # a row whose squared norm overflows is no singularity: the image's
+        # own extent is what is out of range
+        with pytest.raises(DegenerateInput, match="^coordinates too large: area or edge products overflow$"):
+            affine_image(square, np.diag([1e160, 1e-160]))
 
     def test_regular_polygon_is_the_circle_directions_polygon(self):
         for m in range(3, 600):

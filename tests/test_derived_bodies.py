@@ -3,7 +3,8 @@ the projection body ΠK and its polar Π°K, and the illumination bodies K^δ.
 
 Their errors name them, and theorems about them hold at the rounding level:
 Zhang's and Petty's bounds on vol(K)^(n-1) vol(Π°K), the affine covariance
-of ΠK and K^δ, and the nesting of K^δ in δ.
+of ΠK and K^δ, the nesting of K^δ in δ, and the source paper's first
+theorem: the convex hull function does not determine the body.
 """
 
 import math
@@ -16,8 +17,10 @@ from hullkit import (
     Polygon,
     affine_image,
     central_symmetral,
+    convex_hull_function,
     difference_body,
     hausdorff_distance,
+    homothety_fit,
     hull,
     illumination_body,
     minkowski_sum,
@@ -178,3 +181,45 @@ def test_illumination_bodies_are_affine_covariant_and_nested(dim):
             heights = inner.vertices @ level_set.facet_normals.T - level_set.facet_offsets
             assert np.max(heights) < 0
             inner = level_set
+
+
+def _twins(triangle):
+    """Polygons K = A + B and K' = A - B with B = R_θ A, θ bisected so that
+    their areas agree.  Widths add under Minkowski sums, so K - K = K' - K';
+    area K - area K' changes sign on [0, π], since θ + π swaps K and K', and
+    at its root K and K' share area and projection body, hence convex hull
+    function G(t) = vol + |t| vol(K | t^⊥), without being homothets."""
+    body = hull(triangle)
+
+    def pair(theta):
+        c, s = math.cos(theta), math.sin(theta)
+        turned = hull(triangle @ np.array([[c, s], [-s, c]]))
+        return minkowski_sum(body, turned), minkowski_sum(body, turned.negate())
+
+    lo, hi = 0.0, math.pi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        k, k_twin = pair(mid)
+        lo, hi = (mid, hi) if k.volume < k_twin.volume else (lo, mid)
+    return pair(0.5 * (lo + hi))
+
+
+def _prism(polygon):
+    """P × [0, 1]: its shadow in direction u is |u₃| area(P) plus |u'| times
+    P's own shadow along u', so prisms over twins are twins."""
+    v = polygon.vertices
+    return hull(np.vstack([np.column_stack((v, np.full(len(v), z))) for z in (0.0, 1.0)]))
+
+
+def test_convex_hull_function_does_not_determine_the_body():
+    # measured on this triangle: G agrees to 9.6e-16 (2D) and 4.5e-16 (3D)
+    # relative at these t, through the hull definition; the fits' defects
+    # are 0.094 and 0.094 (2D), 0.086 and 0.084 (3D)
+    rng = np.random.default_rng(0)
+    k, k_twin = _twins(rng.normal(size=(3, 2)))
+    for body, twin in ((k, k_twin), (_prism(k), _prism(k_twin))):
+        for t in rng.normal(size=(100, body.dim)) * body.diameter:
+            value = convex_hull_function(body, t)
+            assert abs(convex_hull_function(twin, t) - value) <= 1e-12 * value
+        assert homothety_fit(body, twin).defect > 1e-2
+        assert homothety_fit(body.negate(), twin).defect > 1e-2

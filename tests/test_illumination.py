@@ -1,4 +1,7 @@
+import io
 import itertools
+import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from hullkit import (
     ray_level_solve,
 )
 from hullkit.bodies import EPS
+from hullkit.cli import main
 from hullkit.illumination import _facet_lines, _level_crossings, _ray_level_solves
 from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
@@ -31,17 +35,14 @@ from conftest import unit_vector
 
 
 def _breakpoints(body, x0, d, seen=None):
-    """Where the line crosses facet planes, ascending, and the values there.
-    Marks "repeat" in seen where np.unique drops a breakpoint that has a
-    larger, kept one after it (so the batched kernel compacts its row)."""
+    """Where the line crosses facet planes, ascending with repeats kept, and
+    the values there.  Marks "repeat" in seen where two coincide."""
     den = body.facet_normals @ d
     num = body.facet_offsets - body.facet_normals @ x0
     mask = np.abs(den) > 1e-14 * np.max(np.abs(den))
-    raw = np.sort(num[mask] / den[mask])
-    kept = np.concatenate(([True], raw[1:] != raw[:-1]))
-    if seen is not None and np.any(kept[1:] > kept[:-1]):
+    breaks = np.sort(num[mask] / den[mask])
+    if seen is not None and np.any(breaks[1:] == breaks[:-1]):
         seen.add("repeat")
-    breaks = np.unique(raw)
     return breaks, point_hull_values(body, x0 + breaks[:, None] * d)
 
 
@@ -57,7 +58,7 @@ def _loop_line_crossings(body, x0, d, level, seen):
         seen.add("tangent")
         return []
 
-    span = float(breaks[-1] - breaks[0]) or 1.0
+    den = body.facet_normals @ d
 
     def solve(idx, step):
         i = idx
@@ -67,12 +68,11 @@ def _loop_line_crossings(body, x0, d, level, seen):
                 ga, gb = vals[i], vals[j]
                 return float(breaks[i] + (level - ga) * (breaks[j] - breaks[i]) / (gb - ga))
             i = j
-        seen.add("probe")
+        # beyond the outermost breakpoint: the facets facing along the step are visible
+        seen.add("beyond")
         s_end = float(breaks[i])
-        probe = s_end + step * span
         g_end = float(vals[i])
-        g_probe = float(point_hull_values(body, (x0 + probe * d)[None, :])[0])
-        slope = (g_probe - g_end) / (probe - s_end)
+        slope = step * np.vecdot(np.maximum(step * den, 0.0), body.facet_areas) / body.dim
         if slope * step <= 0:
             raise GeometryError("level crossing not found; body may be unbounded along the line")
         return s_end + (level - g_end) / slope
@@ -197,7 +197,7 @@ class TestBatchedLineSolves:
         assert got.tobytes() == ref.tobytes()
 
     def test_every_branch_is_compared(self):
-        # probes beyond the outermost breakpoint (every sideline of the square),
+        # crossings beyond the outermost breakpoint (every sideline of the square),
         # lines that miss the level (far facet pairs at a small delta),
         # lines that touch it in one point and repeated breakpoints inside a
         # line (through the octahedron's vertices) all occur among the cases
@@ -206,7 +206,7 @@ class TestBatchedLineSolves:
         for body in KERNEL_CASES.values():
             for factor in (0.05, 0.5, 2.0):
                 _loop_candidates(body, body.volume + factor * body.volume, seen)
-        assert {"probe", "tangent", "repeat"} <= seen
+        assert {"beyond", "tangent", "repeat"} <= seen
         # at the minimum of the line that lies highest, that line touches
         body = KERNEL_CASES["polytope12"]
         level = max(np.min(_breakpoints(body, x0, d)[1]) for x0, d in _loop_lines(body))
@@ -307,6 +307,43 @@ class TestIlluminationBody3D:
         tol = 1e-9 * large.body.diameter
         for v in small.body.vertices:
             assert large.body.contains(v, tol=tol)
+
+
+def _scale_cases():
+    rng = np.random.default_rng(51)
+    return {
+        # the lines through the apex cross two facet planes, both at s = 0
+        "pyramid4": KERNEL_CASES["pyramid4"].vertices,
+        "cube": KERNEL_CASES["cube"].vertices,
+        "polytope9": random_polytope3(rng, 9).vertices,
+        "polytope12": random_polytope3(rng, 12).vertices,
+    }
+
+
+SCALE_CASES = _scale_cases()
+
+
+class TestIlluminationAtScale:
+    @pytest.mark.parametrize("k", [51, 60, 100, 150])
+    @pytest.mark.parametrize("name", sorted(SCALE_CASES))
+    def test_builds_at_any_scale(self, name, k, tmp_path):
+        # the crossings beyond the last breakpoint take the slope the facets
+        # give, which scales as the body does: the level set of 2^k K is 2^k
+        # times that of K, bit for bit, and the CLI builds it too
+        base = hull(SCALE_CASES[name])
+        body = hull(2.0**k * SCALE_CASES[name])
+        path = tmp_path / "body.json"
+        path.write_text(json.dumps({"dim": 3, "vertices": body.vertices.tolist()}))
+        for factor in (0.05, 0.5, 2.0):
+            level_set = illumination_body(body, factor * body.volume)
+            values = point_hull_values(body, level_set.body.vertices)
+            assert np.max(np.abs(values - level_set.level)) <= 1e-12 * level_set.level
+            small = illumination_body(base, factor * base.volume).body
+            assert level_set.body.vertices.tobytes() == np.ldexp(small.vertices, k).tobytes()
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(["illum", str(path), "--delta", repr(factor * body.volume)])
+            assert (code, err.getvalue()) == (0, "")
 
 
 class TestLambdaSublevelCorrespondence:
