@@ -68,6 +68,25 @@ def _span(pts):
     return max(map(operator.sub, pts.max(0).tolist(), pts.min(0).tolist())) if len(pts) else 0.0
 
 
+def _grid_point(means, span):
+    """The point c nearest the means on the grid of step 2^e, the least
+    power of two above span: round(mean / 2^e) * 2^e per coordinate, on
+    Python floats.  None where c is 0, or where a mean overflowed (then the
+    body's products overflow about any point, and are named there).
+
+    The points of a body of that span lie within 1.5 * 2^e of c, so far
+    from the origin p - c is exact (Sterbenz's lemma), and near it rounds at
+    most once; and products of p - c do not cancel as those of p do.  A
+    body whose mean lies within half a step of the origin has c = 0: its
+    arithmetic skips c and keeps its bits."""
+    e = math.frexp(span)[1]
+    try:
+        c = [math.ldexp(round(math.ldexp(m, -e)), e) for m in means]
+    except (OverflowError, ValueError):
+        return None
+    return c if any(c) else None
+
+
 def ConvexHull(points):
     """qhull's hull of points, ``scipy.spatial.ConvexHull(points)``.
 
@@ -334,16 +353,20 @@ class Polygon(_BodyBase):
         if m < 3:
             raise DegenerateInput("a polygon needs at least 3 vertices")
         nxt = _successors(m)
-        x, y = v[:, 0], v[:, 1]
         # from coordinates of about 5e153 on, the shoelace sum, the edge
         # cross products or the edge lengths overflow, which is named here,
         # before any warning
         with np.errstate(over="ignore", invalid="ignore"):
+            span = _span(v)
+            # the shoelace sum about a grid point near the polygon: far from
+            # the origin, the terms x * y of raw coordinates cancel
+            c = _grid_point([total / m for total in v.sum(0).tolist()], span)
+            d = v if c is None else v - c
+            x, y = d[:, 0], d[:, 1]
             area2 = (x * y[nxt] - x[nxt] * y).sum()
             if area2 < 0:
                 v = v[::-1].copy()
                 area2 = -area2
-            span = _span(v)
             edges = v[nxt] - v
             ex, ey = edges[:, 0], edges[:, 1]
             cross = ex * ey[nxt] - ey * ex[nxt]
@@ -464,8 +487,10 @@ class Polytope3(_BodyBase):
             if not degenerate[f]:
                 raise DegenerateInput(f"facet {f} is not planar within tolerance")
             # a norm at or below a floor whose square is subnormal has a
-            # subnormal square itself: that is the underflow named below
-            if not (facet_spans[f] > 0 and float(floor[f]) ** 2 < _TINY):
+            # subnormal square itself: that is the underflow named below.
+            # 2^-511 is the least double with a normal square, and comparing
+            # with it squares nothing that could overflow
+            if not (facet_spans[f] > 0 and floor[f] < 2.0**-511):
                 raise DegenerateInput(f"facet {f} is degenerate")
         # as in `Polygon`, a subnormal square puts the normal off unit length
         if squares.min() < _TINY:

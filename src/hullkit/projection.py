@@ -229,11 +229,6 @@ def _merge_parallel(gens, norms):
     return merged[:m]
 
 
-#: Up to this many generators, `_zonotope_signs` orders its rows by one
-#: exact double per row (2^k - 1 < 2^53); above, by `np.lexsort`.
-_KEYED_GENERATORS = 52
-
-
 def _zonotope_signs(gens):
     """Distinct vertex sign vectors (int8 rows) of the zonotope of gens, in
     the order the iterated sums list the vertices: v + g before v - g for the
@@ -241,13 +236,13 @@ def _zonotope_signs(gens):
     with -1 before +1.
 
     That is lexicographic order on the keys (-s_{k-1}, ..., -s_3, s_0, s_1,
-    s_2), most significant first.  For +-1 entries it is the order of the
-    number with weight 2^c on -s_c (c >= 3) and 4, 2, 1 on s_0, s_1, s_2:
-    each weight exceeds the sum of all lower ones.  Every sum of these
-    weights is an integer below 2^k, so the product with the signs is
-    exact in any order of addition, the key of -s is the negated key, and
-    equal keys are equal rows, so that any sort of the keys puts the
-    distinct rows in lexsort's order."""
+    s_2), most significant first.  Counted from the least significant, the
+    places go in chunks of 52, and place p weighs 2^(p mod 52) in its chunk:
+    more than all lower places of the chunk together.  So a chunk's product
+    with the signs orders the rows as its places do, and is an integer
+    below 2^52, exact in any order of addition and any row blocks; the keys
+    of -s are the negated keys, equal keys are equal rows, and `np.lexsort`
+    on the chunks puts the distinct rows in lexicographic order."""
     k = len(gens)
     tie_tol = 1e-12 * np.linalg.norm(gens, axis=1)
     i, j = _pairs(k)
@@ -265,17 +260,20 @@ def _zonotope_signs(gens):
         signs[4 * blk.start:4 * blk.stop] = s.reshape(-1, k)
     if not signs.all():
         signs = signs[np.all(signs != 0, axis=1)]
-    both = np.concatenate((signs, -signs))
-    if k > _KEYED_GENERATORS:
-        both = both[np.lexsort(np.vstack((both[:, 2::-1].T, -both[:, 3:].T)))]
-        return both[np.r_[True, np.any(both[1:] != both[:-1], axis=1)]]
-    weights = -(2.0 ** np.arange(k))
-    weights[:3] = (4.0, 2.0, 1.0)
-    keys = signs @ weights
-    keys = np.concatenate((keys, -keys))
-    order = keys.argsort()
+    place = np.arange(k)
+    place[:3] = (2, 1, 0)
+    weights = np.zeros((k, (k + 51) // 52))
+    weights[np.arange(k), place // 52] = np.ldexp(np.where(place < 3, 1.0, -1.0), place % 52)
+    r = len(signs)
+    # as int64, which sorts faster than the same doubles
+    keys = np.empty((2 * r, weights.shape[1]), dtype=np.int64)
+    for blk in _row_blocks(r, k):
+        keys[:r][blk] = signs[blk] @ weights
+    np.negative(keys[:r], out=keys[r:])
+    order = np.lexsort(keys.T)
     keys = keys[order]
-    return both.take(order[np.r_[True, keys[1:] != keys[:-1]]], 0)
+    negated, order = np.divmod(order[np.concatenate(([True], (keys[1:] != keys[:-1]).any(1)))], r)
+    return signs.take(order, 0) * (1 - 2 * negated).astype(np.int8)[:, None]
 
 
 def polar_projection_body(body):

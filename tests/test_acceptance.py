@@ -3,16 +3,18 @@ one pass/fail line.  Run with plain `pytest`; the same checks back the
 `hullkit selftest` subcommand.
 
 Each criterion's rows must also print exactly as recorded in
-``golden/criterion_NN.csv``: `selftest` prints values at the rounding
-level, so a change to any body's bits shows there.  A change that means to
-alter a value rewrites the files with ``python tests/golden/regenerate.py``
-and says so.  No criterion writes to stdout or stderr: `selftest` prints
-the rows alone."""
+``golden/criterion_NN.csv``, and ``search --n 50 --seed 7 --json`` must
+write the reports of ``golden/search_2d.json`` and ``search_3d.json``:
+both print values at the rounding level, so a change to any body's bits
+shows there.  A change that means to alter a value rewrites the files with
+``python tests/golden/regenerate.py`` and says so.  No criterion writes to
+stdout or stderr: `selftest` prints the rows alone."""
 
 from pathlib import Path
 
 import pytest
 
+from golden.regenerate import search_report
 from hullkit import acceptance
 from hullkit.fileio import checks_to_csv
 
@@ -36,3 +38,9 @@ def test_criterion(label, criterion, capsys):
     assert passed, f"criterion {label} failed: {detail}"
     golden = GOLDEN / f"criterion_{label.split()[0].rjust(2, '0')}.csv"
     assert checks_to_csv(rows) == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_search_report(dim):
+    # about 0.03 s in 2D and 1.4 s in 3D
+    assert search_report(dim) == (GOLDEN / f"search_{dim}d.json").read_text(encoding="utf-8")

@@ -2,6 +2,7 @@ import itertools
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -1357,7 +1358,7 @@ class TestPolytope3Validation:
         with pytest.raises(DegenerateInput, match="Euler relation"):
             Polytope3(v, cube.facet_loops)
 
-    def test_underflowing_normals_are_named_without_warnings(self):
+    def test_underflowing_normals_are_named_without_warnings(self, cube):
         # every Newell normal's squared norm underflows, so each normal is
         # 0/0; the heights and defects of those NaN normals warn nowhere
         # (pytest turns warnings into errors) before the one typed error.
@@ -1369,6 +1370,11 @@ class TestPolytope3Validation:
         # facets of zero extent stay degenerate
         with pytest.raises(DegenerateInput, match="^facet 0 is degenerate$"):
             Polytope3(np.zeros((4, 3)), [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)])
+        # and so do thin facets whose floor squared overflows: a normal of
+        # about 8e50 against a floor of about 4e191, whose square as a
+        # Python float raised a bare OverflowError
+        with pytest.raises(DegenerateInput, match="^facet 0 is degenerate$"):
+            affine_image(cube, np.diag([1e100, 1e-50, 1e-50]))
 
     def test_overflowing_normals_are_named_without_warnings(self, cube):
         # the Newell sums' squares overflow from about 1e77 (and the terms
@@ -2093,11 +2099,14 @@ def _scalar_hull2_indices(pts, tol=None):
 
 def _rolled_polygon_fields(vertices):
     """(vertices, normals, offsets, lengths, area) as Polygon computed them
-    with np.roll, np.linalg.norm, np.column_stack and np.sum."""
+    with np.roll, np.linalg.norm, np.column_stack and np.sum, with the
+    shoelace sum about Polygon's grid point."""
     v = bodies._as_points(vertices, dim=2).copy()
     if len(v) < 3:
         raise DegenerateInput("a polygon needs at least 3 vertices")
-    area2 = np.sum(v[:, 0] * np.roll(v[:, 1], -1) - np.roll(v[:, 0], -1) * v[:, 1])
+    c = bodies._grid_point(np.mean(v, axis=0).tolist(), bodies._span(v))
+    d = v if c is None else v - c
+    area2 = np.sum(d[:, 0] * np.roll(d[:, 1], -1) - np.roll(d[:, 0], -1) * d[:, 1])
     if area2 < 0:
         v = v[::-1].copy()
         area2 = -area2
@@ -2245,6 +2254,24 @@ class TestPlanarKernels:
                 for scale in (1e154, 1e155, 1e160, 1e300):
                     with pytest.raises(DegenerateInput, match=message):
                         Polygon(scale * v)
+                # far out too, where the vertices' mean overflows and the
+                # polygon has no grid point
+                with pytest.raises(DegenerateInput, match=message):
+                    Polygon(1e307 * v + 1.5e308)
+
+    @pytest.mark.parametrize("offset", [1e3, 1e6, 1e8, 1e10, 1e14])
+    def test_polygon_areas_far_from_the_origin(self, offset):
+        # against the exact shoelace area of the polygon's own vertices; on
+        # raw coordinates the x * y terms cancel: relative errors of 1e-4 at
+        # 1e6 and 1.4 at 1e8, and at 1e10 polygons named not strictly convex.
+        # hull() drops the vertices that rounding to the coarse grid of 1e14
+        # really puts out of strictly convex position
+        rng = np.random.default_rng(0)
+        for _ in range(30):
+            polygon = hull(random_polygon(rng, int(rng.integers(5, 13))).vertices + offset)
+            q = [(Fraction(x), Fraction(y)) for x, y in polygon.vertices.tolist()]
+            exact = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(q, q[1:] + q[:1])) / 2
+            assert abs(Fraction(polygon.volume) - exact) <= Fraction(1e-15) * exact
 
     def test_polygon_offsets_keep_numpys_signed_zeros(self):
         # the edge from (0, 1) to (0, 0) has normal (-1, -0.0); its offset,

@@ -167,6 +167,16 @@ class TestCli:
         assert code == 0
         assert "tcvp_passes,0,,false" in out
 
+    def test_tcvp_far_from_the_origin(self, square_file, tmp_path):
+        # the square offset by 1e9 built with area 0.0, and tcvp died in a
+        # ZeroDivisionError; now it reports what the square at the origin does
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"dim": 2, "vertices": (np.array([[1, 1], [-1, 1], [-1, -1], [1, -1]]) + 1e9).tolist()}))
+        assert parse_body(path.read_text()).volume == 4.0
+        code, out, err = run_cli(["tcvp", str(path)])
+        assert (code, err) == (0, "")
+        assert out == run_cli(["tcvp", square_file])[1]
+
     def test_extend_heptagon(self, tmp_path):
         path = tmp_path / "hep.json"
         from hullkit import save_body

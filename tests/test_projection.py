@@ -31,11 +31,11 @@ from hullkit import projection
 from hullkit.bodies import EPS, _cross, _diameter, _polar_points
 from hullkit.fileio import parse_body
 from hullkit.projection import (
-    _KEYED_GENERATORS,
     _facet_generators,
     _zonotope,
     _zonotope_duals,
     _zonotope_points,
+    _zonotope_signs,
 )
 from hullkit.sampling import (
     direction_set,
@@ -288,8 +288,8 @@ class TestZonotope:
             assert _zonotope_points(gens * 2.0**k).tobytes() == want.tobytes()
 
     def test_candidates_match_the_reference(self, monkeypatch):
-        # random sets of 3 to 60 generators, on both sides of the keyed
-        # sort's limit, skip the merge loop; the bodies with parallel facets
+        # random sets of 3 to 60 generators, with sort keys of one and of
+        # two chunks, skip the merge loop; the bodies with parallel facets
         # and the sets with parallel rows take it; each at scales 2^k too
         rng = np.random.default_rng(37)
         sets = [(name, gens, None) for name, gens in _zonotope_cases()]
@@ -307,7 +307,7 @@ class TestZonotope:
         real = projection._merge_parallel
         merges = []
         monkeypatch.setattr(projection, "_merge_parallel", lambda *a: merges.append(1) or real(*a))
-        sizes = set()
+        chunks = set()
         for name, gens, merging in sets:
             for k in (0, -40, 30):
                 del merges[:]
@@ -317,8 +317,29 @@ class TestZonotope:
                 assert got.flags.c_contiguous
                 if merging is not None:
                     assert bool(merges) == merging, name
-            sizes.add(len(gens) > _KEYED_GENERATORS)
-        assert sizes == {False, True}
+            chunks.add((len(gens) + 51) // 52)
+        assert chunks == {1, 2}
+
+    @pytest.mark.parametrize("k", [3, 52, 53, 104, 105])
+    def test_sign_rows_match_the_reference(self, k):
+        # one, two and three key chunks of 52 places, and the edges between
+        gens = np.random.default_rng(k).normal(size=(k, 3))
+        got = _zonotope_signs(gens)
+        assert got.dtype == np.int8
+        assert np.array_equal(got, _reference_zonotope_signs(gens))
+
+    def test_sign_rows_memory_is_bounded(self):
+        # 196 generators: the (8 * pairs, k) int8 copies around a lexsort of
+        # every column peaked at 109 MB; keyed by chunks, 46 MB were measured
+        gens = _facet_generators(random_polytope3(np.random.default_rng(1), 100))
+        assert len(gens) == 196
+        tracemalloc.start()
+        try:
+            _zonotope_signs(gens)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_candidate_call_count(self):
         """A cost guard: `_zonotope_points` on 20 generators makes at most
