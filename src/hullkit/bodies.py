@@ -71,20 +71,19 @@ def _span(pts):
 def _grid_point(means, span):
     """The point c nearest the means on the grid of step 2^e, the least
     power of two above span: round(mean / 2^e) * 2^e per coordinate, on
-    Python floats.  None where c is 0, or where a mean overflowed (then the
-    body's products overflow about any point, and are named there).
+    Python floats.  Zeros where a mean overflowed: then the body's products
+    overflow about any point, and are named there.
 
     The points of a body of that span lie within 1.5 * 2^e of c, so far
     from the origin p - c is exact (Sterbenz's lemma), and near it rounds at
     most once; and products of p - c do not cancel as those of p do.  A
-    body whose mean lies within half a step of the origin has c = 0: its
-    arithmetic skips c and keeps its bits."""
+    body whose mean lies within half a step of the origin has c = 0, and
+    p - 0.0 is p bit for bit, -0.0, inf and NaN included."""
     e = math.frexp(span)[1]
     try:
-        c = [math.ldexp(round(math.ldexp(m, -e)), e) for m in means]
+        return [math.ldexp(round(math.ldexp(m, -e)), e) for m in means]
     except (OverflowError, ValueError):
-        return None
-    return c if any(c) else None
+        return [0.0] * len(means)
 
 
 def ConvexHull(points):
@@ -353,15 +352,14 @@ class Polygon(_BodyBase):
         if m < 3:
             raise DegenerateInput("a polygon needs at least 3 vertices")
         nxt = _successors(m)
-        # from coordinates of about 5e153 on, the shoelace sum, the edge
-        # cross products or the edge lengths overflow, which is named here,
-        # before any warning
+        # from a span of about 5e153 on (or where the vertices' mean
+        # overflows), the shoelace sum, the edge cross products or the edge
+        # lengths overflow, which is named here, before any warning
         with np.errstate(over="ignore", invalid="ignore"):
             span = _span(v)
             # the shoelace sum about a grid point near the polygon: far from
             # the origin, the terms x * y of raw coordinates cancel
-            c = _grid_point([total / m for total in v.sum(0).tolist()], span)
-            d = v if c is None else v - c
+            d = v - _grid_point([total / m for total in v.sum(0).tolist()], span)
             x, y = d[:, 0], d[:, 1]
             area2 = (x * y[nxt] - x[nxt] * y).sum()
             if area2 < 0:

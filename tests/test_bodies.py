@@ -2104,8 +2104,7 @@ def _rolled_polygon_fields(vertices):
     v = bodies._as_points(vertices, dim=2).copy()
     if len(v) < 3:
         raise DegenerateInput("a polygon needs at least 3 vertices")
-    c = bodies._grid_point(np.mean(v, axis=0).tolist(), bodies._span(v))
-    d = v if c is None else v - c
+    d = v - bodies._grid_point(np.mean(v, axis=0).tolist(), bodies._span(v))
     area2 = np.sum(d[:, 0] * np.roll(d[:, 1], -1) - np.roll(d[:, 0], -1) * d[:, 1])
     if area2 < 0:
         v = v[::-1].copy()
@@ -2241,9 +2240,10 @@ class TestPlanarKernels:
             assert outcome(_polygon_fields, v) == outcome(_rolled_polygon_fields, v)
 
     def test_polygon_overflow_is_named_without_warnings(self):
-        # from about 5e153 on the shoelace sum, the edge cross products or
-        # the edge lengths overflow: such polygons were built with volume inf,
-        # or (from 1e160) named not strictly convex, after RuntimeWarnings
+        # from a span of about 5e153 on the shoelace sum, the edge cross
+        # products or the edge lengths overflow: such polygons were built
+        # with volume inf, or (from 1e160) named not strictly convex, after
+        # RuntimeWarnings
         square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
         heptagon = regular_polygon(7).vertices
         message = "^coordinates too large: area or edge products overflow$"
@@ -2255,9 +2255,17 @@ class TestPlanarKernels:
                     with pytest.raises(DegenerateInput, match=message):
                         Polygon(scale * v)
                 # far out too, where the vertices' mean overflows and the
-                # polygon has no grid point
+                # polygon's grid point is the origin
                 with pytest.raises(DegenerateInput, match=message):
                     Polygon(1e307 * v + 1.5e308)
+                # what overflows is the span: far out, a polygon of smaller
+                # span builds with its exact area, as its shoelace sum is
+                # taken about its grid point (raw products overflowed)
+                far = 1e150 * v + 1e160
+                assert outcome(_polygon_fields, far) == outcome(_rolled_polygon_fields, far)
+                q = [(Fraction(x), Fraction(y)) for x, y in Polygon(far).vertices.tolist()]
+                exact = sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(q, q[1:] + q[:1])) / 2
+                assert abs(Fraction(Polygon(far).volume) - exact) <= Fraction(1e-15) * exact
 
     @pytest.mark.parametrize("offset", [1e3, 1e6, 1e8, 1e10, 1e14])
     def test_polygon_areas_far_from_the_origin(self, offset):
