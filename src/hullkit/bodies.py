@@ -15,7 +15,7 @@ import logging
 import math
 import operator
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 
@@ -93,9 +93,9 @@ def ConvexHull(points):
     qhull fails.  `_hull3` calls this through the module global, so that a
     tracer may rebind it.
 
-    scipy.spatial is imported here and in `_dedup_points`, on first use: its
-    import is most of the cost of importing hullkit, and 2D work pays for it
-    only where close points need a cKDTree."""
+    This is hullkit's only use of scipy.  scipy.spatial is imported here, on
+    first use: its import is most of the cost of importing hullkit, and 2D
+    work never pays for it."""
     import scipy.spatial
 
     try:
@@ -112,10 +112,16 @@ _SWEEP = {2: np.sqrt([1.0, 2.0]) / np.sqrt(3.0), 3: np.sqrt([1.0, 2.0, 3.0]) / n
 
 
 def _dedup_points(pts, tol):
-    """Drop points within tol of an earlier kept point (keep-first).  Exact
-    repeats leave first, by one sort of the rows, and cKDTree sees only what
-    `_far_apart` cannot then settle.  Raises DegenerateInput where cKDTree
-    refuses the points: the squared diagonal of their bounding box overflows."""
+    """Drop points within tol of an earlier kept point (keep-first): where
+    the squares of their coordinate differences, added left to right in axis
+    order, are at most tol * tol.  Exact repeats leave first, by one sort of
+    the rows; what `_far_apart` cannot then settle goes to one pass, in index
+    order, over a grid of cells of side about tol (Bentley, Stanat and
+    Williams, Inf. Process. Lett. 6, 1977), of the points whose projections
+    on `_SWEEP` lie within a side of another's.  Each meets only the kept
+    points in its own and the neighbouring cells, so a cluster costs O(n).
+    Raises DegenerateInput where a row is not finite or the squared diagonal
+    of the bounding box overflows."""
     if len(pts) < 2 or tol <= 0 or _far_apart(pts, tol):
         return pts
     # equal rows sit side by side in index order; keep-first drops every
@@ -125,31 +131,44 @@ def _dedup_points(pts, tol):
     pts = np.delete(pts, order[1:][(rows[1:] == rows[:-1]).all(1)], 0)
     if _far_apart(pts, tol):
         return pts
-    import scipy.spatial
-
-    try:
-        pairs = scipy.spatial.cKDTree(pts).query_pairs(tol, output_type="ndarray")
-    except ValueError as exc:
-        raise DegenerateInput("coordinates too large: squared distances overflow") from exc
-    # j stays unless a kept i < j lies within tol: the points with earlier
-    # neighbours are settled in index order, each by one look at all of them
-    pairs = pairs[np.argsort(pairs[:, 1])]
-    js, starts = np.unique(pairs[:, 1], return_index=True)
-    keep = np.ones(len(pts), dtype=bool)
-    for j, i in zip(js.tolist(), np.split(pairs[:, 0], starts[1:])):
-        keep[j] = not keep[i].any()
+    lo = pts.min(0).tolist()
+    extents = list(map(operator.sub, pts.max(0).tolist(), lo))
+    if not reduce(_add_square, extents, 0.0) < math.inf:
+        raise DegenerateInput("coordinates too large: squared distances overflow")
+    # a pair within tol lies within tol + 2^-536, where tol^2 underflows
+    # too; at most 2^40 cells a side keep the quotients q within 2^-12, so
+    # its cells are neighbours and its projections on the sweep within 1
+    side = max(tol + 2.0**-536, max(extents) * 2.0**-40) * 1.01
+    q = (pts - lo) / side
+    keys = q @ _SWEEP[pts.shape[1]]
+    order = keys.argsort()
+    close = keys[order[1:]] - keys[order[:-1]] <= 1.0
+    crowded = np.union1d(order[1:][close], order[:-1][close])
+    tol2, near, keep = tol * tol, {}, np.ones(len(pts), dtype=bool)
+    steps = list(product((-1.0, 0.0, 1.0), repeat=pts.shape[1]))
+    # near[c] holds the kept points of cell c and of its neighbours
+    for i, p, cell in zip(crowded.tolist(), pts[crowded].tolist(), np.floor(q[crowded]).tolist()):
+        keep[i] = not any(reduce(_add_square, map(operator.sub, p, r), 0.0) <= tol2 for r in near.get(tuple(cell), ()))
+        for step in steps if keep[i] else ():
+            near.setdefault(tuple(map(operator.add, cell, step)), []).append(p)
     return pts[keep]
 
 
+def _add_square(s, x):
+    # reduced from 0.0, the squares are added left to right, where builtin
+    # sum compensates its additions from Python 3.12
+    return s + x * x
+
+
 def _far_apart(pts, tol):
-    """Whether `cKDTree.query_pairs(tol)` is shown to find no pair: every gap
-    between consecutive sorted projections on `_SWEEP` exceeds max(tol,
-    2^-509) (1 + 1e-12) + 1e-14 max|coordinate|.  A pair lies within tol
-    (1 + 1e-15) along any unit direction, or within 2^-510 where tol²
-    underflows, and the projections round within 6e-16 max|coordinate|, so
-    its gaps never exceed the bound.  Only coordinates below 2^510, where
-    cKDTree's squared bounding-box diagonal cannot overflow, are taken; every
-    other set goes on to cKDTree, and to its messages."""
+    """Whether `_dedup_points` is shown to find no pair within tol, and no
+    overflow: every gap between consecutive sorted projections on `_SWEEP`
+    exceeds max(tol, 2^-509) (1 + 1e-12) + 1e-14 max|coordinate|.  A pair
+    lies within tol (1 + 1e-15) along any unit direction, or within 2^-510
+    where tol² underflows, and the projections round within 6e-16
+    max|coordinate|, so its gaps never exceed the bound.  Only coordinates
+    below 2^510, where the squared bounding-box diagonal cannot overflow,
+    are taken; every other set goes on to the merge, and to its message."""
     big = float(np.abs(pts).max())
     if not big < 2.0**510:
         return False
@@ -692,7 +711,7 @@ def hull(points):
     kept = _dedup_points(pts, tol)
     dim = pts.shape[1]
     if len(kept) < dim + 1 or _affine_rank(kept, span) < dim:
-        # cKDTree compares squared distances, and below the smallest normal
+        # the merge compares squared distances, and below the smallest normal
         # double they lose their precision or underflow to 0, so distinct
         # points can compare as coincident: a full-rank set that the merge
         # made flat at such a scale has coordinates too small to resolve

@@ -975,21 +975,83 @@ class TestDedupPoints:
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_repeats_keep_first_as_cKDTree_does(self, dim, monkeypatch):
-        # exact repeats leave by a sort of the rows, and cKDTree sees only
-        # what is left: keep-first over its pairs keeps the same rows in the
-        # same order as keep-first over the pairs of all rows
-        real = scipy.spatial.cKDTree
+        # exact repeats leave by a sort of the rows, and the grid pass sees
+        # only what is left: keep-first over it keeps the same rows in the
+        # same order as keep-first over cKDTree's pairs of all rows
+        real = bodies._far_apart
         tol = 1e-9
         for pts in self._repeat_sets(dim, tol):
             want = _kdtree_dedup(pts, tol)
             assert len(want) < len(pts) - 10
-            trees = []
-            monkeypatch.setattr(scipy.spatial, "cKDTree", lambda rows: trees.append(rows) or real(rows))
+            proofs = []
+            monkeypatch.setattr(bodies, "_far_apart", lambda rows, tol: proofs.append(rows) or real(rows, tol))
             assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
             monkeypatch.undo()
-            # the near repeats and the chain are left to cKDTree
-            (rows,) = trees
+            # the near repeats and the chain are left to the grid pass: the
+            # rows after the sort are not shown far apart, and repeat none
+            (_, rows) = proofs
+            assert not real(rows, tol)
             assert len(np.unique(rows, axis=0)) == len(rows) < len(pts)
+
+    @staticmethod
+    def _planted_sets(dim, count):
+        """count point sets at scales 2^-20 to 2^20, built as `_repeat_sets`
+        builds its own: exact repeats far apart in index order, near repeats
+        at 0.5-1.1 tol, chains at 0.8 tol and +-0.0 rows, each set in its
+        built order and three shuffles.  Yields (points, tol)."""
+        rng = np.random.default_rng(70 + dim)
+        for _ in range(count // 4):
+            scale = 2.0 ** int(rng.integers(-20, 21))
+            tol = EPS * scale
+            base = scale * rng.normal(size=(int(rng.integers(3, 25)), dim))
+            u = unit_vector(rng, dim)
+            near = base[rng.integers(len(base), size=4)] + rng.uniform(0.5, 1.1, (4, 1)) * tol * u
+            chain = base[rng.integers(len(base))] + 0.8 * np.arange(int(rng.integers(2, 9)))[:, None] * tol * u
+            signed_zeros = rng.choice([0.0, -0.0], size=(3, dim))
+            pts = np.vstack((base, near, signed_zeros, chain, base[rng.integers(len(base), size=5)], chain[::-1]))
+            for order in (np.arange(len(pts)), *(rng.permutation(len(pts)) for _ in range(3))):
+                yield pts[order], tol
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_planted_sets_keep_first_as_cKDTree_does(self, dim):
+        # 300 sets per dimension, each merging at least 6 points
+        merged = 0
+        for pts, tol in self._planted_sets(dim, 300):
+            want = _kdtree_dedup(pts, tol)
+            assert bodies._dedup_points(pts, tol).tobytes() == want.tobytes()
+            merged += len(want) < len(pts) - 5
+        assert merged == 300
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_a_cluster_costs_linear_memory(self, dim):
+        # 2 000 distinct points within 1e-11 of a vertex of the unit triangle
+        # or tetrahedron make about 2 million pairs within tol; keep-first
+        # over all of them peaked at 80 MB, and over the grid needs none
+        rng = np.random.default_rng(80 + dim)
+        shape = np.vstack((np.zeros(dim), np.eye(dim)))
+        pts = np.vstack((shape, shape[1] + 1e-12 * rng.normal(size=(2000, dim))))
+        tol = EPS * bodies._span(pts)
+        want = _kdtree_dedup(pts, tol)
+        assert want.tobytes() == shape.tobytes()
+        bodies._dedup_points(pts, tol)  # first-call set-up is not per-call work
+        tracemalloc.start()
+        try:
+            kept = bodies._dedup_points(pts, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept.tobytes() == want.tobytes()
+        assert peak < 8e6
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_cells_far_below_the_extent_stay_exact(self, dim):
+        # at tol = 1e-9, coordinates of 1e150 span 1e159 cells of side tol,
+        # past any int64; the sweep leaves the pair 3e135 apart to the grid
+        rng = np.random.default_rng(1)
+        pts = 1e150 * rng.normal(size=(12, dim))
+        pts = np.vstack((pts, pts[3] + 3e135 * unit_vector(rng, dim)))
+        assert not bodies._far_apart(pts, 1e-9)
+        assert bodies._dedup_points(pts, 1e-9).tobytes() == _kdtree_dedup(pts, 1e-9).tobytes() == pts.tobytes()
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_infinite_rows_are_named_with_no_warning(self, dim):

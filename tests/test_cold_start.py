@@ -1,9 +1,10 @@
 """hullkit imports scipy.spatial on first use, in fresh interpreters.
 
 Importing hullkit loads no scipy module: `bodies` imports scipy.spatial on
-the first 3D hull (qhull) or close-point query (cKDTree).  Each test runs a
-script in a fresh Python process, so that what it loads and the messages of
-those first-use paths are seen from a clean `sys.modules`.
+the first 3D hull, for qhull, its only use of scipy.  Close points are
+merged without scipy, so 2D work never loads it.  Each test runs a script in
+a fresh Python process, so that what it loads and the messages of the
+first-use paths are seen from a clean `sys.modules`.
 """
 
 import json
@@ -108,7 +109,7 @@ print(json.dumps([body.vertices.tolist(), scipy_loaded()]))
 
 def test_repeated_vertex_loads_no_scipy(tmp_path):
     # the repeat defeats the sweep proof; it leaves by a sort of the rows,
-    # after which the proof holds and no cKDTree is built
+    # after which the proof holds and the grid pass is not reached
     verts = regular_polygon(9).vertices
     rows = np.vstack((verts[:6], verts[2:3], verts[6:]))
     assert not _far_apart(rows, EPS * _span(rows))
@@ -148,13 +149,14 @@ print(json.dumps(scipy_loaded()))
 
 def test_symmetric_polygons_and_lattices_load_no_scipy():
     # they repeat their coordinates, but the sweep proof still shows that
-    # no two of their points are close, so no cKDTree is built
+    # no two of their points are close, so the grid pass is not reached
     assert last_line(run_fresh("-c", _SYMMETRIC_WORK)) == []
 
 
 def test_first_close_point_query_dedups_as_in_process():
     # the sweep proof settles the 40 points, but not with a point planted
-    # within tol of one of them: only cKDTree can tell which points coincide
+    # within tol of one of them: the grid pass tells which points coincide,
+    # and loads no scipy
     rng = np.random.default_rng(16)
     ang = np.sort(rng.uniform(0.0, 2.0 * np.pi, 40))
     pts = np.column_stack((np.cos(ang), np.sin(ang)))
@@ -164,14 +166,14 @@ def test_first_close_point_query_dedups_as_in_process():
     body = hull(pts)
     assert len(body) == 40
     before, loaded, result = last_line(run_fresh("-c", _HULL_OF_STDIN, stdin=json.dumps(pts.tolist())))
-    assert (before, loaded) == ([], True)
+    assert (before, loaded) == ([], False)
     assert result == [body.vertices.tobytes().hex(), body.facet_normals.tobytes().hex(),
                       body.facet_offsets.tobytes().hex()]
 
 
 def test_first_3d_hull_names_a_qhull_failure():
-    # far enough apart that no cKDTree runs, so qhull's call is the first
-    # use; from about 1e77 on qhull rejects this set
+    # qhull's call is the first use of scipy, after a sweep proof that
+    # settles the points; from about 1e77 on qhull rejects this set
     pts = 1e77 * np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
     assert _far_apart(pts, EPS * _span(pts))
     with pytest.raises(DegenerateInput) as info:
@@ -184,8 +186,8 @@ def test_first_3d_hull_names_a_qhull_failure():
 
 def test_first_cKDTree_overflow_is_named_by_the_cli(tmp_path):
     # the triangle 2e-150 wide and 3e-155 high builds; its projection
-    # body's polar has vertices of ~1e154, whose squared distances cKDTree
-    # refuses
+    # body's polar has vertices of ~1e154, whose squared distances the
+    # merge refuses with cKDTree's message
     path = tmp_path / "small.json"
     flat = [[-1e-150, -1e-155], [1e-150, -1e-155], [0.0, 2e-155]]
     path.write_text(json.dumps({"dim": 2, "vertices": flat}))
