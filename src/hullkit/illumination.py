@@ -6,8 +6,15 @@ exactly.  Every vertex of a level set lies on a line cut out by dim - 1 facet
 hyperplanes (`_facet_lines`): a sideline in 2D, the intersection line of two
 facet planes in 3D.  Restricted to such a line the function is a
 one-variable piecewise-linear convex function, which meets the level in at
-most two points; hulling the solutions over all lines yields the exact level
-set, in either dimension.
+most two points.  In 2D the solutions over all lines are hulled.  In 3D the
+function is affine on each set S of facets that a point sees, and each
+solution on the line of facet planes i and j is a vertex of the four facets
+of the level set whose visible sets are S0, S0 + i, S0 + i + j and S0 + j;
+so the level set is built from that face lattice (`_lattice_body`), with no
+hull.  Where the lattice is not certain to be what `hull()` would build
+(coincident or tangent solutions, a solution near a third facet plane, or
+facets, turns and planes near `hull()`'s tolerances), the solutions are
+hulled as in 2D.
 
 One batched kernel (`_level_crossings`) solves all lines of a body at once,
 in whole-array steps, and returns exactly the numbers a solve of each line
@@ -30,19 +37,25 @@ import numpy as np
 
 from .bodies import (
     EPS,
+    _MERGE_NORMAL_TOL,
     Body,
+    Polytope3,
+    _LoopTable,
     _as_vectors,
     _cross,
     _dedup_points,
     _named,
     _pairs,
+    _plane_basis,
     _row_blocks,
     _row_max,
     _row_norms,
+    _span,
     _successors,
     hull,
 )
 from .errors import (
+    DegenerateInput,
     DimensionMismatch,
     GeometryError,
     LevelBelowVolume,
@@ -230,13 +243,16 @@ def illumination_body(body, delta):
     """Exact illumination body of a polygon or a 3-polytope as a LevelSet.
 
     Solves the level equation on every facet line (`_facet_lines`); the
-    solutions include every vertex of the result, and hulling them discards
-    the rest (in 2D every sideline solution is a corner of the level curve).
+    solutions include every vertex of the result.  A 3D level set is built
+    from its face lattice where that is certain to be what `hull()` builds
+    (`_lattice_body`).  Otherwise, and in 2D, the solutions are hulled,
+    which discards the rest (in 2D every sideline solution is a corner of
+    the level curve).
     """
     if not (np.isfinite(delta) and delta > 0):
         raise NonPositiveDelta("delta must be finite and positive")
     level = body.volume + float(delta)
-    x0, d = _facet_lines(body)
+    x0, d, facets = _facet_lines(body)
     lines, s = _level_crossings(body, x0, d, level)
     if len(lines) == 0:
         raise GeometryError("no level-set candidates found")
@@ -246,9 +262,12 @@ def illumination_body(body, delta):
             pts = x0[lines] + s[:, None] * d[lines]
         # merge candidates within tol: triple-plane coincidences give duplicate roots
         merged = _dedup_points(pts, EPS * body.diameter)
+        built = None
         if len(merged) < len(pts):
             log.debug("merged %d coincident level-set candidates", len(pts) - len(merged))
-        return LevelSet(body=hull(merged), level=level, delta=float(delta))
+        elif body.dim == 3:
+            built = _lattice_body(body, pts, lines, facets[lines])
+        return LevelSet(body=hull(merged) if built is None else built, level=level, delta=float(delta))
 
 
 #: The same construction under the names of its two dimensions.
@@ -256,16 +275,17 @@ illumination_body_2d = illumination_body_3d = illumination_body
 
 
 def _facet_lines(body):
-    """Lines ``(x0, d)`` (one per row) cut out by dim - 1 facet hyperplanes.
+    """Lines ``(x0, d)`` (one per row) cut out by dim - 1 facet hyperplanes,
+    and the indices of those facets, a row of dim - 1 per line.
 
-    2D: the sidelines, x0 = v_i and d = v_{i+1} - v_i.  3D: for each pair of
-    facets i < j, in row-major order, the line where their planes meet, with
-    d = unit(n_i x n_j) and x0 its point with <x0, d> = 0; parallel plane
-    pairs meet in no line and are skipped.
+    2D: the sidelines, x0 = v_i and d = v_{i+1} - v_i, of facet i.  3D: for
+    each pair of facets i < j, in row-major order, the line where their
+    planes meet, with d = unit(n_i x n_j) and x0 its point with <x0, d> = 0;
+    parallel plane pairs meet in no line and are skipped.
     """
     if body.dim == 2:
         v = body.vertices
-        return v, v[_successors(len(v))] - v
+        return v, v[_successors(len(v))] - v, np.arange(len(v))[:, None]
     normals, offsets = body.facet_normals, body.facet_offsets
     i, j = _pairs(len(normals))
     d = _cross(normals[i], normals[j])
@@ -274,7 +294,184 @@ def _facet_lines(body):
     i, j, d = i[meet], j[meet], d[meet] / nrm[meet, None]
     mat = np.stack((normals[i], normals[j], d), axis=1)
     rhs = np.column_stack((offsets[i], offsets[j], np.zeros(len(i))))
-    return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0], d
+    return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0], d, np.column_stack((i, j))
+
+
+#: How far each quantity that `_lattice_body` rests on must clear the
+#: tolerance `hull()` tests it against, as a factor.
+_LATTICE_MARGIN = 1e3
+
+#: The same for the bound on the tilt and shift of the planes of a facet's
+#: triangles (`_lattice_loops`), which is a worst case already, not an
+#: estimate: on the one facet seen to split in `hull()`, its triangles'
+#: planes differed by a third of that bound.
+_LEAN_MARGIN = 4.0
+
+_ULP = float(np.finfo(float).eps)
+
+
+def _lattice_body(body, pts, lines, pairs):
+    """The 3D level set whose vertices are the candidates pts, in order,
+    built from its face lattice; or None, with a debug line naming the
+    guard, where the lattice is not certain to be what `hull(pts)` builds.
+
+    Candidate k lies on the line of the facet planes i, j = pairs[k] of K,
+    and sees the facets S0 of K, i and j left out.  Near it the point-hull
+    function is the largest of four affine pieces, for the visible sets S0,
+    S0 + i, S0 + i + j and S0 + j in turn around the line, each with
+    gradient (1/3) sum_S a_F n_F.  So the candidate is a vertex of four
+    facets of the level set.  Each facet is one visible set, outward along
+    its gradient, with its vertices in turn by angle in its plane.
+
+    `hull()` builds the same body where it merges, drops and regroups
+    nothing.  With tol = EPS * span, its tolerance, the lattice needs:
+    every line that meets the level set to meet it twice (no tangency); no
+    two candidates within tol (`_dedup_points`); every candidate more than
+    `_LATTICE_MARGIN` tol from each third facet plane of K; 3 vertices or
+    more on each facet; each loop turn above `_LATTICE_MARGIN` times
+    `_hull3`'s turn tolerance, which keeps every triangle of a facet's
+    vertices above its sliver tolerance too; and no two facets that meet at
+    a candidate within `_LATTICE_MARGIN` times `_hull3`'s merge tolerances
+    of one plane, in normal and offset both.  Nor may a facet's vertices
+    lean off one plane so far that the planes of two of its triangles could
+    differ by more than a `_LEAN_MARGIN`-th of those tolerances, which
+    would split it in `hull()`.  A value that overflows fails its guard.
+    `Polytope3` then validates the result with all its checks; where it
+    refuses, `hull()` decides too, and names its own error."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        loops, guard = _lattice_loops(body, pts, lines, pairs)
+    if guard is None:
+        try:
+            return Polytope3(pts, loops)
+        except DegenerateInput as exc:
+            guard = f"the lattice is refused: {exc}"
+    log.debug("level set left to hull(): %s", guard)
+    return None
+
+
+def _lattice_loops(body, pts, lines, pairs):
+    """`_lattice_body`'s facet loops, as a `_LoopTable`, and None; or None
+    and the guard that fails."""
+    tol = EPS * _span(pts)
+    if (np.bincount(lines) == 1).any():
+        return None, "a line meets the level set once"
+    if len(_dedup_points(pts, tol)) < len(pts):
+        return None, "two candidates lie within the merge tolerance"
+    labels, near = _visible_sets(body, pts, pairs)
+    if not near > _LATTICE_MARGIN * tol:
+        return None, "a candidate lies near a third facet plane"
+    # the distinct visible sets are the facets
+    at, first = _distinct_rows(labels)
+    sizes = np.bincount(at)
+    if sizes.min() < 3:
+        return None, "a facet has fewer than 3 vertices"
+    # each facet's outward normal is the gradient sum_S a_F n_F of its set;
+    # dividing a word by a power of two and rounding down is exact
+    word, bit = _bits(len(body.facet_areas))
+    grads = (np.floor(labels[first][:, word] / bit) % 2) @ (body.facet_areas[:, None] * body.facet_normals)
+    normals = grads / _row_norms(grads)[:, None]
+    # facets next to each other around a candidate: the chord between their
+    # normals and the gap between their offsets, both planes through it
+    around = normals.take(at, 0).reshape(-1, 4, 3)
+    step = around - around[:, [3, 0, 1, 2]]
+    apart = (_row_norms(step) > _LATTICE_MARGIN * _MERGE_NORMAL_TOL) | (
+        np.abs(np.vecdot(step, pts[:, None])) > _LATTICE_MARGIN * tol
+    )
+    if not apart.all():
+        return None, "two facets are nearly one plane"
+    loops, local = _facet_loops(pts, at, normals, sizes)
+    first, owner = loops.starts, loops.owner
+    # each position's turn, as `_hull3` takes it: the cross product of the
+    # steps from the position before it to itself and to the one after,
+    # against tol times the facet's extent in plane coordinates (at least tol)
+    o = local.take(loops.nxt.argsort(), 0)
+    u, w = local - o, local.take(loops.nxt, 0) - o
+    turns = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+    extent = (np.maximum.reduceat(local, first) - np.minimum.reduceat(local, first)).max(1)
+    if not (turns > _LATTICE_MARGIN * tol * np.maximum(extent, tol).take(owner)).all():
+        return None, "a loop turn is nearly flat"
+    # a facet's vertices lie within `lean` of a plane (widened by the
+    # rounding of a plane through three of them), and a triangle of them
+    # has heights of at least `low`, the least height of a vertex over the
+    # chord of its neighbours; so each triangle's plane tilts from that
+    # plane by at most `tilt` = 3 lean / low, and moves along its normal by
+    # at most lean + big tilt, `big` the largest coordinate
+    big = float(np.abs(pts).max())
+    heights = np.vecdot(normals.take(owner, 0), pts.take(loops.flat, 0))
+    lean = (np.maximum.reduceat(heights, first) - np.minimum.reduceat(heights, first)) / 2 + 2 * _ULP * big
+    low = np.minimum.reduceat(turns / np.hypot(w[:, 0], w[:, 1]), first)
+    tilt = 3 * lean / low
+    if not ((2 * tilt <= _MERGE_NORMAL_TOL / _LEAN_MARGIN) & (2 * (lean + big * tilt) <= tol / _LEAN_MARGIN)).all():
+        return None, "a facet's triangles may not merge"
+    return loops, None
+
+
+def _visible_sets(body, pts, pairs):
+    """The four visible sets of each candidate, S0, S0 + i, S0 + i + j and
+    S0 + j, with S0 the facets of K whose planes lie below pts[k], i and j
+    = pairs[k] left out; and the least distance of a candidate from a
+    facet plane other than its own two.  Each set is a row of words, facet
+    F at bit F % 52 of word F // 52 (`_bits`): sums of distinct powers of
+    two below 2^53 are exact.  The residuals are taken in row blocks."""
+    m, nf = len(pts), len(body.facet_offsets)
+    word, bit = _bits(nf)
+    place = np.zeros((nf, word[-1] + 1))
+    place[np.arange(nf), word] = bit
+    keys = np.empty((m, len(place[0])))
+    near = np.inf
+    for blk in _row_blocks(m, 2 * nf):
+        res = pts[blk] @ body.facet_normals.T - body.facet_offsets
+        # the line's own planes: neither near nor seen
+        res[np.arange(len(res))[:, None], pairs[blk]] = -np.inf
+        near = min(near, float(np.abs(res).min()))
+        keys[blk] = (res > 0).astype(float) @ place
+    with_i, with_j = keys + place[pairs[:, 0]], keys + place[pairs[:, 1]]
+    return np.stack((keys, with_i, with_i + place[pairs[:, 1]], with_j), 1).reshape(4 * m, -1), near
+
+
+def _bits(nf):
+    """The word and the bit (a power of two) of each of nf facets in the
+    rows of `_visible_sets`."""
+    facet = np.arange(nf)
+    return facet // 52, np.ldexp(1.0, facet % 52)
+
+
+def _distinct_rows(rows):
+    """Each row's index among the distinct rows, numbered in lexicographic
+    order from the last column, and the index of one row of each."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(1)
+    at = np.empty(len(rows), dtype=np.intp)
+    at[order] = new.cumsum() - 1
+    return at, order[new]
+
+
+def _facet_loops(pts, at, normals, sizes):
+    """The loop table of the facets at[4 k : 4 k + 4] of each vertex k, and
+    each position's plane coordinates: each loop in turn by angle about its
+    vertices' centroid in its plane, counterclockwise about its outward
+    normal, from its lowest point in plane coordinates (x, then y), where
+    `_hull3` starts its loops too."""
+    vertex = np.arange(len(at)) // 4
+    basis = np.stack(_plane_basis(normals), 1)
+    local = np.einsum("pij,pj->pi", basis.take(at, 0), pts.take(vertex, 0))
+    centre = np.stack([np.bincount(at, c, len(sizes)) for c in local.T], 1) / sizes[:, None]
+    rel = local - centre.take(at, 0)
+    # the facet, then the angle in (-pi, pi], as one key in [at, at + 1)
+    order = (at + (np.arctan2(rel[:, 1], rel[:, 0]) + 4.0) / 8.0).argsort()
+    local = local.take(order, 0)
+    table = _LoopTable(order, sizes)
+    first, owner = table.starts, table.owner
+    low = np.minimum.reduceat(local, first)[owner]
+    y = np.where(local[:, 0] == low[:, 0], local[:, 1], np.inf)
+    at = np.arange(len(order))
+    lowest = np.minimum.reduceat(np.where(y == np.minimum.reduceat(y, first)[owner], at, len(at)), first)[owner]
+    # position t of a loop of size k at s is read from s + (t + lowest - s) % k
+    start = first[owner]
+    turn = start + (at + lowest - 2 * start) % sizes[owner]
+    return _LoopTable(vertex[order[turn]], sizes), local.take(turn, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -144,8 +144,9 @@ class TestHull:
 
     @pytest.mark.parametrize("scale", [1e-162, 1e-165, 1e-200, 1e-300])
     def test_coordinates_whose_squared_distances_underflow(self, scale):
-        # cKDTree's squared distances underflow to 0, so every point but
-        # the first looked like a duplicate and the set like a flat one
+        # squared distances underflow to 0, so every point but the first
+        # looks like a duplicate to the merge, as to cKDTree, and the set
+        # like a flat one
         heptagon = regular_polygon(7).vertices
         simplex_plus = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]], dtype=float)
         for pts in (heptagon, simplex_plus):
@@ -826,8 +827,9 @@ def _kdtree_dedup(pts, tol):
 
 
 class TestDedupPoints:
-    """The sweep proof of `_dedup_points` only shows that cKDTree finds no
-    pair; wherever it does not, cKDTree decides."""
+    """The sweep proof of `_dedup_points` only shows that keep-first over
+    cKDTree's pairs (`_kdtree_dedup`, the reference) finds no pair; wherever
+    it does not, the grid pass decides, as that reference does."""
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e5])
     def test_pairs_near_the_tolerance(self, scale):
@@ -844,7 +846,7 @@ class TestDedupPoints:
                         if bodies._far_apart(pts, tol):
                             assert len(want) == len(pts)
                             shown += 1
-        # twice the tolerance and beyond is shown without cKDTree
+        # twice the tolerance and beyond is shown without the grid pass
         assert shown >= 6
 
     def test_random_sets_and_exact_duplicates(self):
@@ -948,7 +950,8 @@ class TestDedupPoints:
             with pytest.raises(DegenerateInput, match="^coordinates too small: squared distances underflow$"):
                 hull(scale * simplex_plus)
         # where squared distances near overflow, cKDTree raises although each
-        # one is finite, and the sweep proof leaves it to cKDTree
+        # one is finite, and the sweep proof leaves it to the merge, which
+        # raises too
         pts = 0.9e154 * np.vstack((np.eye(3), [[0.0, 0.0, 0.0]]))
         assert not bodies._far_apart(pts, EPS * bodies._span(pts))
         with pytest.raises(DegenerateInput, match="^coordinates too large"):
@@ -1070,12 +1073,11 @@ class TestDedupPoints:
                     bodies._dedup_points(pts, 1e-9)
 
     @pytest.mark.parametrize("dim", [2, 3])
-    def test_repeats_cost_linear_time(self, dim, monkeypatch):
+    def test_repeats_cost_linear_time(self, dim):
         # 20 000 copies of one point inside a triangle or a tetrahedron: the
-        # copies make n^2 / 2 pairs, which no cKDTree is asked for
+        # copies make n^2 / 2 pairs, and leave the merge by one sort
         shape = np.vstack((np.zeros(dim), np.eye(dim)))
         pts = np.vstack((np.full((20000, dim), 0.1), shape))
-        monkeypatch.setattr(scipy.spatial, "cKDTree", None)
         hull(pts)  # first-call set-up is not per-call work
         tracemalloc.start()
         try:
@@ -1140,12 +1142,22 @@ def test_small_hull_call_count():
     assert calls_in(hull, pts) <= HULL_CALLS
 
 
+def _level_set_candidates(body, delta):
+    """The point set `illumination_body` hulls where it does not build the
+    level set from its face lattice: the crossings of the level on the facet
+    lines, merged within EPS times the diameter."""
+    x0, d, _ = illumination._facet_lines(body)
+    lines, s = illumination._level_crossings(body, x0, d, body.volume + delta)
+    return bodies._dedup_points(x0[lines] + s[:, None] * d[lines], EPS * body.diameter)
+
+
 def _medium_hull_inputs(bodies_of=((7, 9), (3, 12))):
-    """The point sets of 50 points or more that hull() is handed while the
-    illumination bodies (at delta = 0.05, 0.5 and 2 vol), the projection
-    body (its zonotope candidates), the polar projection body and the
-    difference body of random 3-polytopes are built, in that order: the
-    medium hulls of the paper's 3D constructions."""
+    """The point sets of 50 points or more of the illumination bodies' level
+    sets (at delta = 0.05, 0.5 and 2 vol, `_level_set_candidates`), and of
+    those that hull() is handed while the projection body (its zonotope
+    candidates), the polar projection body and the difference body of
+    random 3-polytopes are built, in that order: the medium hulls of the
+    paper's 3D constructions."""
     inputs = []
     real = bodies.hull
 
@@ -1154,12 +1166,12 @@ def _medium_hull_inputs(bodies_of=((7, 9), (3, 12))):
         return real(points)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (bodies, illumination, projection):
+        for module in (bodies, projection):
             mp.setattr(module, "hull", grab)
         for seed, n in bodies_of:
             body = random_polytope3(np.random.default_rng(seed), n)
             for factor in (0.05, 0.5, 2.0):
-                illumination_body(body, factor * body.volume)
+                inputs.append(_level_set_candidates(body, factor * body.volume))
             polar(projection_body(body))
             difference_body(body)
     return [pts for pts in inputs if len(pts) >= 50]
@@ -1178,11 +1190,7 @@ def test_medium_hull_call_count():
     v = random_polytope3(np.random.default_rng(1), 9).vertices
     small = np.vstack((v, v + [0.4, -0.3, 0.2]))
     body = random_polytope3(np.random.default_rng(3), 12)
-    candidates = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(illumination, "hull", lambda pts: candidates.append(pts) or hull(pts))
-        illumination_body(body, 2.0 * body.volume)
-    (large,) = candidates
+    large = _level_set_candidates(body, 2.0 * body.volume)
     assert len(large) == 380
     hull(small), hull(large)  # first-call set-up is not per-call work
     assert calls_in(hull, large) <= 1.5 * calls_in(hull, small)
@@ -1221,12 +1229,11 @@ class TestMediumHulls:
         for pts in medium_inputs:
             _assert_groups_match(pts)
 
-    def test_sorted_coordinates_show_no_pair(self, medium_inputs, monkeypatch):
+    def test_sorted_coordinates_show_no_pair(self, medium_inputs):
         # every set without a close pair is shown to have none, and every
-        # medium input is settled without cKDTree: the V zero rows v_i - v_i
-        # of a difference body's input are its only repeats, and exact ones,
-        # which leave before the proof is tried again
-        monkeypatch.setattr(scipy.spatial, "cKDTree", None)
+        # medium input is settled without the grid pass: the V zero rows
+        # v_i - v_i of a difference body's input are its only repeats, and
+        # exact ones, which leave before the proof is tried again
         shown = []
         for pts in medium_inputs:
             tol = EPS * bodies._span(pts)
@@ -1812,7 +1819,6 @@ class TestMinkowski:
             wants = hull(diffs), hull(diffs.compress(keep, 0))
             proofs = []
             monkeypatch.setattr(bodies, "_far_apart", lambda pts, tol: proofs.append(real(pts, tol)) or proofs[-1])
-            monkeypatch.setattr(scipy.spatial, "cKDTree", None)
             got = difference_body(body)
             monkeypatch.undo()
             for want in wants:
@@ -1822,7 +1828,7 @@ class TestMinkowski:
                 assert np.float64(got.volume).tobytes() == np.float64(want.volume).tobytes(), name
             shown[name] = proofs
         # the proof fails on the zero rows and holds without the repeats,
-        # so no cKDTree is built
+        # so the grid pass never runs
         assert shown == {name: [False, True] for name, _ in cases}
 
     def test_dimension_mismatch(self, square, cube):

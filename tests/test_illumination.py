@@ -22,6 +22,7 @@ from hullkit import (
     point_hull_values,
     ray_level_solve,
 )
+from hullkit import illumination
 from hullkit.bodies import EPS
 from hullkit.cli import main
 from hullkit.illumination import _facet_lines, _level_crossings, _ray_level_solves
@@ -107,7 +108,7 @@ def _loop_candidates(body, level, seen):
 
 
 def _batched_candidates(body, level):
-    x0, d = _facet_lines(body)
+    x0, d, _ = _facet_lines(body)
     lines, s = _level_crossings(body, x0, d, level)
     return x0[lines] + s[:, None] * d[lines]
 
@@ -307,6 +308,93 @@ class TestIlluminationBody3D:
         tol = 1e-9 * large.body.diameter
         for v in small.body.vertices:
             assert large.body.contains(v, tol=tol)
+
+
+#: delta / vol of the face-lattice oracle: the band where hull() fails
+#: today, the levels of criterion 8 and the digest ops, and one far level.
+LATTICE_FACTORS = (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-4, 1e-2, 0.5, 2.0, 50.0)
+
+
+def _lattice_oracle_bodies():
+    # the failure band's 30 bodies, drawn in turn from default_rng(3), 12
+    # seeded bodies of 4 to 20 vertices, and the regular and symmetric
+    # bodies of the kernel cases
+    rng = np.random.default_rng(3)
+    band = [random_polytope3(rng, int(rng.integers(6, 13))) for _ in range(30)]
+    rng = np.random.default_rng(29)
+    seeded = [random_polytope3(rng, n) for n in (4, 5, 6, 7, 8, 9, 10, 11, 12, 14, 16, 20)]
+    return band + seeded + [KERNEL_CASES[name] for name in ("cube", "tetrahedron", "prism5", "octahedron", "pyramid4")]
+
+
+def _level_set_or_error(body, delta):
+    try:
+        return illumination_body(body, delta).body
+    except GeometryError as exc:
+        return exc
+
+
+class TestFaceLattice:
+    def test_lattice_builds_what_hull_builds(self, monkeypatch):
+        # each level set is built once as it is and once with the face
+        # lattice switched off, so by hull(merged) alone: where the lattice
+        # builds, it has the hull's vertices bit for bit, its facets as
+        # vertex sets, and planes and volume within rounding;
+        # where it does not, the two are the same body or the same error
+        real = illumination._lattice_body
+        built = {factor: 0 for factor in LATTICE_FACTORS}
+        for body in _lattice_oracle_bodies():
+            for factor in LATTICE_FACTORS:
+                delta = factor * body.volume
+                made = []
+                monkeypatch.setattr(illumination, "_lattice_body", lambda *args: made.append(real(*args)) or made[-1])
+                got = _level_set_or_error(body, delta)
+                monkeypatch.setattr(illumination, "_lattice_body", lambda *args: None)
+                want = _level_set_or_error(body, delta)
+                if isinstance(want, GeometryError):
+                    assert (type(got), str(got)) == (type(want), str(want)), factor
+                    continue
+                assert not isinstance(got, GeometryError), (factor, got)
+                assert got.vertices.tobytes() == want.vertices.tobytes()
+                if not any(b is not None for b in made):
+                    for field in ("facet_normals", "facet_offsets", "facet_areas"):
+                        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+                    continue
+                built[factor] += 1
+                assert set(map(frozenset, got.facet_loops)) == set(map(frozenset, want.facet_loops))
+                at = {frozenset(loop): f for f, loop in enumerate(want.facet_loops)}
+                order = [at[frozenset(loop)] for loop in got.facet_loops]
+                assert np.abs(got.facet_normals - want.facet_normals[order]).max() <= 1e-12
+                assert np.abs(got.facet_offsets - want.facet_offsets[order]).max() <= 1e-12 * want.diameter
+                assert abs(got.volume - want.volume) <= 1e-15 * want.volume
+        # of the 47 bodies, the lattice builds all but a few level sets from
+        # delta / vol = 1e-2 on (44 to 47 at each), and none inside the band
+        # (1e-12 to 1e-7), which hull() decides as before
+        assert min(built[f] for f in (1e-2, 0.5, 2.0, 50.0)) >= 42
+        assert sum(built[f] for f in LATTICE_FACTORS[:6]) == 0
+
+    def test_level_sets_left_to_hull_name_their_guard(self, caplog):
+        # inside the band every level set is left to hull(), with one debug
+        # line that names why: a merge, or a guard of the face lattice
+        caplog.set_level("DEBUG", logger="hullkit.illumination")
+        guards = (
+            "a line meets the level set once",
+            "two candidates lie within the merge tolerance",
+            "a candidate lies near a third facet plane",
+            "a facet has fewer than 3 vertices",
+            "two facets are nearly one plane",
+            "a loop turn is nearly flat",
+            "a facet's triangles may not merge",
+        )
+        named = set()
+        for body, factor in itertools.product(_lattice_oracle_bodies()[:10], LATTICE_FACTORS[:6]):
+            caplog.clear()
+            _level_set_or_error(body, factor * body.volume)
+            (line,) = [record.getMessage() for record in caplog.records]
+            if line.startswith("merged "):
+                assert line.endswith(" coincident level-set candidates")
+            else:
+                named.add(line.removeprefix("level set left to hull(): "))
+        assert named and named <= set(guards)
 
 
 def _scale_cases():
