@@ -124,11 +124,9 @@ def _dedup_points(pts, tol):
     of the bounding box overflows."""
     if len(pts) < 2 or tol <= 0 or _far_apart(pts, tol):
         return pts
-    # equal rows sit side by side in index order; keep-first drops every
-    # later one with the first, and a dropped row drops no other
-    order = np.lexsort(pts.T)
-    rows = pts[order]
-    pts = np.delete(pts, order[1:][(rows[1:] == rows[:-1]).all(1)], 0)
+    # keep-first keeps the first of each run of equal rows, and a dropped
+    # row drops no other
+    pts = pts.take(np.sort(_distinct_rows(pts)[1]), 0)
     if _far_apart(pts, tol):
         return pts
     lo = pts.min(0).tolist()
@@ -263,6 +261,19 @@ def _plane_basis(normals):
         b1[short] = _cross(normals[short], _UNIT[1])
     b1 /= _row_norms(b1)[:, None]
     return b1, _cross(normals, b1)
+
+
+def _distinct_rows(rows):
+    """Each row's index among the distinct rows, numbered in lexicographic
+    order from the last column, and the index of the first row of each
+    (``np.lexsort`` is stable, so the first in index order)."""
+    order = np.lexsort(rows.T)
+    ranked = rows[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(1)
+    at = np.empty(len(rows), dtype=np.intp)
+    at[order] = new.cumsum() - 1
+    return at, order[new]
 
 
 #: Rows up to this long are reduced by `_row_max` across a transposed copy.
@@ -634,6 +645,45 @@ def _loop_heights(pts, normals, owner, starts, sizes):
     return heights, offsets
 
 
+def _plane_coordinates(normals, at, pts):
+    """Coordinates of each point pts[p] in the `_plane_basis` of the unit
+    normal normals[at[p]], as stacked (2, 3) @ (3, 1) products: these round
+    as a facet's (k, 3) @ (3,) product ``points @ b1`` does, and a stacked
+    (1, 3) @ (3, 1) product does not."""
+    basis = np.concatenate(_plane_basis(normals), 1).reshape(-1, 2, 3)
+    return (basis.take(at, 0) @ pts[:, :, None])[:, :, 0]
+
+
+def _lowest_positions(local, starts, owner):
+    """Each loop's lowest position in the plane coordinates local: least x,
+    then least y, then the first position; where a stable lexsort by (loop,
+    x, y) puts it first.  Loops start at starts, and owner[p] is the loop of
+    position p."""
+    at = np.arange(len(local))
+    x = np.minimum.reduceat(local[:, 0], starts)
+    y = np.where(local[:, 0] == x[owner], local[:, 1], np.inf)
+    return np.minimum.reduceat(np.where(y == np.minimum.reduceat(y, starts)[owner], at, len(at)), starts)
+
+
+def _turns(local, nxt):
+    """Each loop position's turn: the cross product of the steps from the
+    position before it to itself and to the one after it, nxt, in the plane
+    coordinates local, as `_hull2_indices` takes it; and the second step."""
+    before = np.empty_like(nxt)
+    before[nxt] = np.arange(len(nxt))
+    o = local.take(before, 0)
+    u, w = local - o, local.take(nxt, 0) - o
+    return u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0], w
+
+
+def _turn_tolerances(local, starts, tol):
+    """The turn tolerance of each loop starting at starts: tol times the
+    loop's extent in the plane coordinates local, or times tol where the
+    extent is smaller."""
+    spread = np.maximum.reduceat(local, starts) - np.minimum.reduceat(local, starts)
+    return tol * np.maximum(np.maximum(spread[:, 0], spread[:, 1]), tol)
+
+
 #: The one memory budget: at most this many floats (8 MB) in the
 #: temporaries of one row block (`_row_blocks`).
 _BLOCK = 1 << 20
@@ -824,8 +874,6 @@ def _hull3(pts, span):
     simplices, neighbors = qh.simplices, qh.neighbors
     normals = qh.equations[:, :3]
     seeds, group = _coplanar_groups(neighbors, qh.equations, EPS * span)
-    # row gathers by `take`, several times faster than indexing
-    basis = np.concatenate(_plane_basis(normals.take(seeds, 0)), 1).reshape(-1, 2, 3)
 
     # boundary edges tail -> head, keyed and sorted by (group, tail): the
     # edge from corner k of a triangle to corner k + 1 lies opposite corner
@@ -853,23 +901,15 @@ def _hull3(pts, span):
     # `counts` has an entry for each
     counts = np.bincount(owner)
     starts = counts.cumsum() - counts
-    # plane coordinates as stacked (2, 3) @ (3, 1) products: these round as
-    # a group's (k, 3) @ (3,) product `points @ b1` does, and a stacked
-    # (1, 3) @ (3, 1) product does not
-    local = (basis.take(owner, 0) @ pts.take(tails, 0)[:, :, None])[:, :, 0]
-    low = np.minimum.reduceat(local, starts)
-    spread = np.maximum.reduceat(local, starts) - low
-    extent = np.maximum(spread[:, 0], spread[:, 1])
-    tol = (EPS * span * np.maximum(extent, EPS * span))[owner]
-    # each group's lowest point (x, then y, then the first position), which
-    # a stable lexsort by (group, x, y) puts first
-    at = np.arange(len(keys))
-    y = np.where(local[:, 0] == low[owner, 0], local[:, 1], np.inf)
-    lowest = np.minimum.reduceat(np.where(y == np.minimum.reduceat(y, starts)[owner], at, len(at)), starts)
+    # row gathers by `take`, several times faster than indexing
+    local = _plane_coordinates(normals.take(seeds, 0), owner, pts.take(tails, 0))
+    tol = _turn_tolerances(local, starts, EPS * span)[owner]
+    lowest = _lowest_positions(local, starts, owner)
 
     # rank each position by its steps along the cycle from its group's
     # lowest point, by pointer jumping back towards it; a position that
     # does not reach it lies on another cycle of the same boundary
+    at = np.arange(len(keys))
     hop[lowest] = lowest
     steps = (hop != at).astype(np.int64)
     for _ in range(int(counts.max()).bit_length()):
@@ -887,14 +927,8 @@ def _hull3(pts, span):
     # dropped vertices are left out
     loops = _LoopTable(tails, counts)
     for _ in range(len(path)):
-        after = loops.nxt
-        before = np.empty_like(after)
-        before[after] = at[:len(after)]
-        o = local.take(before, 0)
-        u, w = local - o, local.take(after, 0) - o
-        cross = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
         corner = np.zeros(nv, dtype=bool)
-        corner[tails[cross > tol]] = True
+        corner[tails[_turns(local, loops.nxt)[0] > tol]] = True
         keep = corner[tails]
         if keep.all():
             break

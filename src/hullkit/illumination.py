@@ -11,10 +11,13 @@ function is affine on each set S of facets that a point sees, and each
 solution on the line of facet planes i and j is a vertex of the four facets
 of the level set whose visible sets are S0, S0 + i, S0 + i + j and S0 + j;
 so the level set is built from that face lattice (`_lattice_body`), with no
-hull.  Where the lattice is not certain to be what `hull()` would build
+hull.  Its loops take their plane coordinates, starts and turns from the
+helpers `_hull3` uses (`_plane_coordinates`, `_lowest_positions`, `_turns`,
+`_turn_tolerances`), and its facets are `_distinct_rows` of the visible
+sets.  Where the lattice is not certain to be what `hull()` would build
 (coincident or tangent solutions, a solution near a third facet plane, or
-facets, turns and planes near `hull()`'s tolerances), the solutions are
-hulled as in 2D.
+turns and planes near `hull()`'s tolerances), the solutions are hulled as
+in 2D.
 
 One batched kernel (`_level_crossings`) solves all lines of a body at once,
 in whole-array steps, and returns exactly the numbers a solve of each line
@@ -44,14 +47,18 @@ from .bodies import (
     _as_vectors,
     _cross,
     _dedup_points,
+    _distinct_rows,
+    _lowest_positions,
     _named,
     _pairs,
-    _plane_basis,
+    _plane_coordinates,
     _row_blocks,
     _row_max,
     _row_norms,
     _span,
     _successors,
+    _turn_tolerances,
+    _turns,
     hull,
 )
 from .errors import (
@@ -327,12 +334,13 @@ def _lattice_body(body, pts, lines, pairs):
     nothing.  With tol = EPS * span, its tolerance, the lattice needs:
     every line that meets the level set to meet it twice (no tangency); no
     two candidates within tol (`_dedup_points`); every candidate more than
-    `_LATTICE_MARGIN` tol from each third facet plane of K; 3 vertices or
-    more on each facet; each loop turn above `_LATTICE_MARGIN` times
-    `_hull3`'s turn tolerance, which keeps every triangle of a facet's
-    vertices above its sliver tolerance too; and no two facets that meet at
-    a candidate within `_LATTICE_MARGIN` times `_hull3`'s merge tolerances
-    of one plane, in normal and offset both.  Nor may a facet's vertices
+    `_LATTICE_MARGIN` tol from each third facet plane of K; each loop turn
+    (`_turns`) above `_LATTICE_MARGIN` times `_hull3`'s turn tolerance
+    (`_turn_tolerances`), which keeps every triangle of a facet's vertices
+    above its sliver tolerance too, and keeps out a facet of 1 or 2
+    vertices, whose turns are all 0; and no two facets that meet at a
+    candidate within `_LATTICE_MARGIN` times `_hull3`'s merge tolerances of
+    one plane, in normal and offset both.  Nor may a facet's vertices
     lean off one plane so far that the planes of two of its triangles could
     differ by more than a `_LEAN_MARGIN`-th of those tolerances, which
     would split it in `hull()`.  A value that overflows fails its guard.
@@ -363,8 +371,6 @@ def _lattice_loops(body, pts, lines, pairs):
     # the distinct visible sets are the facets
     at, first = _distinct_rows(labels)
     sizes = np.bincount(at)
-    if sizes.min() < 3:
-        return None, "a facet has fewer than 3 vertices"
     # each facet's outward normal is the gradient sum_S a_F n_F of its set;
     # dividing a word by a power of two and rounding down is exact
     word, bit = _bits(len(body.facet_areas))
@@ -381,14 +387,10 @@ def _lattice_loops(body, pts, lines, pairs):
         return None, "two facets are nearly one plane"
     loops, local = _facet_loops(pts, at, normals, sizes)
     first, owner = loops.starts, loops.owner
-    # each position's turn, as `_hull3` takes it: the cross product of the
-    # steps from the position before it to itself and to the one after,
-    # against tol times the facet's extent in plane coordinates (at least tol)
-    o = local.take(loops.nxt.argsort(), 0)
-    u, w = local - o, local.take(loops.nxt, 0) - o
-    turns = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
-    extent = (np.maximum.reduceat(local, first) - np.minimum.reduceat(local, first)).max(1)
-    if not (turns > _LATTICE_MARGIN * tol * np.maximum(extent, tol).take(owner)).all():
+    # each position's turn against `_hull3`'s tolerance; in a loop of 1 or 2
+    # positions every turn is 0
+    turns, w = _turns(local, loops.nxt)
+    if not (turns > _LATTICE_MARGIN * _turn_tolerances(local, first, tol).take(owner)).all():
         return None, "a loop turn is nearly flat"
     # a facet's vertices lie within `lean` of a plane (widened by the
     # rounding of a plane through three of them), and a triangle of them
@@ -436,27 +438,15 @@ def _bits(nf):
     return facet // 52, np.ldexp(1.0, facet % 52)
 
 
-def _distinct_rows(rows):
-    """Each row's index among the distinct rows, numbered in lexicographic
-    order from the last column, and the index of one row of each."""
-    order = np.lexsort(rows.T)
-    ranked = rows[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(1)
-    at = np.empty(len(rows), dtype=np.intp)
-    at[order] = new.cumsum() - 1
-    return at, order[new]
-
-
 def _facet_loops(pts, at, normals, sizes):
     """The loop table of the facets at[4 k : 4 k + 4] of each vertex k, and
-    each position's plane coordinates: each loop in turn by angle about its
-    vertices' centroid in its plane, counterclockwise about its outward
-    normal, from its lowest point in plane coordinates (x, then y), where
-    `_hull3` starts its loops too."""
+    each position's plane coordinates (`_plane_coordinates`, as `_hull3`
+    takes them): each loop in turn by angle about its vertices' centroid in
+    its plane, counterclockwise about its outward normal, from its lowest
+    point in plane coordinates (`_lowest_positions`), where `_hull3` starts
+    its loops too."""
     vertex = np.arange(len(at)) // 4
-    basis = np.stack(_plane_basis(normals), 1)
-    local = np.einsum("pij,pj->pi", basis.take(at, 0), pts.take(vertex, 0))
+    local = _plane_coordinates(normals, at, pts.take(vertex, 0))
     centre = np.stack([np.bincount(at, c, len(sizes)) for c in local.T], 1) / sizes[:, None]
     rel = local - centre.take(at, 0)
     # the facet, then the angle in (-pi, pi], as one key in [at, at + 1)
@@ -464,11 +454,9 @@ def _facet_loops(pts, at, normals, sizes):
     local = local.take(order, 0)
     table = _LoopTable(order, sizes)
     first, owner = table.starts, table.owner
-    low = np.minimum.reduceat(local, first)[owner]
-    y = np.where(local[:, 0] == low[:, 0], local[:, 1], np.inf)
-    at = np.arange(len(order))
-    lowest = np.minimum.reduceat(np.where(y == np.minimum.reduceat(y, first)[owner], at, len(at)), first)[owner]
+    lowest = _lowest_positions(local, first, owner)[owner]
     # position t of a loop of size k at s is read from s + (t + lowest - s) % k
+    at = np.arange(len(order))
     start = first[owner]
     turn = start + (at + lowest - 2 * start) % sizes[owner]
     return _LoopTable(vertex[order[turn]], sizes), local.take(turn, 0)

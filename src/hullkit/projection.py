@@ -30,6 +30,7 @@ from .bodies import (
     Polygon,
     _cross,
     _diameter,
+    _distinct_rows,
     _named,
     _pairs,
     _polar_points,
@@ -241,8 +242,9 @@ def _zonotope_signs(gens):
     more than all lower places of the chunk together.  So a chunk's product
     with the signs orders the rows as its places do, and is an integer
     below 2^52, exact in any order of addition and any row blocks; the keys
-    of -s are the negated keys, equal keys are equal rows, and `np.lexsort`
-    on the chunks puts the distinct rows in lexicographic order."""
+    of -s are the negated keys, equal keys are equal rows, and
+    `_distinct_rows` of the chunks gives the first of each distinct row in
+    lexicographic order."""
     k = len(gens)
     tie_tol = 1e-12 * np.linalg.norm(gens, axis=1)
     i, j = _pairs(k)
@@ -270,9 +272,7 @@ def _zonotope_signs(gens):
     for blk in _row_blocks(r, k):
         keys[:r][blk] = signs[blk] @ weights
     np.negative(keys[:r], out=keys[r:])
-    order = np.lexsort(keys.T)
-    keys = keys[order]
-    negated, order = np.divmod(order[np.concatenate(([True], (keys[1:] != keys[:-1]).any(1)))], r)
+    negated, order = np.divmod(_distinct_rows(keys)[1], r)
     return signs.take(order, 0) * (1 - 2 * negated).astype(np.int8)[:, None]
 
 

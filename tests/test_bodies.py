@@ -855,7 +855,12 @@ class TestDedupPoints:
             pts = rng.normal(size=(n, dim))
             tol = EPS * bodies._span(pts)
             assert bodies._far_apart(pts, tol)
-            for dup in (pts, np.vstack((pts, pts[:1])), np.vstack((pts[-1:], pts))):
+            # exact repeats, and a row with 0.0 repeated with -0.0, which
+            # compare equal: the first of each stays, with its sign
+            zero, negative = pts[:1].copy(), pts[:1].copy()
+            zero[0, 0], negative[0, 0] = 0.0, -0.0
+            signed = (np.vstack((zero, pts[1:], negative)), np.vstack((negative, pts[1:], zero)))
+            for dup in (pts, np.vstack((pts, pts[:1])), np.vstack((pts[-1:], pts)), *signed):
                 assert bodies._dedup_points(dup, tol).tobytes() == _kdtree_dedup(dup, tol).tobytes()
         assert not bodies._far_apart(np.vstack((CUBE, CUBE[:1])), 2 * EPS)
 
@@ -1127,6 +1132,8 @@ def test_affine_rank_matches_the_svd(dim):
 #: The `np.errstate` that quiets the sliver test's overflowing norms adds 6
 #: (285 to 291 with numpy 2.4 and scipy 1.17).  The sliver test on sides
 #: divided by 2^e needs no `np.errstate`, and with `_row_blocks` it is 292.
+#: Since `_hull3` takes its plane coordinates, loop starts, turns and turn
+#: tolerances from the helpers the face lattice shares, it is 300.
 HULL_CALLS = 317
 
 
