@@ -684,6 +684,105 @@ def _turn_tolerances(local, starts, tol):
     return tol * np.maximum(np.maximum(spread[:, 0], spread[:, 1]), tol)
 
 
+#: How far each quantity that a face lattice (`_lattice_polytope`) rests on
+#: must clear the tolerance `hull()` tests it against, as a factor.
+_LATTICE_MARGIN = 1e3
+
+#: The same for the bound on the tilt and shift of the planes of a facet's
+#: triangles (`_lattice_loops`), which is a worst case already, not an
+#: estimate: on the one facet seen to split in `hull()`, its triangles'
+#: planes differed by a third of that bound.
+_LEAN_MARGIN = 4.0
+
+_ULP = float(np.finfo(float).eps)
+
+
+def _lattice_polytope(pts, faces, log, what):
+    """The `Polytope3` on the points pts, in their order, built from its face
+    lattice faces = (loops, normals, local): a `_LoopTable` of each facet's
+    vertices in turn, counterclockwise about its outward unit normal, from
+    any start; those normals; and each loop position's coordinates in the
+    plane of its facet's normal (`_plane_coordinates`).  Or None, with one
+    debug line on the logger log that names the guard (``"<what> left to
+    hull(): <guard>"``), where the lattice is not certain to be what
+    `hull(pts)` builds; faces may also be the name of a guard that the
+    caller's own tests failed.
+
+    Each loop is turned to start at its lowest point in those plane
+    coordinates (`_lowest_positions`), where `_hull3` starts its loops.
+    `hull()` builds the same body where it merges, drops and regroups
+    nothing.  With tol = EPS * span, its tolerance, and past the caller's
+    own guards, the lattice needs: no two facets that share an edge within
+    `_LATTICE_MARGIN` times `_hull3`'s merge tolerances of one plane through
+    either end of it, in normal and offset both; each loop turn (`_turns`)
+    above `_LATTICE_MARGIN` times `_hull3`'s turn tolerance
+    (`_turn_tolerances`), which keeps every triangle of a facet's vertices
+    above its sliver tolerance too, and keeps out a facet of 1 or 2
+    vertices, whose turns are all 0; and no facet's vertices leaning off one
+    plane so far that the planes of two of its triangles could differ by
+    more than a `_LEAN_MARGIN`-th of those tolerances, which would split it
+    in `hull()`.  A value that overflows fails its guard.  `Polytope3` then
+    validates the result with all its checks; where it refuses, `hull()`
+    decides too, and names its own error."""
+    if not isinstance(faces, str):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            faces = _lattice_loops(pts, *faces)
+    if not isinstance(faces, str):
+        try:
+            return Polytope3(pts, faces)
+        except DegenerateInput as exc:
+            faces = f"the lattice is refused: {exc}"
+    log.debug("%s left to hull(): %s", what, faces)
+    return None
+
+
+def _lattice_loops(pts, loops, normals, local):
+    """`_lattice_polytope`'s loops, each from its lowest point, as a
+    `_LoopTable`; or the name of the guard that fails."""
+    tol = EPS * _span(pts)
+    flat, sizes, starts, owner = loops.flat, loops.sizes, loops.starts, loops.owner
+    heads, tails = flat, flat.take(loops.nxt)
+    # the position across each edge, which runs it the other way: where the
+    # loops are edge-consistent (else `Polytope3` refuses them), the sorted
+    # edges are the sorted reversed edges.  Its facet and this one, both
+    # planes through the edge's head: the chord between their normals and
+    # the gap between their offsets
+    keys, reverse = heads * len(pts) + tails, tails * len(pts) + heads
+    order, back = keys.argsort(), reverse.argsort()
+    across = np.empty_like(order)
+    across[back] = order
+    step = normals.take(owner, 0) - normals.take(owner.take(across), 0)
+    apart = (_row_norms(step) > _LATTICE_MARGIN * _MERGE_NORMAL_TOL) | (
+        np.abs(np.vecdot(step, pts.take(heads, 0))) > _LATTICE_MARGIN * tol
+    )
+    if not apart.all() and (keys.take(order) == reverse.take(back)).all():
+        return "two facets are nearly one plane"
+    lowest = _lowest_positions(local, starts, owner).take(owner)
+    # position t of a loop of size k at s is read from s + (t + lowest - s) % k
+    start = starts.take(owner)
+    turn = start + (np.arange(len(flat)) + lowest - 2 * start) % sizes.take(owner)
+    loops, local = _LoopTable(flat.take(turn), sizes), local.take(turn, 0)
+    # each position's turn against `_hull3`'s tolerance; in a loop of 1 or 2
+    # positions every turn is 0
+    turns, w = _turns(local, loops.nxt)
+    if not (turns > _LATTICE_MARGIN * _turn_tolerances(local, starts, tol).take(owner)).all():
+        return "a loop turn is nearly flat"
+    # a facet's vertices lie within `lean` of a plane (widened by the
+    # rounding of a plane through three of them), and a triangle of them
+    # has heights of at least `low`, the least height of a vertex over the
+    # chord of its neighbours; so each triangle's plane tilts from that
+    # plane by at most `tilt` = 3 lean / low, and moves along its normal by
+    # at most lean + big tilt, `big` the largest coordinate
+    big = float(np.abs(pts).max())
+    heights = np.vecdot(normals.take(owner, 0), pts.take(loops.flat, 0))
+    lean = (np.maximum.reduceat(heights, starts) - np.minimum.reduceat(heights, starts)) / 2 + 2 * _ULP * big
+    low = np.minimum.reduceat(turns / np.hypot(w[:, 0], w[:, 1]), starts)
+    tilt = 3 * lean / low
+    if not ((2 * tilt <= _MERGE_NORMAL_TOL / _LEAN_MARGIN) & (2 * (lean + big * tilt) <= tol / _LEAN_MARGIN)).all():
+        return "a facet's triangles may not merge"
+    return loops
+
+
 #: The one memory budget: at most this many floats (8 MB) in the
 #: temporaries of one row block (`_row_blocks`).
 _BLOCK = 1 << 20

@@ -26,7 +26,7 @@ from .extensions import admissible_extension_pairs, extension_homothety_check, k
 from .fileio import CheckRow, checks_to_csv, fmt, load_body, off_text, serialize_body, svg_text
 from .hullfun import convex_hull_function, homothetic_hull_function, point_hull_values, point_hull_volume
 from .illumination import HOMOTHETY_TOL, homothety_fit, illumination_body
-from .projection import TCVP_TOL, projection_body, tcvp_check, translative_volume_constant
+from .projection import TCVP_TOL, _volume_constant, projection_body, tcvp_check
 from .sampling import direction_set, random_polygon
 
 
@@ -241,7 +241,7 @@ def _cmd_projbody(args):
 def _cmd_tcvp(args):
     body = _load(args)
     report = tcvp_check(body, args.dirs)
-    ctr = translative_volume_constant(body, max(args.dirs, 720))
+    ctr = _volume_constant(body, report.difference_body, max(args.dirs, 720))
     rows = [
         CheckRow("delta_min", report.delta_min, None, None),
         CheckRow("delta_max", report.delta_max, None, None),

@@ -11,13 +11,12 @@ function is affine on each set S of facets that a point sees, and each
 solution on the line of facet planes i and j is a vertex of the four facets
 of the level set whose visible sets are S0, S0 + i, S0 + i + j and S0 + j;
 so the level set is built from that face lattice (`_lattice_body`), with no
-hull.  Its loops take their plane coordinates, starts and turns from the
-helpers `_hull3` uses (`_plane_coordinates`, `_lowest_positions`, `_turns`,
-`_turn_tolerances`), and its facets are `_distinct_rows` of the visible
-sets.  Where the lattice is not certain to be what `hull()` would build
-(coincident or tangent solutions, a solution near a third facet plane, or
-turns and planes near `hull()`'s tolerances), the solutions are hulled as
-in 2D.
+hull.  Its facets are `_distinct_rows` of the visible sets, and
+`bodies._lattice_polytope`, which the projection body's zonotope shares,
+starts their loops, tests them and builds the `Polytope3`.  Where the
+lattice is not certain to be what `hull()` would build (coincident or
+tangent solutions, a solution near a third facet plane, or turns and planes
+near `hull()`'s tolerances), the solutions are hulled as in 2D.
 
 One batched kernel (`_level_crossings`) solves all lines of a body at once,
 in whole-array steps, and returns exactly the numbers a solve of each line
@@ -40,15 +39,14 @@ import numpy as np
 
 from .bodies import (
     EPS,
-    _MERGE_NORMAL_TOL,
+    _LATTICE_MARGIN,
     Body,
-    Polytope3,
     _LoopTable,
     _as_vectors,
     _cross,
     _dedup_points,
     _distinct_rows,
-    _lowest_positions,
+    _lattice_polytope,
     _named,
     _pairs,
     _plane_coordinates,
@@ -57,8 +55,6 @@ from .bodies import (
     _row_norms,
     _span,
     _successors,
-    _turn_tolerances,
-    _turns,
     hull,
 )
 from .errors import (
@@ -304,23 +300,11 @@ def _facet_lines(body):
     return np.linalg.solve(mat, rhs[:, :, None])[:, :, 0], d, np.column_stack((i, j))
 
 
-#: How far each quantity that `_lattice_body` rests on must clear the
-#: tolerance `hull()` tests it against, as a factor.
-_LATTICE_MARGIN = 1e3
-
-#: The same for the bound on the tilt and shift of the planes of a facet's
-#: triangles (`_lattice_loops`), which is a worst case already, not an
-#: estimate: on the one facet seen to split in `hull()`, its triangles'
-#: planes differed by a third of that bound.
-_LEAN_MARGIN = 4.0
-
-_ULP = float(np.finfo(float).eps)
-
-
 def _lattice_body(body, pts, lines, pairs):
     """The 3D level set whose vertices are the candidates pts, in order,
-    built from its face lattice; or None, with a debug line naming the
-    guard, where the lattice is not certain to be what `hull(pts)` builds.
+    built from its face lattice (`_lattice_polytope`); or None, with a
+    debug line naming the guard, where the lattice is not certain to be
+    what `hull(pts)` builds.
 
     Candidate k lies on the line of the facet planes i, j = pairs[k] of K,
     and sees the facets S0 of K, i and j left out.  Near it the point-hull
@@ -330,82 +314,36 @@ def _lattice_body(body, pts, lines, pairs):
     facets of the level set.  Each facet is one visible set, outward along
     its gradient, with its vertices in turn by angle in its plane.
 
-    `hull()` builds the same body where it merges, drops and regroups
-    nothing.  With tol = EPS * span, its tolerance, the lattice needs:
-    every line that meets the level set to meet it twice (no tangency); no
-    two candidates within tol (`_dedup_points`); every candidate more than
-    `_LATTICE_MARGIN` tol from each third facet plane of K; each loop turn
-    (`_turns`) above `_LATTICE_MARGIN` times `_hull3`'s turn tolerance
-    (`_turn_tolerances`), which keeps every triangle of a facet's vertices
-    above its sliver tolerance too, and keeps out a facet of 1 or 2
-    vertices, whose turns are all 0; and no two facets that meet at a
-    candidate within `_LATTICE_MARGIN` times `_hull3`'s merge tolerances of
-    one plane, in normal and offset both.  Nor may a facet's vertices
-    lean off one plane so far that the planes of two of its triangles could
-    differ by more than a `_LEAN_MARGIN`-th of those tolerances, which
-    would split it in `hull()`.  A value that overflows fails its guard.
-    `Polytope3` then validates the result with all its checks; where it
-    refuses, `hull()` decides too, and names its own error."""
+    Besides the guards of `_lattice_polytope`, with tol = EPS * span, the
+    lattice needs: every line that meets the level set to meet it twice (no
+    tangency); no two candidates within tol (`_dedup_points`); and every
+    candidate more than `_LATTICE_MARGIN` tol from each third facet plane
+    of K."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        loops, guard = _lattice_loops(body, pts, lines, pairs)
-    if guard is None:
-        try:
-            return Polytope3(pts, loops)
-        except DegenerateInput as exc:
-            guard = f"the lattice is refused: {exc}"
-    log.debug("level set left to hull(): %s", guard)
-    return None
+        faces = _lattice_faces(body, pts, lines, pairs)
+    return _lattice_polytope(pts, faces, log, "level set")
 
 
-def _lattice_loops(body, pts, lines, pairs):
-    """`_lattice_body`'s facet loops, as a `_LoopTable`, and None; or None
-    and the guard that fails."""
+def _lattice_faces(body, pts, lines, pairs):
+    """`_lattice_body`'s facets, as the (loops, normals, local) that
+    `_lattice_polytope` takes; or the name of the guard that fails."""
     tol = EPS * _span(pts)
     if (np.bincount(lines) == 1).any():
-        return None, "a line meets the level set once"
+        return "a line meets the level set once"
     if len(_dedup_points(pts, tol)) < len(pts):
-        return None, "two candidates lie within the merge tolerance"
+        return "two candidates lie within the merge tolerance"
     labels, near = _visible_sets(body, pts, pairs)
     if not near > _LATTICE_MARGIN * tol:
-        return None, "a candidate lies near a third facet plane"
+        return "a candidate lies near a third facet plane"
     # the distinct visible sets are the facets
     at, first = _distinct_rows(labels)
-    sizes = np.bincount(at)
     # each facet's outward normal is the gradient sum_S a_F n_F of its set;
     # dividing a word by a power of two and rounding down is exact
     word, bit = _bits(len(body.facet_areas))
     grads = (np.floor(labels[first][:, word] / bit) % 2) @ (body.facet_areas[:, None] * body.facet_normals)
     normals = grads / _row_norms(grads)[:, None]
-    # facets next to each other around a candidate: the chord between their
-    # normals and the gap between their offsets, both planes through it
-    around = normals.take(at, 0).reshape(-1, 4, 3)
-    step = around - around[:, [3, 0, 1, 2]]
-    apart = (_row_norms(step) > _LATTICE_MARGIN * _MERGE_NORMAL_TOL) | (
-        np.abs(np.vecdot(step, pts[:, None])) > _LATTICE_MARGIN * tol
-    )
-    if not apart.all():
-        return None, "two facets are nearly one plane"
-    loops, local = _facet_loops(pts, at, normals, sizes)
-    first, owner = loops.starts, loops.owner
-    # each position's turn against `_hull3`'s tolerance; in a loop of 1 or 2
-    # positions every turn is 0
-    turns, w = _turns(local, loops.nxt)
-    if not (turns > _LATTICE_MARGIN * _turn_tolerances(local, first, tol).take(owner)).all():
-        return None, "a loop turn is nearly flat"
-    # a facet's vertices lie within `lean` of a plane (widened by the
-    # rounding of a plane through three of them), and a triangle of them
-    # has heights of at least `low`, the least height of a vertex over the
-    # chord of its neighbours; so each triangle's plane tilts from that
-    # plane by at most `tilt` = 3 lean / low, and moves along its normal by
-    # at most lean + big tilt, `big` the largest coordinate
-    big = float(np.abs(pts).max())
-    heights = np.vecdot(normals.take(owner, 0), pts.take(loops.flat, 0))
-    lean = (np.maximum.reduceat(heights, first) - np.minimum.reduceat(heights, first)) / 2 + 2 * _ULP * big
-    low = np.minimum.reduceat(turns / np.hypot(w[:, 0], w[:, 1]), first)
-    tilt = 3 * lean / low
-    if not ((2 * tilt <= _MERGE_NORMAL_TOL / _LEAN_MARGIN) & (2 * (lean + big * tilt) <= tol / _LEAN_MARGIN)).all():
-        return None, "a facet's triangles may not merge"
-    return loops, None
+    loops, local = _facet_loops(pts, at, normals)
+    return loops, normals, local
 
 
 def _visible_sets(body, pts, pairs):
@@ -438,28 +376,20 @@ def _bits(nf):
     return facet // 52, np.ldexp(1.0, facet % 52)
 
 
-def _facet_loops(pts, at, normals, sizes):
+def _facet_loops(pts, at, normals):
     """The loop table of the facets at[4 k : 4 k + 4] of each vertex k, and
     each position's plane coordinates (`_plane_coordinates`, as `_hull3`
     takes them): each loop in turn by angle about its vertices' centroid in
-    its plane, counterclockwise about its outward normal, from its lowest
-    point in plane coordinates (`_lowest_positions`), where `_hull3` starts
-    its loops too."""
+    the plane of its normal, counterclockwise about its outward normal, from
+    any start."""
+    sizes = np.bincount(at)
     vertex = np.arange(len(at)) // 4
     local = _plane_coordinates(normals, at, pts.take(vertex, 0))
     centre = np.stack([np.bincount(at, c, len(sizes)) for c in local.T], 1) / sizes[:, None]
     rel = local - centre.take(at, 0)
     # the facet, then the angle in (-pi, pi], as one key in [at, at + 1)
     order = (at + (np.arctan2(rel[:, 1], rel[:, 0]) + 4.0) / 8.0).argsort()
-    local = local.take(order, 0)
-    table = _LoopTable(order, sizes)
-    first, owner = table.starts, table.owner
-    lowest = _lowest_positions(local, first, owner)[owner]
-    # position t of a loop of size k at s is read from s + (t + lowest - s) % k
-    at = np.arange(len(order))
-    start = first[owner]
-    turn = start + (at + lowest - 2 * start) % sizes[owner]
-    return _LoopTable(vertex[order[turn]], sizes), local.take(turn, 0)
+    return _LoopTable(vertex.take(order), sizes), local.take(order, 0)
 
 
 # ---------------------------------------------------------------------------

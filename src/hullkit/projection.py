@@ -12,7 +12,12 @@ building it; ``polar_projection_body`` builds it.  In 2D the planes are the
 built ΠK's.  In 3D ΠK is the zonotope of the generators
 g_F = area(F)/2 * n_F, and each facet plane belongs to a pair of generators:
 n_F/b_F = c / sum_k |<g_k, c>| with c = g_i x g_j, in closed form
-(`_zonotope_duals`), so no hull of ΠK is run.
+(`_zonotope_duals`), so no hull of ΠK is run.  `projection_body` builds the
+zonotope itself from its face lattice (`_zonotope`): where no third
+generator lies in the plane of a pair, each facet is the parallelogram of a
+pair (P. McMullen, "On zonotopes", Trans. AMS 159, 1971; G. M. Ziegler,
+*Lectures on Polytopes*, Lecture 7), and where the lattice is not certain
+to be what `hull()` builds, the candidates are hulled.
 
 Only positive homothety of the polar projection body is tested; rotational
 similarity is out of scope.  Likewise, no affine (Radon-curve) normalization
@@ -21,21 +26,29 @@ is attempted in the plane: Delta-constancy is the criterion.
 
 from __future__ import annotations
 
+import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bodies import (
+    EPS,
+    Body,
     Polygon,
+    _LoopTable,
     _cross,
+    _dedup_points,
     _diameter,
     _distinct_rows,
+    _lattice_polytope,
     _named,
     _pairs,
+    _plane_coordinates,
     _polar_points,
     _row_blocks,
     _row_norms,
+    _span,
     brightness_many,
     difference_body,
     hull,
@@ -45,6 +58,8 @@ from .bodies import (
 from .errors import DegenerateInput, TooFewDirections
 from .illumination import HomothetyReport, _fit, homothety_fit
 from .sampling import ball_body, direction_set
+
+log = logging.getLogger(__name__)
 
 #: Relative spread below which Delta(u) counts as constant.
 TCVP_TOL = 1e-6
@@ -56,7 +71,9 @@ BALL_FIT_TOL = 1e-3
 
 @dataclass(frozen=True)
 class TcvpReport:
-    """Delta(u) statistics plus the polar-projection-body homothety fit."""
+    """Delta(u) statistics plus the polar-projection-body homothety fit, and
+    the difference body K - K they were measured with (left out of
+    comparisons and the repr)."""
 
     delta_min: float
     delta_max: float
@@ -64,16 +81,19 @@ class TcvpReport:
     relative_spread: float
     polar_projection_homothety: HomothetyReport
     passes: bool
+    difference_body: Body | None = field(default=None, compare=False, repr=False)
 
 
 def projection_body(body):
     """Body whose support function is the brightness function.
 
     2D: the difference body rotated by pi/2.  3D: the zonotope generated by
-    the segments [-g_F, g_F] with g_F = area(F)/2 * n_F, built by one hull of
-    its candidate vertices, one set per pair of generators (see `_zonotope`;
-    parallel generators are combined first, which covers the antipodal facet
-    pairs of symmetric bodies).
+    the segments [-g_F, g_F] with g_F = area(F)/2 * n_F, on its candidate
+    vertices, one set per pair of generators; built from its face lattice,
+    one parallelogram facet per pair and side, or by one hull of the
+    candidates where a plane holds three or more generators or a guard fires
+    (see `_zonotope`; parallel generators are combined first, which covers
+    the antipodal facet pairs of symmetric bodies).
     """
     if body.dim == 2:
         return Polygon(rot90(difference_body(body).vertices))
@@ -87,9 +107,40 @@ def _facet_generators(body):
 
 
 def _zonotope(generators):
-    """Hull of the Minkowski sum of the segments [-g, g]: one hull call on
-    the candidate vertices of `_zonotope_points`."""
-    return hull(_zonotope_points(generators))
+    """The zonotope of the segments [-g, g], on the candidate vertices of
+    `_zonotope_points`, in their order: built from its face lattice with no
+    hull (`_zonotope_lattice`), or `hull()` of those candidates where a
+    guard fires."""
+    pts, body = _zonotope_lattice(generators)
+    return hull(pts) if body is None else body
+
+
+def _zonotope_lattice(generators):
+    """The candidates of `_zonotope_points`, and the zonotope built from its
+    face lattice on them (`_lattice_polytope`), or None.
+
+    Where the tie test in the plane of each pair (see `_zonotope_points`)
+    passes g_i and g_j and no other generator, the facets are the
+    parallelograms of the pairs, two each, with normals +-unit(g_i x g_j),
+    whose corners `_zonotope_signs` reads off the pair's sign rows.  So,
+    besides the guards of `_lattice_polytope`, the lattice needs that: a
+    third generator in a pair's plane makes its facet a 2m-gon, and a pair
+    of generators so nearly parallel that its normal rounds them out of
+    its own plane has no four corners of its own.  Nor may two candidates
+    lie within the merge tolerance (`_dedup_points`).  Nothing of the
+    lattice outlives this call, so a hull of the candidates does not hold
+    it."""
+    gens, e = _generators(generators)
+    signs, corners, normals = _zonotope_signs(gens)
+    pts = _sign_sums(signs, gens, e)
+    if corners is None:
+        faces = "the tie test in a pair's plane does not pass just the pair's two generators"
+    elif len(_dedup_points(pts, EPS * _span(pts))) < len(pts):
+        faces = "two candidates lie within the merge tolerance"
+    else:
+        loops, normals = _LoopTable(corners.ravel(), np.full(len(corners), 4)), np.concatenate((normals, -normals))
+        faces = loops, normals, _plane_coordinates(normals, loops.owner, pts.take(loops.flat, 0))
+    return pts, _lattice_polytope(pts, faces, log, "zonotope")
 
 
 def _generators(generators):
@@ -173,12 +224,18 @@ def _zonotope_points(generators):
     multiplied by 2^e at the end, which changes no bit.
     """
     gens, e = _generators(generators)
-    # each point summed one generator at a time, in order: `np.add.reduce`
-    # over the outer axis of a C-ordered (generators, 3, points) array adds
-    # one generator's terms at a time, as pts = pts + s_c g_c does (numpy
-    # sums pairwise only along the fast axis); each point on its own, so
-    # the sums go in blocks of points
-    signs = _zonotope_signs(gens)
+    return _sign_sums(_zonotope_signs(gens)[0], gens, e)
+
+
+def _sign_sums(signs, gens, e):
+    """The points sum_k s_k g_k of the sign rows s, times 2^e, summed in
+    generator order.
+
+    Each point is summed one generator at a time, in order: `np.add.reduce`
+    over the outer axis of a C-ordered (generators, 3, points) array adds
+    one generator's terms at a time, as pts = pts + s_c g_c does (numpy
+    sums pairwise only along the fast axis); each point on its own, so the
+    sums go in blocks of points."""
     pts = np.empty((len(signs), 3))
     for blk in _row_blocks(len(signs), 3 * len(gens)):
         terms = np.multiply(signs[blk].T[:, None, :], gens[:, :, None], order="C")
@@ -234,9 +291,10 @@ def _zonotope_signs(gens):
     """Distinct vertex sign vectors (int8 rows) of the zonotope of gens, in
     the order the iterated sums list the vertices: v + g before v - g for the
     last generator g, and so on back to the seed corners, which are listed
-    with -1 before +1.
+    with -1 before +1; the facets' corners; and each pair's unit normal
+    n = unit(g_i x g_j).
 
-    That is lexicographic order on the keys (-s_{k-1}, ..., -s_3, s_0, s_1,
+    The order is lexicographic on the keys (-s_{k-1}, ..., -s_3, s_0, s_1,
     s_2), most significant first.  Counted from the least significant, the
     places go in chunks of 52, and place p weighs 2^(p mod 52) in its chunk:
     more than all lower places of the chunk together.  So a chunk's product
@@ -244,7 +302,15 @@ def _zonotope_signs(gens):
     below 2^52, exact in any order of addition and any row blocks; the keys
     of -s are the negated keys, equal keys are equal rows, and
     `_distinct_rows` of the chunks gives the first of each distinct row in
-    lexicographic order."""
+    lexicographic order, and the index of each row among them.
+
+    The corners are None where the tie test in the plane of a pair passes
+    a generator other than g_i and g_j, or fails g_i or g_j.  Otherwise the
+    pair's four rows (`_zonotope_points`), with (s_i, s_j) = (+, +),
+    (+, -), (-, +), (-, -), are the corners of its facet about n, and rows
+    3, 1, 0, 2 run counterclockwise about n; the rows negated, in the
+    reverse order, run counterclockwise about -n.  The corners are those rows' indices, one
+    row of four per facet: pair by pair about n, then about -n."""
     k = len(gens)
     tie_tol = 1e-12 * np.linalg.norm(gens, axis=1)
     i, j = _pairs(k)
@@ -254,14 +320,22 @@ def _zonotope_signs(gens):
     tj = _cross(n, gens[i])
     ab = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
     signs = np.empty((4 * len(n), k), dtype=np.int8)
+    # each pair's rows, in the order of ab; in a block of b pairs they lie b apart
+    rows = np.empty((len(n), 4), dtype=np.intp)
+    parallelograms = True
     # in blocks of pairs, each with a (4, pairs, k) temporary
     for blk in _row_blocks(len(n), 4 * k):
         w = ab[:, 0, None, None] * ti[blk] + ab[:, 1, None, None] * tj[blk]
         heights = n[blk] @ gens.T
-        s = np.where(np.abs(heights) > tie_tol, np.sign(heights), np.sign(w @ gens.T))
+        apart = np.abs(heights) > tie_tol
+        parallelograms &= bool((apart.sum(1) == k - 2).all())
+        s = np.where(apart, np.sign(heights), np.sign(w @ gens.T))
         signs[4 * blk.start:4 * blk.stop] = s.reshape(-1, k)
+        b = len(heights)
+        rows[blk] = 4 * blk.start + np.arange(b)[:, None] + b * np.arange(4)
     if not signs.all():
         signs = signs[np.all(signs != 0, axis=1)]
+        parallelograms = False
     place = np.arange(k)
     place[:3] = (2, 1, 0)
     weights = np.zeros((k, (k + 51) // 52))
@@ -272,8 +346,12 @@ def _zonotope_signs(gens):
     for blk in _row_blocks(r, k):
         keys[:r][blk] = signs[blk] @ weights
     np.negative(keys[:r], out=keys[r:])
-    negated, order = np.divmod(_distinct_rows(keys)[1], r)
-    return signs.take(order, 0) * (1 - 2 * negated).astype(np.int8)[:, None]
+    at, first = _distinct_rows(keys)
+    negated, order = np.divmod(first, r)
+    signs = signs.take(order, 0) * (1 - 2 * negated).astype(np.int8)[:, None]
+    if not parallelograms:
+        return signs, None, n
+    return signs, at.take(np.concatenate((rows[:, [3, 1, 0, 2]], r + rows[:, [2, 0, 1, 3]]))), n
 
 
 def polar_projection_body(body):
@@ -340,6 +418,7 @@ def tcvp_check(body, n_dirs=360):
         relative_spread=spread,
         polar_projection_homothety=_fit(diff.vertices, duals, diameter),
         passes=bool(spread < TCVP_TOL),
+        difference_body=diff,
     )
 
 
@@ -348,8 +427,12 @@ def translative_volume_constant(body, n_dirs=720):
     1 + max_u Delta(u) / vol."""
     if n_dirs < 16:
         raise TooFewDirections("n_dirs must be at least 16")
-    dirs = direction_set(body.dim, n_dirs)
-    return 1.0 + float(np.max(delta_values(body, dirs))) / body.volume
+    return _volume_constant(body, difference_body(body), n_dirs)
+
+
+def _volume_constant(body, diff, n_dirs):
+    """`translative_volume_constant` with K - K given as diff."""
+    return 1.0 + float(np.max(_excess(body, diff, direction_set(body.dim, n_dirs)))) / body.volume
 
 
 def constancy_check(body):

@@ -1,9 +1,13 @@
-"""Rewrite every golden file here: ``criterion_NN.csv`` from
-`acceptance.CRITERIA`, each criterion's rows through ``checks_to_csv``, and
-``search_2d.json`` and ``search_3d.json`` from `search_report`, as
-``tests/test_acceptance.py`` compares them.  Prints the names of the files
-whose contents changed.  Run it as ``python tests/golden/regenerate.py``,
-and say in the change which values moved and why."""
+"""Rewrite every golden file here but ``output_digests.json``:
+``criterion_NN.csv`` from `acceptance.CRITERIA`, each criterion's rows
+through ``checks_to_csv``, and ``search_2d.json`` and ``search_3d.json``
+from `search_report`, as ``tests/test_acceptance.py`` compares them.
+Prints the names of the files whose contents changed.  Run it as
+``python tests/golden/regenerate.py``, and say in the change which values
+moved and why.  ``output_digests.json`` holds each benchmark workload's
+seed-1 ``output_digest`` (``perfbench/run.py --seed 1 --trace 1``), which
+CI compares; it is edited by hand, only where a change means to move a
+rendered output."""
 
 import io
 import json

@@ -1160,11 +1160,12 @@ def _level_set_candidates(body, delta):
 
 def _medium_hull_inputs(bodies_of=((7, 9), (3, 12))):
     """The point sets of 50 points or more of the illumination bodies' level
-    sets (at delta = 0.05, 0.5 and 2 vol, `_level_set_candidates`), and of
-    those that hull() is handed while the projection body (its zonotope
-    candidates), the polar projection body and the difference body of
-    random 3-polytopes are built, in that order: the medium hulls of the
-    paper's 3D constructions."""
+    sets (at delta = 0.05, 0.5 and 2 vol, `_level_set_candidates`), of the
+    projection body's zonotope candidates (`_zonotope_points`, which its
+    face lattice builds without hull()), and of those that hull() is handed
+    while the polar projection body and the difference body of random
+    3-polytopes are built, in that order: the medium hulls of the paper's
+    3D constructions."""
     inputs = []
     real = bodies.hull
 
@@ -1179,6 +1180,7 @@ def _medium_hull_inputs(bodies_of=((7, 9), (3, 12))):
             body = random_polytope3(np.random.default_rng(seed), n)
             for factor in (0.05, 0.5, 2.0):
                 inputs.append(_level_set_candidates(body, factor * body.volume))
+            inputs.append(projection._zonotope_points(projection._facet_generators(body)))
             polar(projection_body(body))
             difference_body(body)
     return [pts for pts in inputs if len(pts) >= 50]
@@ -1559,11 +1561,11 @@ class TestRowBlocks:
         # the zonotope's sums on given sign rows: its sign rows come from
         # blocked BLAS products, whose rows can round otherwise in other blocks
         gens = projection._generators(projection._facet_generators(random_polytope3(np.random.default_rng(46), 12)))[0]
-        signs = projection._zonotope_signs(gens)
-        monkeypatch.setattr(projection, "_zonotope_signs", lambda g: signs)
+        rows = projection._zonotope_signs(gens)
+        monkeypatch.setattr(projection, "_zonotope_signs", lambda g: rows)
         want.append(projection._zonotope_points(gens).tobytes())
         monkeypatch.setattr(bodies, "_BLOCK", block)
-        assert len(bodies._row_blocks(len(signs), 3 * len(gens))) > 1
+        assert len(bodies._row_blocks(len(rows[0]), 3 * len(gens))) > 1
         got = self._results()
         got.append(projection._zonotope_points(gens).tobytes())
         assert got == want

@@ -39,7 +39,7 @@ from hullkit import projection
 from hullkit.acceptance import illumination_defect_rows
 from hullkit.cli import main
 from hullkit.extensions import admissible_extension_pairs
-from hullkit.fileio import CheckRow, checks_to_csv, off_text, svg_text
+from hullkit.fileio import CheckRow, checks_to_csv, fmt, off_text, svg_text
 from hullkit.sampling import direction_set, random_polygon, random_polytope3, regular_polygon
 
 
@@ -176,6 +176,18 @@ class TestCli:
         code, out, err = run_cli(["tcvp", str(path)])
         assert (code, err) == (0, "")
         assert out == run_cli(["tcvp", square_file])[1]
+
+    @pytest.mark.parametrize("name", ["square_file", "cube_file"])
+    def test_tcvp_builds_one_difference_body(self, name, request, monkeypatch):
+        # `tcvp_check` keeps the K - K it builds on its report, and the
+        # volume-constant row reads it there, where the row built it again
+        path = request.getfixturevalue(name)
+        want = fmt(translative_volume_constant(load_body(path), 720))
+        real, built = projection.difference_body, []
+        monkeypatch.setattr(projection, "difference_body", lambda body: built.append(body.dim) or real(body))
+        code, out, err = run_cli(["tcvp", path])
+        assert (code, err, len(built)) == (0, "", 1)
+        assert out.splitlines()[-1] == f"translative_volume_constant,{want},,"
 
     def test_extend_heptagon(self, tmp_path):
         path = tmp_path / "hep.json"

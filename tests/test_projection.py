@@ -324,7 +324,7 @@ class TestZonotope:
     def test_sign_rows_match_the_reference(self, k):
         # one, two and three key chunks of 52 places, and the edges between
         gens = np.random.default_rng(k).normal(size=(k, 3))
-        got = _zonotope_signs(gens)
+        got = _zonotope_signs(gens)[0]
         assert got.dtype == np.int8
         assert np.array_equal(got, _reference_zonotope_signs(gens))
 
@@ -342,20 +342,129 @@ class TestZonotope:
         assert peak < 64e6
 
     def test_candidate_call_count(self):
-        """A cost guard: `_zonotope_points` on 20 generators makes at most
-        1.25 times the Python-level calls it makes on 8, so that work per
-        generator cannot come back unseen (165 against 181 with numpy 2.4;
-        701 against 413 when every generator went through the merge loop
-        and each point was summed one generator at a time)."""
+        """A cost guard: `_zonotope_points`, and `_zonotope` with its face
+        lattice, on 20 generators make at most 1.25 times the Python-level
+        calls they make on 8, so that work per generator, or per facet,
+        cannot come back unseen (175 against 191 and 423 against 447 with
+        numpy 2.4; 701 against 413 when every generator went through the
+        merge loop and each point was summed one generator at a time)."""
         rng = np.random.default_rng(36)
         few, many = rng.normal(size=(8, 3)), rng.normal(size=(20, 3))
-        _zonotope_points(few), _zonotope_points(many)  # first-call set-up
-        assert calls_in(_zonotope_points, many) <= 1.25 * calls_in(_zonotope_points, few)
+        for build in (_zonotope_points, _zonotope):
+            build(few), build(many)  # first-call set-up
+            assert calls_in(build, many) <= 1.25 * calls_in(build, few), build.__name__
 
     def test_triple_point_vertices(self):
         zono = _zonotope(TRIPLE_POINT_GENERATORS)
         assert len(zono) == 26
         assert zono.volume == pytest.approx(144.0, rel=1e-14, abs=0)
+
+
+def _lattice_cases():
+    """The generator sets of the zonotope lattice oracle: `_zonotope_cases`
+    (the cube, octahedron and prisms take the parallel merge), the tcvp3d
+    bodies of seed 1, 20 seeded random sets and a 40-facet body."""
+    rng = np.random.default_rng(38)
+    cases = _zonotope_cases()
+    cases += [(f"tcvp3d_{n}", _facet_generators(body)) for n, body in enumerate(_tcvp3d_bodies(1))]
+    cases += [(f"set_{n}", rng.normal(size=(int(rng.integers(3, 31)), 3))) for n in range(20)]
+    cases.append(("facets_40", _facet_generators(random_polytope3(np.random.default_rng(1), 22))))
+    return cases
+
+
+def _body_or_error(build, *args):
+    try:
+        return build(*args)
+    except GeometryError as exc:
+        return exc
+
+
+def _near(gens, g, sine):
+    """g turned by about the given sine towards a unit vector normal to it
+    and to the third generator."""
+    u = np.cross(g, gens[2])
+    return g + sine * np.linalg.norm(g) * u / np.linalg.norm(u)
+
+
+class TestZonotopeLattice:
+    """`_zonotope` builds the zonotope from its face lattice, and takes
+    `hull(_zonotope_points(g))` where a guard fires."""
+
+    @pytest.mark.parametrize("block", [None, 4096])
+    def test_lattice_builds_what_hull_builds(self, monkeypatch, block):
+        # each case is built with the lattice and by hull() alone: where the
+        # lattice builds, it has the hull's vertices bit for bit, its facets'
+        # loops (start and direction too), and planes and volume within
+        # rounding; where it does not, the two are the same body.  At a
+        # budget of 4 096 floats the sign rows of a set of k generators are
+        # taken in blocks of 1 024 // k pairs
+        if block is not None:
+            monkeypatch.setattr(bodies_module, "_BLOCK", block)
+        hulls, built, started_apart = [], [], []
+        monkeypatch.setattr(projection, "hull", lambda pts: hulls.append(1) or hull(pts))
+        for name, gens in _lattice_cases():
+            del hulls[:]
+            got = _zonotope(gens)
+            want = hull(_zonotope_points(gens))
+            assert got.vertices.tobytes() == want.vertices.tobytes(), name
+            if hulls:
+                assert got.facet_loops == want.facet_loops
+                for field in ("facet_normals", "facet_offsets", "facet_areas"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+                continue
+            built.append(name)
+            assert set(map(frozenset, got.facet_loops)) == set(map(frozenset, want.facet_loops)), name
+            at = {frozenset(loop): f for f, loop in enumerate(want.facet_loops)}
+            order = [at[frozenset(loop)] for loop in got.facet_loops]
+            for loop, f in zip(got.facet_loops, order):
+                if loop != want.facet_loops[f]:
+                    # the same cycle, from another start
+                    assert loop in [want.facet_loops[f][k:] + want.facet_loops[f][:k] for k in range(len(loop))]
+                    started_apart.append(name)
+            assert np.abs(got.facet_normals - want.facet_normals[order]).max() <= 1e-12
+            assert np.abs(got.facet_offsets - want.facet_offsets[order]).max() <= 1e-12 * want.diameter
+            assert abs(got.volume - want.volume) <= 1e-15 * want.volume
+        # the prisms and the triple point have planes of three or more
+        # generators; every other case is a lattice, the tcvp3d bodies too
+        names = [name for name, _ in _lattice_cases()]
+        assert [name for name in names if name not in built] == ["prism_3", "prism_5", "prism_6", "prism_11", "triple_point"]
+        # no loop starts apart: no lowest point is tied
+        assert started_apart == []
+
+    def test_guards_name_themselves(self, caplog, cube):
+        # each set goes to hull() with one debug line naming the guard, and
+        # gets hull()'s body or error
+        caplog.set_level("DEBUG", logger="hullkit.projection")
+        rng = np.random.default_rng(1)
+        tiny = [random_polytope3(rng, 8).scale(2.0**-126), random_polytope3(rng, 9).scale(2.0**-126)]
+        d = np.array([2.0, 1.0, 0.5])
+        four = np.random.default_rng(38).normal(size=(4, 3))
+        cases = {
+            "the tie test in a pair's plane does not pass just the pair's two generators": [
+                np.array(TRIPLE_POINT_GENERATORS, dtype=float),
+                # just above the parallel merge's 1e-12 sine
+                np.vstack((np.eye(3), d, _near(np.eye(3), d, 1.1e-12))),
+            ],
+            "two candidates lie within the merge tolerance": [np.vstack((np.eye(3), d, _near(np.eye(3), d, 1e-11)))],
+            "two facets are nearly one plane": [np.vstack((np.eye(3), [1.0, 1.0, 1e-11 * np.sqrt(2)]))],
+            "a loop turn is nearly flat": [np.vstack((four, _near(four, 0.5 * four[0], 3e-6)))],
+            "a facet's triangles may not merge": [np.vstack((np.eye(3), d, _near(np.eye(3), 0.5 * d, 1e-5)))],
+            "the lattice is refused: coordinates too small: squared facet normals underflow": [
+                _facet_generators(body) for body in (*tiny, cube.scale(2.0**-130))
+            ],
+        }
+        for guard, sets in cases.items():
+            for gens in sets:
+                caplog.clear()
+                got = _body_or_error(_zonotope, gens)
+                assert [record.getMessage() for record in caplog.records] == [f"zonotope left to hull(): {guard}"]
+                want = _body_or_error(lambda g: hull(_zonotope_points(g)), gens)
+                if isinstance(want, GeometryError):
+                    assert (type(got), str(got)) == (type(want), str(want))
+                    continue
+                assert got.facet_loops == want.facet_loops
+                for field in ("vertices", "facet_normals", "facet_offsets", "facet_areas"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 def _exact_duals(generators):
